@@ -1,18 +1,38 @@
+import hashlib
+import json
+
 import pytest
 
+from gcvx import jsonio
 from gcvx.kernel import DomainError
 from gcvx.suites import all_sigma_spaces, explain, run_suite
 
+# config and the SHA-256 of the canonical report; a refactor that keeps
+# the digests keeps every report byte-identical
 SMALL = {
-    "giry-monad": {"maxPoints": 2},
-    "adjunction": {"maxPoints": 2, "maxSize": 2},
-    "algebra-roundtrip": {"maxSize": 3},
-    "convex-axioms": {"maxSize": 3},
-    "boolean-subobjects": {"maxSize": 3},
-    "smcc": {"maxPoints": 2},
-    "lebesgue": {"samples": 20, "seed": 5},
-    "errata": {},
+    "giry-monad": ({"maxPoints": 2},
+                   "1df5fff21c3ebb2fca4461b7b4caf240ade9d0bb37a77342b20a14eb142596c7"),
+    "adjunction": ({"maxPoints": 2, "maxSize": 2},
+                   "028c71027f81072b3f63c8fd04410ae44f42ee80dbbc5c9c3d74370dd4c2fc7a"),
+    "algebra-roundtrip": ({"maxSize": 3},
+                          "71fac015426358453ebfe17762ce6565d5b7eeb8aa81640ede7983b14307b779"),
+    "convex-axioms": ({"maxSize": 3},
+                      "eb15da6d87ed5351426f898ca1a4dda68201f9b7791e71015fe20f4124a7d064"),
+    "boolean-subobjects": ({"maxSize": 3},
+                           "8d83cb64c906e81ba23a85e0a2160c616cb3042abfcd6a196d3fda3c93f82325"),
+    "smcc": ({"maxPoints": 2},
+             "530a89838474abbbd834d0e6e0e9774a57198ec5c1c994a10bf8a4d723bf8808"),
+    "lebesgue": ({"samples": 20, "seed": 5},
+                 "b161bdc844a14ebc9ed9e84c8e13711830eac07209af5236e612c95dcea06cd2"),
+    "errata": ({},
+               "ede58ae206e6c9695676ecc2025d36bf18ddc259c74ec976eed2bc9875703315"),
 }
+
+
+def report_digest(rep) -> str:
+    canonical = json.dumps(rep.to_json(), sort_keys=True,
+                           default=jsonio.json_default)
+    return hashlib.sha256(canonical.encode()).hexdigest()
 
 
 def test_all_sigma_spaces_counts_are_partition_numbers():
@@ -22,10 +42,12 @@ def test_all_sigma_spaces_counts_are_partition_numbers():
 
 @pytest.mark.parametrize("name", sorted(SMALL))
 def test_suite_runs_clean(name):
-    rep = run_suite(name, SMALL[name])
+    config, digest = SMALL[name]
+    rep = run_suite(name, config)
     assert rep.ok
     assert rep.instances > 0
     assert rep.passed + len(rep.failures) == rep.instances
+    assert report_digest(rep) == digest
 
 
 def test_unknown_suite_rejected():
@@ -35,8 +57,9 @@ def test_unknown_suite_rejected():
 
 def test_reports_are_deterministic():
     for name in ("lebesgue", "errata", "boolean-subobjects"):
-        a = run_suite(name, SMALL[name]).to_json()
-        b = run_suite(name, SMALL[name]).to_json()
+        config, _ = SMALL[name]
+        a = run_suite(name, config).to_json()
+        b = run_suite(name, config).to_json()
         assert a == b
 
 
