@@ -4,28 +4,14 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .jsonio import dump_json, load_json, space_from_json
-from .kernel import DomainError
+from .kernel import CapacityError, DomainError
 from .smcc import product_space, tensor_space
 from .suites import SUITE_NAMES, explain, run_suite
 
 USAGE_EXIT = 2
-
-
-def _threads() -> int:
-    """GCVX_THREADS caps parallelism; execution is sequential either way,
-    which trivially respects any cap, but the value is still validated."""
-    raw = os.environ.get("GCVX_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise DomainError(f"GCVX_THREADS must be an integer, got {raw!r}")
-    if n < 1:
-        raise DomainError("GCVX_THREADS must be at least 1")
-    return n
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -95,7 +81,6 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return USAGE_EXIT if exc.code not in (0, None) else 0
     try:
-        _threads()
         if args.command == "tensor":
             left = space_from_json(load_json(args.left))
             right = space_from_json(load_json(args.right))
@@ -118,7 +103,8 @@ def main(argv=None) -> int:
             return 0
         report = run_suite(args.command, _suite_config(args))
         return _emit(report, args.json_out)
-    except (DomainError, FileNotFoundError, KeyError, ValueError) as exc:
+    except (CapacityError, DomainError, FileNotFoundError, KeyError,
+            ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_EXIT
 

@@ -224,20 +224,7 @@ def with_zero(A, a0) -> PositivelyConvex:
 
 
 # ---------------------------------------------------------------------------
-# paths and interval endomorphisms
-
-
-@dataclass(frozen=True)
-class PathMap:
-    """The affine path from a1 to a2 inside `target`."""
-
-    target: object
-    a1: object
-    a2: object
-
-
-def path_eval(path: PathMap, alpha):
-    return convex_combine(path.target, path.a1, path.a2, alpha)
+# interval endomorphisms
 
 
 @dataclass(frozen=True)
@@ -439,23 +426,6 @@ def boolean_union_identity(A: SemiCvx, S: SemiSubset) -> dict:
 
 # ---------------------------------------------------------------------------
 # affine maps
-
-
-@dataclass(frozen=True)
-class GeomToGeom:
-    dom: GeomCvx
-    cod: GeomCvx
-    matrix: tuple[tuple[Fraction, ...], ...]
-    offset: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        for g in self.dom.generators:
-            self.cod.require_member(self.apply(g))
-
-    def apply(self, p) -> Point:
-        p = tuple(rat(x) for x in p)
-        return tuple(sum(row[j] * p[j] for j in range(self.dom.dim)) + o
-                     for row, o in zip(self.matrix, self.offset))
 
 
 @dataclass(frozen=True)

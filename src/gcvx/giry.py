@@ -41,10 +41,6 @@ class FinDist:
         if sum(self.mass, ZERO) != ONE:
             raise DomainError("masses must sum to exactly 1")
 
-    @classmethod
-    def from_atom_masses(cls, space, masses) -> "FinDist":
-        return cls(space, tuple(rat(m) for m in masses))
-
     def measure(self, mask: int) -> Fraction:
         if mask not in self.space.sigma:
             raise DomainError("set is not measurable")
@@ -230,14 +226,6 @@ def map_mu(PPP: ThreeLevel, mu_fn=mu) -> DistOverDists:
 def P_as_convex(X: FinMeasSpace) -> GeomCvx:
     """The simplex of measures on X, one coordinate per atom."""
     return free_convex(len(X.atoms()))
-
-
-def dist_to_coords(P: FinDist) -> tuple[Fraction, ...]:
-    return P.mass
-
-
-def coords_to_dist(X: FinMeasSpace, coords) -> FinDist:
-    return FinDist(X, tuple(rat(c) for c in coords))
 
 
 def mix_dists(P: FinDist, Q: FinDist, alpha) -> FinDist:

@@ -2,8 +2,11 @@
 
 Subsets of a carrier are bitmasks over the (fixed, input-order) point
 list, and a sigma-algebra is a frozenset of such masks.  On a finite
-carrier closure under pairwise union realizes countable union, so these
-families are honest sigma-algebras.
+carrier every sigma-algebra is the powerset of its atoms, the blocks of
+a partition, so every construction here builds its sigma-algebra from
+the blocks with `FinMeasSpace.from_atoms`: generation and coinduction
+only have to find the atoms, with no closure loop and no scan over all
+subsets.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from dataclasses import dataclass
 from .kernel import CapacityError, DomainError
 
 SIGMA_CAPACITY = 2**20
+MAX_ATOMS = 20
 
 
 def mask_of(points: tuple[str, ...], subset) -> int:
@@ -36,6 +40,8 @@ class FinMeasSpace:
     sigma: frozenset[int]
 
     def __post_init__(self):
+        if len(set(self.points)) != len(self.points):
+            raise DomainError("point names must be distinct")
         full = self.full_mask
         if 0 not in self.sigma or full not in self.sigma:
             raise DomainError("sigma must contain the empty and full sets")
@@ -53,11 +59,21 @@ class FinMeasSpace:
         return (1 << len(self.points)) - 1
 
     @classmethod
+    def from_atoms(cls, points, atoms) -> "FinMeasSpace":
+        """The sigma-algebra whose atoms are the disjoint nonempty masks
+        `atoms`, which cover the carrier: every union of them."""
+        atoms = list(atoms)
+        if len(atoms) > MAX_ATOMS:
+            raise CapacityError("sigma-algebra exceeds capacity")
+        sigma = [0]
+        for a in atoms:
+            sigma += [u | a for u in sigma]
+        return cls(tuple(points), frozenset(sigma))
+
+    @classmethod
     def discrete(cls, points) -> "FinMeasSpace":
         points = tuple(points)
-        if len(points) > 20:
-            raise CapacityError("powerset sigma-algebra would exceed capacity")
-        return cls(points, frozenset(range(1 << len(points))))
+        return cls.from_atoms(points, (1 << i for i in range(len(points))))
 
     @classmethod
     def trivial(cls, points) -> "FinMeasSpace":
@@ -78,55 +94,42 @@ class FinMeasSpace:
             object.__setattr__(self, "_atoms", cached)
         return cached
 
-    def atom_of(self, point: str) -> int:
-        i = self.points.index(point)
-        for a in self.atoms():
-            if a >> i & 1:
-                return a
-        raise DomainError(f"point {point!r} not found")
+    def atom_index(self) -> dict[str, int]:
+        """Position in atoms() of the atom holding each point."""
+        cached = getattr(self, "_atom_index", None)
+        if cached is None:
+            cached = {p: k for k, a in enumerate(self.atoms())
+                      for i, p in enumerate(self.points) if a >> i & 1}
+            object.__setattr__(self, "_atom_index", cached)
+        return cached
 
-    def subset_mask(self, subset) -> int:
-        return mask_of(self.points, subset)
+    def atom_of(self, point: str) -> int:
+        k = self.atom_index().get(point)
+        if k is None:
+            raise DomainError(f"point {point!r} not found")
+        return self.atoms()[k]
 
     def subset_names(self, mask: int) -> tuple[str, ...]:
         return names_of(self.points, mask)
 
 
-def _closure(points: tuple[str, ...], seeds) -> frozenset[int]:
-    full = (1 << len(points)) - 1
-    family = {0, full} | set(seeds)
-    # least family closed under complement and pairwise union
-    while True:
-        new = set()
-        for u in family:
-            c = full & ~u
-            if c not in family:
-                new.add(c)
-        for u, v in itertools.combinations(family, 2):
-            w = u | v
-            if w not in family:
-                new.add(w)
-        if not new:
-            return frozenset(family)
-        family |= new
-        if len(family) > SIGMA_CAPACITY:
-            raise CapacityError("generated sigma-algebra exceeds capacity")
-
-
 def generate_sigma(points, generators) -> FinMeasSpace:
-    """Least sigma-algebra on `points` containing every generator."""
+    """Least sigma-algebra on `points` containing every generator.
+
+    Its atoms are the membership classes: points lying in exactly the
+    same generators.
+    """
     points = tuple(points)
     masks = [mask_of(points, g) if not isinstance(g, int) else g for g in generators]
     full = (1 << len(points)) - 1
     for m in masks:
         if m & ~full:
             raise DomainError("generator is not a subset of the carrier")
-    # capacity precheck: the result is the powerset of the partition the
-    # generators induce, so count membership classes before materializing
-    classes = len({tuple(m >> i & 1 for m in masks) for i in range(len(points))})
-    if classes > 20:
-        raise CapacityError("generated sigma-algebra exceeds capacity")
-    return FinMeasSpace(points, _closure(points, masks))
+    classes: dict[tuple[int, ...], int] = {}
+    for i in range(len(points)):
+        key = tuple(m >> i & 1 for m in masks)
+        classes[key] = classes.get(key, 0) | (1 << i)
+    return FinMeasSpace.from_atoms(points, classes.values())
 
 
 def coinduced_sigma(points, family) -> FinMeasSpace:
@@ -134,35 +137,27 @@ def coinduced_sigma(points, family) -> FinMeasSpace:
 
     `family` is a list of (source_space, mapping) with mapping a dict from
     source point to carrier point.  An empty family yields the powerset.
+    A set is measurable for a map exactly when it splits the image of no
+    source atom, so the atoms are the classes those images join.
     """
     points = tuple(points)
-    if len(points) > 20:
-        raise CapacityError("carrier too large to scan all subsets")
     index = {p: i for i, p in enumerate(points)}
-    prepared = []
+    blocks = [1 << i for i in range(len(points))]
     for src, mapping in family:
-        srcbits = [0] * len(points)
-        for i, p in enumerate(src.points):
+        images = [0] * len(src.atoms())
+        src_atom = src.atom_index()
+        for p in src.points:
             q = mapping[p]
             if q not in index:
                 raise DomainError(f"map image {q!r} is not in the carrier")
-            srcbits[index[q]] |= 1 << i
-        prepared.append((src.sigma, srcbits))
-    carrier_bits = list(range(len(points)))
-    sigma = set()
-    for u in range(1 << len(points)):
-        ok = True
-        for src_sigma, srcbits in prepared:
-            pre = 0
-            for j in carrier_bits:
-                if u >> j & 1:
-                    pre |= srcbits[j]
-            if pre not in src_sigma:
-                ok = False
-                break
-        if ok:
-            sigma.add(u)
-    return FinMeasSpace(points, frozenset(sigma))
+            images[src_atom[p]] |= 1 << index[q]
+        for img in images:
+            joined = 0
+            for b in blocks:
+                if b & img:
+                    joined |= b
+            blocks = [b for b in blocks if not b & img] + [joined]
+    return FinMeasSpace.from_atoms(points, blocks)
 
 
 def induced_sigma(points, family) -> FinMeasSpace:
@@ -197,11 +192,21 @@ class MeasFn:
     mapping: tuple[str, ...]
 
     def __post_init__(self):
-        ok, witness = is_measurable(dict(zip(self.dom.points, self.mapping)),
-                                    self.dom, self.cod)
-        if not ok:
-            names = self.cod.subset_names(witness)
-            raise DomainError(f"map is not measurable; witness set {names}")
+        if len(self.mapping) != len(self.dom.points):
+            raise DomainError(f"mapping has {len(self.mapping)} values for "
+                              f"{len(self.dom.points)} domain points")
+        # measurable exactly when each domain atom lands in one codomain
+        # atom; the preimage scan only runs to name a witness
+        dom_atom, cod_atom = self.dom.atom_index(), self.cod.atom_index()
+        landing: dict[int, int] = {}
+        for p, q in zip(self.dom.points, self.mapping):
+            if q not in cod_atom:
+                raise DomainError(f"image {q!r} not in codomain")
+            if landing.setdefault(dom_atom[p], cod_atom[q]) != cod_atom[q]:
+                _, witness = is_measurable(dict(zip(self.dom.points, self.mapping)),
+                                           self.dom, self.cod)
+                names = self.cod.subset_names(witness)
+                raise DomainError(f"map is not measurable; witness set {names}")
 
     def __call__(self, p: str) -> str:
         return self.mapping[self.dom.points.index(p)]
@@ -259,18 +264,13 @@ def enumerate_meas_fns(X: FinMeasSpace, Y: FinMeasSpace) -> list[MeasFn]:
     """
     if len(Y.points) ** len(X.points) > SIGMA_CAPACITY:
         raise CapacityError("function enumeration exceeds capacity")
-    xatoms = X.atoms()
+    x_atom = X.atom_index()
     yatoms = Y.atoms()
-    atom_of_x = {}
-    for ai, a in enumerate(xatoms):
-        for i in range(len(X.points)):
-            if a >> i & 1:
-                atom_of_x[i] = ai
     out = []
-    for assignment in itertools.product(range(len(yatoms)), repeat=len(xatoms)):
+    for assignment in itertools.product(range(len(yatoms)), repeat=len(X.atoms())):
         choices = []
-        for i in range(len(X.points)):
-            ya = yatoms[assignment[atom_of_x[i]]]
+        for p in X.points:
+            ya = yatoms[assignment[x_atom[p]]]
             choices.append([Y.points[j] for j in range(len(Y.points)) if ya >> j & 1])
         for combo in itertools.product(*choices):
             out.append(MeasFn(X, Y, tuple(combo)))

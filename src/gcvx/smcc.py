@@ -19,7 +19,6 @@ from .measurable import (
     enumerate_meas_fns,
     generate_sigma,
     induced_sigma,
-    is_measurable,
 )
 
 TENSOR_POINT_GUARD = 16
@@ -103,17 +102,6 @@ def function_space(X: FinMeasSpace, Y: FinMeasSpace) -> FnSpace:
     """The measurable functions X -> Y with the evaluation-induced sigma."""
     elements = tuple(enumerate_meas_fns(X, Y))
     names = tuple(_element_name(f) for f in elements)
-    # capacity precheck on the induced partition: elements are identified
-    # exactly when their values agree atom-by-atom in the target
-    yatoms = Y.atoms()
-
-    def profile(f):
-        return tuple(next(k for k, a in enumerate(yatoms)
-                          if a >> Y.points.index(f(x)) & 1)
-                     for x in X.points)
-
-    if len({profile(f) for f in elements}) > 20:
-        raise CapacityError("function-space sigma-algebra exceeds capacity")
     family = []
     for x in X.points:
         mapping = {name: f(x) for name, f in zip(names, elements)}
@@ -125,7 +113,8 @@ def function_space(X: FinMeasSpace, Y: FinMeasSpace) -> FnSpace:
 def eval_map(X: FinMeasSpace, Y: FinMeasSpace) -> MeasFn:
     """(x, f) -> f(x) on the tensor of X with the function space.
 
-    Measurability is asserted; a failure would be a library bug.
+    MeasFn raises DomainError if it is not measurable, which would be a
+    library bug.
     """
     F = function_space(X, Y)
     T = tensor_space(X, F.carrier)
@@ -134,9 +123,6 @@ def eval_map(X: FinMeasSpace, Y: FinMeasSpace) -> MeasFn:
     for p in T.carrier.points:
         x, fname = p[1:-1].split(",", 1)
         mapping.append(lookup[fname](x))
-    ok, witness = is_measurable(dict(zip(T.carrier.points, mapping)),
-                                T.carrier, Y)
-    assert ok, f"evaluation map not measurable; witness {witness}"
     return MeasFn(T.carrier, Y, tuple(mapping))
 
 

@@ -61,12 +61,14 @@ def test_explain_subcommand(capsys):
     capsys.readouterr()
 
 
-def test_gcvx_threads_validation(monkeypatch, capsys):
-    monkeypatch.setenv("GCVX_THREADS", "4")
-    assert main(["lebesgue", "--samples", "2"]) == 0
-    monkeypatch.setenv("GCVX_THREADS", "zero")
-    assert main(["lebesgue", "--samples", "2"]) == 2
-    capsys.readouterr()
+def test_tensor_over_capacity_is_usage_error(tmp_path, capsys):
+    left = tmp_path / "left.json"
+    right = tmp_path / "right.json"
+    left.write_text('{"points": ["a", "b", "c", "d", "e"]}')
+    right.write_text('{"points": ["v", "w", "x", "y", "z"]}')
+    assert main(["tensor", "--left", str(left), "--right", str(right)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
 
 
 def test_detected_failure_exits_one(capsys):

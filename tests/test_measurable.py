@@ -15,6 +15,7 @@ from gcvx.measurable import (
     is_separated,
     mask_of,
 )
+from gcvx.suites import all_sigma_spaces
 
 PTS3 = ("a", "b", "c")
 
@@ -125,14 +126,74 @@ def test_measfn_composition_and_identity():
 def test_enumerate_meas_fns_agrees_with_preimage_definition():
     X = FinMeasSpace(PTS3, frozenset({0, 0b001, 0b110, 0b111}))
     Y = FinMeasSpace.discrete(("0", "1"))
-    fast = {f.mapping for f in enumerate_meas_fns(X, Y)}
-    slow = set()
-    for combo in itertools.product(Y.points, repeat=3):
-        mapping = dict(zip(X.points, combo))
-        if is_measurable(mapping, X, Y)[0]:
-            slow.add(combo)
-    assert fast == slow
-    assert len(fast) == 4  # constant on the {b, c} atom
+    assert len(enumerate_meas_fns(X, Y)) == 4  # constant on the {b, c} atom
+    spaces = [X for n in (1, 2, 3) for X in all_sigma_spaces(PTS3[:n])]
+    candidates = 0
+    for X, Y in itertools.product(spaces, spaces):
+        fast = {f.mapping for f in enumerate_meas_fns(X, Y)}
+        slow = set()
+        for combo in itertools.product(Y.points, repeat=len(X.points)):
+            candidates += 1
+            ok, wit = is_measurable(dict(zip(X.points, combo)), X, Y)
+            if ok:
+                slow.add(combo)
+                assert MeasFn(X, Y, combo).mapping == combo
+            else:
+                # rejected with the preimage scan's own witness
+                with pytest.raises(DomainError) as exc:
+                    MeasFn(X, Y, combo)
+                assert str(exc.value) == (
+                    f"map is not measurable; witness set "
+                    f"{Y.subset_names(wit)}")
+        assert fast == slow
+    assert candidates == 888
+
+
+def test_points_must_be_distinct():
+    with pytest.raises(DomainError):
+        FinMeasSpace(("a", "a"), frozenset({0, 1, 2, 3}))
+    with pytest.raises(DomainError):
+        FinMeasSpace.discrete(("a", "b", "a"))
+
+
+def test_measfn_mapping_length_must_match_domain():
+    X = FinMeasSpace.discrete(("a", "b"))
+    Y = FinMeasSpace.discrete(("0", "1"))
+    with pytest.raises(DomainError):
+        MeasFn(X, Y, ("0",))
+    with pytest.raises(DomainError):
+        MeasFn(X, Y, ("0", "1", "1"))
+
+
+def coinduced_by_definition(carrier, family):
+    """Every subset of the carrier whose preimage under every family map
+    is measurable in the map's source."""
+    sigma = set()
+    for u in range(1 << len(carrier)):
+        keep = True
+        for src, mapping in family:
+            pre = 0
+            for i, p in enumerate(src.points):
+                if u >> carrier.index(mapping[p]) & 1:
+                    pre |= 1 << i
+            keep = keep and pre in src.sigma
+        if keep:
+            sigma.add(u)
+    return frozenset(sigma)
+
+
+def test_coinduced_sigma_matches_definition_on_random_families():
+    rng = random.Random(11)
+    sources = [FinMeasSpace(tuple("xyz"[:k]), fam)
+               for k in (1, 2, 3) for fam in brute_sigma_algebras(k)]
+    for _ in range(200):
+        carrier = tuple("pqrs"[:rng.randrange(1, 5)])
+        family = []
+        for _ in range(rng.randrange(4)):
+            src = rng.choice(sources)
+            family.append((src, {p: rng.choice(carrier) for p in src.points}))
+        got = coinduced_sigma(carrier, family)
+        assert got.sigma == coinduced_by_definition(carrier, family)
 
 
 def test_coinduced_is_largest_making_family_measurable():
