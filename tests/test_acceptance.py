@@ -13,6 +13,16 @@ from gcvx.kernel import ONE, ZERO, step_integrate
 from gcvx.measurable import generate_sigma, is_separated
 from gcvx.smcc import lebesgue_section_check
 from gcvx.suites import all_sigma_spaces, explain, run_suite
+from test_suites import report_digest
+
+# SHA-256 of the canonical report at each suite's acceptance config, as in
+# test_suites.SMALL: a refactor that keeps them keeps the reports
+# byte-identical at full scale
+ACCEPTANCE_DIGESTS = {
+    "giry-monad": "7484e93bdc85397313e40f5cc8bf75b6125369815cb1927a29675006e2f5369a",
+    "smcc": "3ede212e8b9822b801d6df5b626cebc37561b984bb0ddec7c5cd5de804f5dd3f",
+    "adjunction": "94476556bee4f23905de71cb6e458f8a646fe9a4e8fdd2e3fe573e94ecda4123",
+}
 
 
 def verdict(num, ok, text):
@@ -22,6 +32,7 @@ def verdict(num, ok, text):
 
 def test_criterion_01_monad_laws_exhaustive_to_three_points():
     rep = run_suite("giry-monad", {"maxPoints": 3})
+    assert report_digest(rep) == ACCEPTANCE_DIGESTS["giry-monad"]
     verdict(1, rep.ok and rep.instances > 10000,
             f"monad laws, naturality and flatten oracle on all sigma-algebras "
             f"over <=3 points ({rep.instances} instances, "
@@ -63,6 +74,7 @@ def test_criterion_02_generate_sigma_matches_brute_force():
 
 def test_criterion_03_smcc_suite_within_guards():
     rep = run_suite("smcc", {"maxPoints": 3})
+    assert report_digest(rep) == ACCEPTANCE_DIGESTS["smcc"]
     verdict(3, rep.ok and rep.instances > 500,
             f"product-in-tensor, eval measurability and curry/uncurry "
             f"bijections on all space pairs <=3 points within guards "
@@ -120,6 +132,7 @@ def test_criterion_05_evaluation_representation_on_random_polytopes():
 
 def test_criterion_06_adjunction_triangles_and_bijection():
     rep = run_suite("adjunction", {"maxPoints": 3, "maxSize": 4})
+    assert report_digest(rep) == ACCEPTANCE_DIGESTS["adjunction"]
     verdict(6, rep.ok and rep.instances > 1000,
             f"triangle identities and adjunct bijection for all discrete "
             f"X <=3 points and all semilattices <=4 elements "
