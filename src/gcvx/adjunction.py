@@ -240,10 +240,11 @@ class GiryAlgebra:
 
     def map_h(self, PP: DistOverDists) -> FinDist:
         """The functor applied to h: measures-of-measures to measures."""
-        masses = {a: ZERO for a in self.space.atoms()}
+        index = self.space.atom_index()
+        masses = [ZERO] * len(self.space.atoms())
         for q, w in zip(PP.support, PP.weights):
-            masses[self.space.atom_of(self.h(q))] += w
-        return FinDist(self.space, tuple(masses[a] for a in self.space.atoms()))
+            masses[index[self.h(q)]] += w
+        return FinDist(self.space, tuple(masses))
 
 
 def convex_to_algebra(A: SemiCvx) -> GiryAlgebra:

@@ -2,9 +2,12 @@
 
 Measures live on the atoms of their sigma-algebra, not on points: on a
 non-separated space distinct point weightings induce the same measure,
-and atom masses make equality decidable and canonical.  Distributions
-over distributions carry their finite support explicitly with a powerset
-sigma-algebra, which is all the multiplication ever reads.
+and atom masses make equality decidable and canonical.  The monad acts
+linearly on these atom-mass vectors: pushforward adds each domain atom's
+mass into the codomain atom it lands in (`MeasFn.atom_map`), and the
+multiplication is the weighted sum of the support's mass vectors.
+Distributions over distributions carry their finite support explicitly
+with a powerset sigma-algebra, which is all the multiplication ever reads.
 """
 
 from __future__ import annotations
@@ -57,17 +60,20 @@ class FinDist:
 
 def dirac(X: FinMeasSpace, x: str) -> FinDist:
     """Unit mass on the atom containing x."""
-    if x not in X.points:
+    k = X.atom_index().get(x)
+    if k is None:
         raise DomainError(f"unknown point {x!r}")
-    target = X.atom_of(x)
-    return FinDist(X, tuple(ONE if a == target else ZERO for a in X.atoms()))
+    return FinDist(X, tuple(ONE if j == k else ZERO
+                            for j in range(len(X.atoms()))))
 
 
 def pushforward(f: MeasFn, P: FinDist) -> FinDist:
     """The image measure: (f_* P)(V) = P(f^-1(V))."""
     if P.space != f.dom:
         raise DomainError("measure does not live on the map's domain")
-    masses = [P.measure(f.preimage_mask(a)) for a in f.cod.atoms()]
+    masses = [ZERO] * len(f.cod.atoms())
+    for k, m in zip(f.atom_map, P.mass):
+        masses[k] += m
     return FinDist(f.cod, tuple(masses))
 
 
@@ -155,12 +161,11 @@ class DistOverDists:
 
 
 def mu(PP: DistOverDists) -> FinDist:
-    """Monad multiplication: mu(PP)(U) integrates ev_U over the support."""
-    masses = []
-    for a in PP.base.atoms():
-        masses.append(sum((w * q.measure(a)
-                           for q, w in zip(PP.support, PP.weights)), ZERO))
-    return FinDist(PP.base, tuple(masses))
+    """Monad multiplication: mu(PP)(U) integrates ev_U over the support,
+    so each atom's mass is the weighted sum of the support's masses there."""
+    columns = zip(*(q.mass for q in PP.support))
+    return FinDist(PP.base, tuple(
+        sum((w * m for w, m in zip(PP.weights, col)), ZERO) for col in columns))
 
 
 def flatten_oracle(PP: DistOverDists) -> FinDist:
@@ -320,11 +325,11 @@ def measure_to_functional(P: FinDist, A: SemiCvx) -> WAFunctional:
 
 def functional_to_measure(F: WAFunctional, space: FinMeasSpace) -> FinDist:
     """phi inverse: read the measure back off the evaluation terms."""
-    acc: dict[int, Fraction] = {}
+    index = space.atom_index()
+    masses = [ZERO] * len(space.atoms())
     for w, a in F.terms:
-        atom = space.atom_of(a)
-        acc[atom] = acc.get(atom, ZERO) + w
-    return FinDist(space, tuple(acc.get(a, ZERO) for a in space.atoms()))
+        masses[index[a]] += w
+    return FinDist(space, tuple(masses))
 
 
 # ---------------------------------------------------------------------------

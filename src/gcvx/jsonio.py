@@ -1,9 +1,8 @@
-"""JSON serialization for spaces, step functions, convex spaces,
-subobjects, and measures.
+"""JSON input and output: measurable spaces, report files and witnesses.
 
-Rationals travel as canonical "p/q" strings; sigma-algebras as lists of
-subsets given by point names; measures as masses keyed "atom0",
-"atom1", ... in the deterministic atom order of their space.
+Sigma-algebras travel as lists of subsets given by point names (or as
+generators); rationals in reports and witnesses as canonical "p/q"
+strings.
 """
 
 from __future__ import annotations
@@ -11,9 +10,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .convex import GeomCvx, HalfspaceSplit, SemiCvx, SemiSubset
-from .giry import FinDist
-from .kernel import DomainError, StepFn, rat, rat_str
+from .kernel import rat_str
 from .measurable import FinMeasSpace, generate_sigma, mask_of
 
 
@@ -33,85 +30,6 @@ def space_from_json(data: dict) -> FinMeasSpace:
         sigma = frozenset(mask_of(points, s) for s in data["sigma"])
         return FinMeasSpace(points, sigma)
     return FinMeasSpace.discrete(points)
-
-
-def stepfn_to_json(f: StepFn) -> dict:
-    return {
-        "breakpoints": [rat_str(b) for b in f.breakpoints],
-        "values": [rat_str(v) for v in f.values],
-        "valueAtOne": rat_str(f.value_at_one),
-    }
-
-
-def stepfn_from_json(data: dict) -> StepFn:
-    return StepFn.of(
-        tuple(rat(b) for b in data["breakpoints"]),
-        tuple(rat(v) for v in data["values"]),
-        rat(data["valueAtOne"]),
-    )
-
-
-def convex_to_json(A) -> dict:
-    if isinstance(A, GeomCvx):
-        return {
-            "kind": "geom",
-            "dim": A.dim,
-            "generators": [[rat_str(c) for c in g] for g in A.generators],
-        }
-    if isinstance(A, SemiCvx):
-        return {
-            "kind": "semi",
-            "elements": list(A.elements),
-            "meet": [[A.elements[j] for j in row] for row in A.meet_table],
-        }
-    raise DomainError(f"unknown convex space {A!r}")
-
-
-def convex_from_json(data: dict):
-    kind = data.get("kind")
-    if kind == "geom":
-        gens = [tuple(rat(c) for c in g) for g in data["generators"]]
-        return GeomCvx.of(int(data["dim"]), gens)
-    if kind == "semi":
-        return SemiCvx.of(tuple(data["elements"]), data["meet"])
-    raise DomainError(f"unknown convex-space kind {kind!r}")
-
-
-def subobject_to_json(S) -> dict:
-    if isinstance(S, HalfspaceSplit):
-        return {
-            "kind": "halfspace",
-            "c": [rat_str(c) for c in S.normal],
-            "t": rat_str(S.threshold),
-            "upperClosed": S.upper_closed,
-        }
-    if isinstance(S, SemiSubset):
-        return {"kind": "subset", "members": sorted(S.members)}
-    raise DomainError(f"unknown subobject {S!r}")
-
-
-def subobject_from_json(data: dict, space):
-    kind = data.get("kind")
-    if kind == "halfspace":
-        return HalfspaceSplit(space, tuple(rat(c) for c in data["c"]),
-                              rat(data["t"]), bool(data.get("upperClosed", True)))
-    if kind == "subset":
-        return SemiSubset(space, frozenset(data["members"]))
-    raise DomainError(f"unknown subobject kind {kind!r}")
-
-
-def dist_to_json(P: FinDist) -> dict:
-    return {
-        "space": space_to_json(P.space),
-        "mass": {f"atom{i}": rat_str(m) for i, m in enumerate(P.mass)},
-    }
-
-
-def dist_from_json(data: dict) -> FinDist:
-    space = space_from_json(data["space"])
-    n = len(space.atoms())
-    mass = [rat(data["mass"].get(f"atom{i}", 0)) for i in range(n)]
-    return FinDist(space, tuple(mass))
 
 
 def load_json(path: str) -> dict:

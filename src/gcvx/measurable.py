@@ -12,7 +12,7 @@ subsets.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .kernel import CapacityError, DomainError
 
@@ -184,12 +184,14 @@ class MeasFn:
     """A measurable function between finite measurable spaces.
 
     `mapping` lists the codomain point for each domain point, aligned with
-    dom.points.
+    dom.points; `atom_map` lists, for each atom of dom, the position of
+    the codomain atom it lands in.
     """
 
     dom: FinMeasSpace
     cod: FinMeasSpace
     mapping: tuple[str, ...]
+    atom_map: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.mapping) != len(self.dom.points):
@@ -207,17 +209,11 @@ class MeasFn:
                                            self.dom, self.cod)
                 names = self.cod.subset_names(witness)
                 raise DomainError(f"map is not measurable; witness set {names}")
+        object.__setattr__(self, "atom_map",
+                           tuple(landing[k] for k in range(len(landing))))
 
     def __call__(self, p: str) -> str:
         return self.mapping[self.dom.points.index(p)]
-
-    def preimage_mask(self, cod_mask: int) -> int:
-        cindex = {p: i for i, p in enumerate(self.cod.points)}
-        pre = 0
-        for i, q in enumerate(self.mapping):
-            if cod_mask >> cindex[q] & 1:
-                pre |= 1 << i
-        return pre
 
     def compose(self, other: "MeasFn") -> "MeasFn":
         """self after other (other's codomain must be self's domain)."""

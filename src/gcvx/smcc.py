@@ -4,12 +4,17 @@ Tensor and product sigma-algebras on cartesian products, function spaces
 with the evaluation-induced sigma-algebra, currying, and the threshold /
 lower-indicator maps on the unit interval together with the section
 property of Lebesgue integration on step functions.
+
+Product and function-space points are positions: the pair (x_i, y_j) of
+X x Y is point i*|Y| + j, and the j-th measurable map is point j of the
+function space.  Their names, "(x,y)" and the comma-joined mapping, are
+labels that nothing parses, so point names may contain any character.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .kernel import CapacityError, DomainError, ONE, ZERO, StepFn, rat, rat_str, step_integrate
 from .measurable import (
@@ -45,6 +50,8 @@ class FnSpace:
     target: FinMeasSpace
     elements: tuple[MeasFn, ...]
     carrier: FinMeasSpace
+    # position of each element, keyed by its mapping
+    position: dict[tuple[str, ...], int] = field(repr=False, compare=False)
 
 
 def _check_tensor_guard(X, Y):
@@ -78,36 +85,29 @@ def tensor_space(X: FinMeasSpace, Y: FinMeasSpace, graphs: str = "all") -> Tenso
 def product_space(X: FinMeasSpace, Y: FinMeasSpace) -> FinMeasSpace:
     """The sigma-algebra generated by measurable rectangles."""
     _check_tensor_guard(X, Y)
-    carrier = product_points(X, Y)
-    index = {p: i for i, p in enumerate(carrier)}
+    ny = len(Y.points)
     rects = []
     for u in X.sigma:
         for v in Y.sigma:
             m = 0
-            for i, x in enumerate(X.points):
-                if not (u >> i & 1):
-                    continue
-                for j, y in enumerate(Y.points):
-                    if v >> j & 1:
-                        m |= 1 << index[pair_name(x, y)]
+            for i in range(len(X.points)):
+                if u >> i & 1:
+                    m |= v << i * ny
             rects.append(m)
-    return generate_sigma(carrier, rects)
-
-
-def _element_name(f: MeasFn) -> str:
-    return ",".join(f.mapping)
+    return generate_sigma(product_points(X, Y), rects)
 
 
 def function_space(X: FinMeasSpace, Y: FinMeasSpace) -> FnSpace:
     """The measurable functions X -> Y with the evaluation-induced sigma."""
     elements = tuple(enumerate_meas_fns(X, Y))
-    names = tuple(_element_name(f) for f in elements)
+    names = tuple(",".join(f.mapping) for f in elements)
     family = []
-    for x in X.points:
-        mapping = {name: f(x) for name, f in zip(names, elements)}
+    for i in range(len(X.points)):
+        mapping = {name: f.mapping[i] for name, f in zip(names, elements)}
         family.append((mapping, Y))
     carrier = induced_sigma(names, family)
-    return FnSpace(X, Y, elements, carrier)
+    position = {f.mapping: j for j, f in enumerate(elements)}
+    return FnSpace(X, Y, elements, carrier, position)
 
 
 def eval_map(X: FinMeasSpace, Y: FinMeasSpace) -> MeasFn:
@@ -118,32 +118,32 @@ def eval_map(X: FinMeasSpace, Y: FinMeasSpace) -> MeasFn:
     """
     F = function_space(X, Y)
     T = tensor_space(X, F.carrier)
-    mapping = []
-    lookup = dict(zip(F.carrier.points, F.elements))
-    for p in T.carrier.points:
-        x, fname = p[1:-1].split(",", 1)
-        mapping.append(lookup[fname](x))
-    return MeasFn(T.carrier, Y, tuple(mapping))
+    mapping = tuple(f.mapping[i] for i in range(len(X.points))
+                    for f in F.elements)
+    return MeasFn(T.carrier, Y, mapping)
 
 
 def curry(f: MeasFn, X: FinMeasSpace, Z: FinMeasSpace, Y: FinMeasSpace,
-          F: FnSpace = None) -> MeasFn:
+          F: FnSpace = None, T: TensorSpace = None) -> MeasFn:
     """Transpose a map on the tensor of X and Z into a map Z -> Y^X.
 
-    Pass a precomputed function space to avoid rebuilding it per call.
+    Precomputed function and tensor spaces avoid rebuilding per call.
     """
     if F is None:
         F = function_space(X, Y)
-    by_name = {_element_name(el): el for el in F.elements}
+    if T is None:
+        T = tensor_space(X, Z)
+    if f.dom != T.carrier:
+        raise DomainError("map is not defined on the tensor of X and Z")
+    nz = len(Z.points)
     mapping = []
-    for z in Z.points:
-        section = tuple(f(pair_name(x, z)) for x in X.points)
-        name = ",".join(section)
-        if name not in by_name:
+    for k, z in enumerate(Z.points):
+        j = F.position.get(f.mapping[k::nz])
+        if j is None:
             raise RuntimeError(
                 f"section at {z!r} is not a measurable element of the "
                 f"function space")
-        mapping.append(name)
+        mapping.append(F.carrier.points[j])
     return MeasFn(Z, F.carrier, tuple(mapping))
 
 
@@ -157,12 +157,10 @@ def uncurry(g: MeasFn, X: FinMeasSpace, Z: FinMeasSpace, Y: FinMeasSpace,
         F = function_space(X, Y)
     if T is None:
         T = tensor_space(X, Z)
-    lookup = dict(zip(F.carrier.points, F.elements))
-    mapping = []
-    for p in T.carrier.points:
-        x, z = p[1:-1].split(",", 1)
-        mapping.append(lookup[g(z)](x))
-    return MeasFn(T.carrier, Y, tuple(mapping))
+    sections = [F.elements[F.carrier.points.index(q)].mapping
+                for q in g.mapping]
+    mapping = tuple(s[i] for i in range(len(X.points)) for s in sections)
+    return MeasFn(T.carrier, Y, mapping)
 
 
 # ---------------------------------------------------------------------------

@@ -71,6 +71,12 @@ def test_tensor_over_capacity_is_usage_error(tmp_path, capsys):
     assert err.startswith("error: ")
 
 
+def test_run_that_checks_nothing_is_usage_error(capsys):
+    assert main(["smcc", "--max-points", "0"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "no instances" in err
+
+
 def test_detected_failure_exits_one(capsys):
     # a real (non-erratum) failure must fail the process; simulate by
     # running a suite whose config injects a corrupted integrator

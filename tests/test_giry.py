@@ -11,6 +11,7 @@ from gcvx.giry import (
     MeasurabilityError,
     dirac,
     flatten_oracle,
+    grid_dists,
     integrate,
     map_unit,
     measure_to_functional,
@@ -18,13 +19,15 @@ from gcvx.giry import (
     monad_law_report,
     mu,
     pushforward,
+    two_level_dists,
     unit_outer,
     wa_check,
     wa_functional,
     functional_to_measure,
 )
 from gcvx.kernel import DomainError, ONE, ZERO
-from gcvx.measurable import FinMeasSpace, MeasFn
+from gcvx.measurable import FinMeasSpace, MeasFn, enumerate_meas_fns
+from gcvx.suites import all_sigma_spaces
 
 HALF = Fraction(1, 2)
 QUARTER = Fraction(1, 4)
@@ -61,6 +64,39 @@ def test_dirac_and_pushforward():
     Q = pushforward(f, P)
     assert Q.mass == (Fraction(3, 4), QUARTER)
     assert pushforward(f, dirac(X, "b")) == dirac(Y, "a")
+
+
+def small_spaces():
+    return [X for n in (1, 2, 3) for X in all_sigma_spaces(("a", "b", "c")[:n])]
+
+
+def test_pushforward_matches_preimage_definition():
+    spaces = small_spaces()
+    checked = 0
+    for X in spaces:
+        dists = grid_dists(X)
+        for Y in spaces:
+            for f in enumerate_meas_fns(X, Y):
+                for P in dists:
+                    Q = pushforward(f, P)
+                    for V in Y.sigma:
+                        pre = 0
+                        for i, q in enumerate(f.mapping):
+                            if V >> Y.points.index(q) & 1:
+                                pre |= 1 << i
+                        assert Q.measure(V) == P.measure(pre)
+                        checked += 1
+    assert checked > 10000
+
+
+def test_mu_matches_weighted_sum_of_measures():
+    for X in small_spaces():
+        for PP in two_level_dists(X, max_support=2):
+            M = mu(PP)
+            for U in X.sigma:
+                assert M.measure(U) == sum(
+                    (w * q.measure(U) for q, w in zip(PP.support, PP.weights)),
+                    ZERO)
 
 
 def test_integrate_checks_atom_constancy():

@@ -1,12 +1,7 @@
 import json
 from fractions import Fraction
 
-import pytest
-
 from gcvx import jsonio
-from gcvx.convex import GeomCvx, HalfspaceSplit, SemiCvx, SemiSubset
-from gcvx.giry import FinDist
-from gcvx.kernel import DomainError, ONE, StepFn, ZERO
 from gcvx.measurable import FinMeasSpace
 
 
@@ -24,49 +19,6 @@ def test_space_from_generators_and_default_powerset():
     assert got.sigma == frozenset({0, 0b001, 0b110, 0b111})
     assert jsonio.space_from_json({"points": ["a", "b"]}).sigma == \
         frozenset(range(4))
-
-
-def test_stepfn_roundtrip():
-    f = StepFn.of((0, "1/2", 1), (1, 0), "1/4")
-    data = jsonio.stepfn_to_json(f)
-    assert data["valueAtOne"] == "1/4"
-    assert jsonio.stepfn_from_json(data) == f
-
-
-def test_convex_roundtrips():
-    G = GeomCvx.of(2, ((0, 0), (1, 0), (0, 1)))
-    data = jsonio.convex_to_json(G)
-    assert data["kind"] == "geom"
-    assert jsonio.convex_from_json(data) == G
-    A = SemiCvx.of(("a", "b"), (("a", "a"), ("a", "b")))
-    data = jsonio.convex_to_json(A)
-    assert data["meet"] == [["a", "a"], ["a", "b"]]
-    assert jsonio.convex_from_json(data) == A
-    with pytest.raises(DomainError):
-        jsonio.convex_from_json({"kind": "mystery"})
-
-
-def test_subobject_roundtrips():
-    G = GeomCvx.of(2, ((0, 0), (1, 1)))
-    S = HalfspaceSplit(G, (ONE, ZERO), Fraction(1, 2), upper_closed=True)
-    data = jsonio.subobject_to_json(S)
-    assert data == {"kind": "halfspace", "c": ["1/1", "0/1"], "t": "1/2",
-                    "upperClosed": True}
-    assert jsonio.subobject_from_json(data, G) == S
-    A = SemiCvx.of(("a", "b"), (("a", "a"), ("a", "b")))
-    T = SemiSubset(A, frozenset({"b"}))
-    assert jsonio.subobject_from_json(jsonio.subobject_to_json(T), A) == T
-
-
-def test_dist_roundtrip_keys_follow_atom_order():
-    X = FinMeasSpace(("a", "b", "c"), frozenset({0, 0b001, 0b110, 0b111}))
-    P = FinDist(X, (Fraction(1, 4), Fraction(3, 4)))
-    data = jsonio.dist_to_json(P)
-    assert data["mass"] == {"atom0": "1/4", "atom1": "3/4"}
-    assert jsonio.dist_from_json(data) == P
-    # omitted atoms default to zero mass
-    data["mass"] = {"atom1": "1/1"}
-    assert jsonio.dist_from_json(data).mass == (ZERO, ONE)
 
 
 def test_dump_encodes_fractions_and_sets(tmp_path):

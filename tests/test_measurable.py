@@ -120,7 +120,7 @@ def test_measfn_composition_and_identity():
     g = MeasFn(Y, Y, ("1", "0"))
     assert g.compose(f).mapping == ("1", "0")
     assert MeasFn.identity(X)("a") == "a"
-    assert f.preimage_mask(0b01) == 0b01
+    assert f.atom_map == (0, 1)
 
 
 def test_enumerate_meas_fns_agrees_with_preimage_definition():

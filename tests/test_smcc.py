@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 from gcvx import smcc
 from gcvx.kernel import CapacityError, DomainError, ONE, ZERO, step_integrate
-from gcvx.measurable import FinMeasSpace, enumerate_meas_fns
+from gcvx.measurable import FinMeasSpace, MeasFn, enumerate_meas_fns
 
 HALF = Fraction(1, 2)
 
@@ -57,30 +57,51 @@ def test_function_space_elements_and_sigma():
     assert len(F.carrier.sigma) == 16  # evaluations separate all four maps
 
 
+def comma_discrete():
+    # product names are labels: a comma inside a point name must not matter
+    return FinMeasSpace.discrete(("a,b", "c"))
+
+
 def test_eval_map_is_measurable():
-    X = two_discrete()
     Y = FinMeasSpace.discrete(("0", "1"))
-    ev = smcc.eval_map(X, Y)
+    ev = smcc.eval_map(two_discrete(), Y)
     # spot check: ev at (a, f) where f maps a -> 1
     assert ev("(a,1,0)") == "1"
     assert ev("(b,1,0)") == "0"
+    for X in (two_discrete(), comma_discrete()):
+        ev = smcc.eval_map(X, Y)
+        for f in smcc.function_space(X, Y).elements:
+            for x in X.points:
+                assert ev(smcc.pair_name(x, ",".join(f.mapping))) == f(x)
 
 
 def test_curry_uncurry_roundtrip_exhaustive():
-    X = two_discrete()
     Z = FinMeasSpace.discrete(("u", "v"))
     Y = FinMeasSpace.discrete(("0", "1"))
-    F = smcc.function_space(X, Y)
-    T = smcc.tensor_space(X, Z)
-    outer = enumerate_meas_fns(T.carrier, Y)
-    inner = enumerate_meas_fns(Z, F.carrier)
-    assert len(outer) == len(inner) == 16
-    for f in outer:
-        g = smcc.curry(f, X, Z, Y, F=F)
-        assert smcc.uncurry(g, X, Z, Y, F=F, T=T).mapping == f.mapping
-    for g in inner:
-        f = smcc.uncurry(g, X, Z, Y, F=F, T=T)
-        assert smcc.curry(f, X, Z, Y, F=F).mapping == g.mapping
+    for X in (two_discrete(), comma_discrete()):
+        F = smcc.function_space(X, Y)
+        T = smcc.tensor_space(X, Z)
+        outer = enumerate_meas_fns(T.carrier, Y)
+        inner = enumerate_meas_fns(Z, F.carrier)
+        assert len(outer) == len(inner) == 16
+        for f in outer:
+            g = smcc.curry(f, X, Z, Y, F=F)
+            assert smcc.uncurry(g, X, Z, Y, F=F, T=T).mapping == f.mapping
+            # the section at each z is f restricted to the pairs (x, z)
+            for z in Z.points:
+                section = tuple(f(smcc.pair_name(x, z)) for x in X.points)
+                assert g(z) == ",".join(section)
+        for g in inner:
+            f = smcc.uncurry(g, X, Z, Y, F=F, T=T)
+            assert smcc.curry(f, X, Z, Y, F=F).mapping == g.mapping
+
+
+def test_curry_rejects_a_map_off_the_tensor():
+    X, Z = two_discrete(), FinMeasSpace.discrete(("u", "v"))
+    Y = FinMeasSpace.discrete(("0", "1"))
+    W = FinMeasSpace.discrete(("p", "q", "r", "s"))
+    with pytest.raises(DomainError):
+        smcc.curry(MeasFn(W, Y, ("0", "1", "0", "1")), X, Z, Y)
 
 
 # ---------------------------------------------------------------------------
