@@ -77,7 +77,7 @@ def counit(A, P):
     """
     if isinstance(A, SemiCvx):
         carriers = []
-        for a, m in zip(P.space.atoms(), P.mass):
+        for a, m in zip(P.space.atoms, P.mass):
             if m > 0:
                 carriers.extend(P.space.subset_names(a))
         return A.meet_all(carriers)
@@ -127,7 +127,7 @@ def triangle_check(X: FinMeasSpace, semilattices=(), grid=None) -> LawReport:
     for i, P in enumerate(grid_dists(X, grid)):
         PP = map_unit(P)
         # counit at the simplex of measures is the barycenter
-        bar = [ZERO] * len(X.atoms())
+        bar = [ZERO] * len(X.atoms)
         for q, w in zip(PP.support, PP.weights):
             for k, m in enumerate(q.mass):
                 bar[k] += w * m
@@ -240,8 +240,8 @@ class GiryAlgebra:
 
     def map_h(self, PP: DistOverDists) -> FinDist:
         """The functor applied to h: measures-of-measures to measures."""
-        index = self.space.atom_index()
-        masses = [ZERO] * len(self.space.atoms())
+        index = self.space.atom_index
+        masses = [ZERO] * len(self.space.atoms)
         for q, w in zip(PP.support, PP.weights):
             masses[index[self.h(q)]] += w
         return FinDist(self.space, tuple(masses))

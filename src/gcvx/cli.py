@@ -6,7 +6,7 @@ import argparse
 import json
 import sys
 
-from .jsonio import dump_json, load_json, space_from_json
+from .jsonio import dump_json, load_json, space_from_json, space_to_json
 from .kernel import CapacityError, DomainError
 from .smcc import product_space, tensor_space
 from .suites import SUITE_NAMES, explain, run_suite
@@ -50,7 +50,9 @@ def build_parser() -> argparse.ArgumentParser:
 def _suite_config(args) -> dict:
     config = {}
     if getattr(args, "config", None):
-        config.update(load_json(args.config))
+        config = load_json(args.config)
+        if not isinstance(config, dict):
+            raise DomainError("a config file must hold a JSON object")
     if getattr(args, "seed", None) is not None:
         config["seed"] = args.seed
     if getattr(args, "max_size", None) is not None:
@@ -87,10 +89,8 @@ def main(argv=None) -> int:
             T = tensor_space(left, right)
             P = product_space(left, right)
             data = {
-                "tensorSigma": [list(T.carrier.subset_names(m))
-                                for m in sorted(T.carrier.sigma)],
-                "productSigma": [list(P.subset_names(m))
-                                 for m in sorted(P.sigma)],
+                "tensorSigma": space_to_json(T.carrier)["sigma"],
+                "productSigma": space_to_json(P)["sigma"],
                 "strictlyLarger": P.sigma < T.carrier.sigma,
             }
             if args.json_out:

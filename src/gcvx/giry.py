@@ -36,7 +36,7 @@ class FinDist:
     mass: tuple[Fraction, ...]
 
     def __post_init__(self):
-        atoms = self.space.atoms()
+        atoms = self.space.atoms
         if len(self.mass) != len(atoms):
             raise DomainError("need exactly one mass per atom")
         if any(m < 0 for m in self.mass):
@@ -47,12 +47,12 @@ class FinDist:
     def measure(self, mask: int) -> Fraction:
         if mask not in self.space.sigma:
             raise DomainError("set is not measurable")
-        return sum((m for a, m in zip(self.space.atoms(), self.mass)
+        return sum((m for a, m in zip(self.space.atoms, self.mass)
                     if a & ~mask == 0), ZERO)
 
     def describe(self) -> str:
         parts = []
-        for a, m in zip(self.space.atoms(), self.mass):
+        for a, m in zip(self.space.atoms, self.mass):
             names = "|".join(self.space.subset_names(a))
             parts.append(f"{names}:{rat_str(m)}")
         return "{" + ", ".join(parts) + "}"
@@ -60,18 +60,18 @@ class FinDist:
 
 def dirac(X: FinMeasSpace, x: str) -> FinDist:
     """Unit mass on the atom containing x."""
-    k = X.atom_index().get(x)
+    k = X.atom_index.get(x)
     if k is None:
         raise DomainError(f"unknown point {x!r}")
     return FinDist(X, tuple(ONE if j == k else ZERO
-                            for j in range(len(X.atoms()))))
+                            for j in range(len(X.atoms))))
 
 
 def pushforward(f: MeasFn, P: FinDist) -> FinDist:
     """The image measure: (f_* P)(V) = P(f^-1(V))."""
     if P.space != f.dom:
         raise DomainError("measure does not live on the map's domain")
-    masses = [ZERO] * len(f.cod.atoms())
+    masses = [ZERO] * len(f.cod.atoms)
     for k, m in zip(f.atom_map, P.mass):
         masses[k] += m
     return FinDist(f.cod, tuple(masses))
@@ -79,7 +79,7 @@ def pushforward(f: MeasFn, P: FinDist) -> FinDist:
 
 def _atom_values(P: FinDist, f) -> list[Fraction]:
     """Resolve an integrand to one value per atom, checking measurability."""
-    atoms = P.space.atoms()
+    atoms = P.space.atoms
     if callable(f):
         f = {p: f(p) for p in P.space.points}
     if all(isinstance(k, int) for k in f):
@@ -173,12 +173,12 @@ def flatten_oracle(PP: DistOverDists) -> FinDist:
     support's atom-mass lists as formal weighted terms."""
     terms: list[tuple[int, Fraction]] = []
     for q, w in zip(PP.support, PP.weights):
-        for a, m in zip(q.space.atoms(), q.mass):
+        for a, m in zip(q.space.atoms, q.mass):
             terms.append((a, w * m))
     acc: dict[int, Fraction] = {}
     for a, wm in terms:
         acc[a] = acc.get(a, ZERO) + wm
-    return FinDist(PP.base, tuple(acc.get(a, ZERO) for a in PP.base.atoms()))
+    return FinDist(PP.base, tuple(acc.get(a, ZERO) for a in PP.base.atoms))
 
 
 def unit_outer(P: FinDist) -> DistOverDists:
@@ -190,7 +190,7 @@ def map_unit(P: FinDist) -> DistOverDists:
     """Push P forward along x -> dirac(x); constant on atoms, so the
     resulting support is one dirac per atom with positive mass."""
     pairs = []
-    for a, m in zip(P.space.atoms(), P.mass):
+    for a, m in zip(P.space.atoms, P.mass):
         if m > 0:
             rep = P.space.subset_names(a)[0]
             pairs.append((m, dirac(P.space, rep)))
@@ -230,7 +230,7 @@ def map_mu(PPP: ThreeLevel, mu_fn=mu) -> DistOverDists:
 
 def P_as_convex(X: FinMeasSpace) -> GeomCvx:
     """The simplex of measures on X, one coordinate per atom."""
-    return free_convex(len(X.atoms()))
+    return free_convex(len(X.atoms))
 
 
 def mix_dists(P: FinDist, Q: FinDist, alpha) -> FinDist:
@@ -317,7 +317,7 @@ def measure_to_functional(P: FinDist, A: SemiCvx) -> WAFunctional:
     if tuple(P.space.points) != tuple(A.elements):
         raise DomainError("measure does not live on the carrier of A")
     terms = []
-    for a, m in zip(P.space.atoms(), P.mass):
+    for a, m in zip(P.space.atoms, P.mass):
         if m > 0:
             terms.append((m, P.space.subset_names(a)[0]))
     return WAFunctional(A, tuple(terms))
@@ -325,8 +325,8 @@ def measure_to_functional(P: FinDist, A: SemiCvx) -> WAFunctional:
 
 def functional_to_measure(F: WAFunctional, space: FinMeasSpace) -> FinDist:
     """phi inverse: read the measure back off the evaluation terms."""
-    index = space.atom_index()
-    masses = [ZERO] * len(space.atoms())
+    index = space.atom_index
+    masses = [ZERO] * len(space.atoms)
     for w, a in F.terms:
         masses[index[a]] += w
     return FinDist(space, tuple(masses))
@@ -338,7 +338,7 @@ def functional_to_measure(F: WAFunctional, space: FinMeasSpace) -> FinDist:
 
 def grid_dists(X: FinMeasSpace, grid=DEFAULT_GRID) -> list[FinDist]:
     """All measures on X whose atom masses come from the grid."""
-    k = len(X.atoms())
+    k = len(X.atoms)
     out = []
     for combo in itertools.product(grid, repeat=k):
         if sum(combo, ZERO) == ONE:

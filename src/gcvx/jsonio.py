@@ -1,8 +1,9 @@
 """JSON input and output: measurable spaces, report files and witnesses.
 
-Sigma-algebras travel as lists of subsets given by point names (or as
-generators); rationals in reports and witnesses as canonical "p/q"
-strings.
+A space travels as its point names plus either its generators or its
+sigma-algebra, written out as the member list (the derived view of the
+atoms); without either it is discrete.  Rationals in reports and
+witnesses travel as canonical "p/q" strings.
 """
 
 from __future__ import annotations
@@ -10,8 +11,8 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .kernel import rat_str
-from .measurable import FinMeasSpace, generate_sigma, mask_of
+from .kernel import DomainError, rat_str
+from .measurable import FinMeasSpace, generate_sigma, mask_of, space_from_members
 
 
 def space_to_json(X: FinMeasSpace) -> dict:
@@ -21,14 +22,21 @@ def space_to_json(X: FinMeasSpace) -> dict:
     }
 
 
-def space_from_json(data: dict) -> FinMeasSpace:
-    points = tuple(data["points"])
-    if "generators" in data:
-        gens = [mask_of(points, g) for g in data["generators"]]
-        return generate_sigma(points, gens)
-    if "sigma" in data:
-        sigma = frozenset(mask_of(points, s) for s in data["sigma"])
-        return FinMeasSpace(points, sigma)
+def _names(value) -> list:
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise DomainError(f"expected a list of point names, not {value!r}")
+    return value
+
+
+def space_from_json(data) -> FinMeasSpace:
+    if not isinstance(data, dict):
+        raise DomainError("a space must be a JSON object")
+    points = tuple(_names(data["points"]))
+    for key, build in (("generators", generate_sigma), ("sigma", space_from_members)):
+        if key in data:
+            if not isinstance(data[key], list):
+                raise DomainError(f"{key} must be a list of subsets")
+            return build(points, [mask_of(points, _names(s)) for s in data[key]])
     return FinMeasSpace.discrete(points)
 
 

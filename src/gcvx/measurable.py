@@ -1,18 +1,19 @@
 """Finite measurable spaces and sigma-algebra machinery.
 
 Subsets of a carrier are bitmasks over the (fixed, input-order) point
-list, and a sigma-algebra is a frozenset of such masks.  On a finite
-carrier every sigma-algebra is the powerset of its atoms, the blocks of
-a partition, so every construction here builds its sigma-algebra from
-the blocks with `FinMeasSpace.from_atoms`: generation and coinduction
-only have to find the atoms, with no closure loop and no scan over all
-subsets.
+list.  On a finite carrier a sigma-algebra is exactly a partition, so a
+`FinMeasSpace` stores its atoms, the blocks of the partition, and nothing
+else; the member set `sigma`, every union of atoms, is a derived view for
+output and for the reference oracles.  Generation, induction and
+coinduction only have to find the atoms, with no closure loop and no scan
+over members or subsets.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .kernel import CapacityError, DomainError
 
@@ -36,78 +37,57 @@ def names_of(points: tuple[str, ...], mask: int) -> tuple[str, ...]:
 
 @dataclass(frozen=True)
 class FinMeasSpace:
+    """A carrier and the atoms of its sigma-algebra: nonempty, disjoint
+    masks covering it, stored ordered by lowest point so that equal
+    sigma-algebras compare and hash equal."""
+
     points: tuple[str, ...]
-    sigma: frozenset[int]
+    atoms: tuple[int, ...]
 
     def __post_init__(self):
         if len(set(self.points)) != len(self.points):
             raise DomainError("point names must be distinct")
-        full = self.full_mask
-        if 0 not in self.sigma or full not in self.sigma:
-            raise DomainError("sigma must contain the empty and full sets")
-        for u in self.sigma:
-            if u & ~full:
-                raise DomainError("sigma member is not a subset of the carrier")
-        # every member is a union of membership-profile classes, and there
-        # are 2^k such unions; equality of sizes is therefore equivalent to
-        # closure under complement and (finite = countable) union
-        if len(self.sigma) != 1 << len(self.atoms()):
-            raise DomainError("sigma is not closed under complement/union")
-
-    @property
-    def full_mask(self) -> int:
-        return (1 << len(self.points)) - 1
-
-    @classmethod
-    def from_atoms(cls, points, atoms) -> "FinMeasSpace":
-        """The sigma-algebra whose atoms are the disjoint nonempty masks
-        `atoms`, which cover the carrier: every union of them."""
-        atoms = list(atoms)
+        atoms = tuple(sorted(self.atoms, key=lambda m: m & -m))
         if len(atoms) > MAX_ATOMS:
             raise CapacityError("sigma-algebra exceeds capacity")
-        sigma = [0]
+        covered = 0
         for a in atoms:
-            sigma += [u | a for u in sigma]
-        return cls(tuple(points), frozenset(sigma))
+            if a <= 0 or a & covered:
+                raise DomainError("atoms must be nonempty and disjoint")
+            covered |= a
+        if covered != (1 << len(self.points)) - 1:
+            raise DomainError("atoms must cover exactly the carrier")
+        object.__setattr__(self, "atoms", atoms)
 
     @classmethod
     def discrete(cls, points) -> "FinMeasSpace":
         points = tuple(points)
-        return cls.from_atoms(points, (1 << i for i in range(len(points))))
+        return cls(points, [1 << i for i in range(len(points))])
 
     @classmethod
     def trivial(cls, points) -> "FinMeasSpace":
         points = tuple(points)
-        return cls(points, frozenset({0, (1 << len(points)) - 1}))
+        return cls(points, ((1 << len(points)) - 1,) if points else ())
 
-    def atoms(self) -> tuple[int, ...]:
-        """Minimal nonempty measurable sets, ordered by lowest point index."""
-        cached = getattr(self, "_atoms", None)
-        if cached is None:
-            members = sorted(self.sigma)
-            profile: dict[tuple[int, ...], int] = {}
-            for i in range(len(self.points)):
-                key = tuple(u >> i & 1 for u in members)
-                profile[key] = profile.get(key, 0) | (1 << i)
-            cached = tuple(sorted(profile.values(),
-                                  key=lambda m: (m & -m).bit_length()))
-            object.__setattr__(self, "_atoms", cached)
-        return cached
+    @cached_property
+    def sigma(self) -> frozenset[int]:
+        """Every measurable set: all unions of the atoms."""
+        members = [0]
+        for a in self.atoms:
+            members += [u | a for u in members]
+        return frozenset(members)
 
+    @cached_property
     def atom_index(self) -> dict[str, int]:
-        """Position in atoms() of the atom holding each point."""
-        cached = getattr(self, "_atom_index", None)
-        if cached is None:
-            cached = {p: k for k, a in enumerate(self.atoms())
-                      for i, p in enumerate(self.points) if a >> i & 1}
-            object.__setattr__(self, "_atom_index", cached)
-        return cached
+        """Position in atoms of the atom holding each point."""
+        return {p: k for k, a in enumerate(self.atoms)
+                for i, p in enumerate(self.points) if a >> i & 1}
 
     def atom_of(self, point: str) -> int:
-        k = self.atom_index().get(point)
+        k = self.atom_index.get(point)
         if k is None:
             raise DomainError(f"point {point!r} not found")
-        return self.atoms()[k]
+        return self.atoms[k]
 
     def subset_names(self, mask: int) -> tuple[str, ...]:
         return names_of(self.points, mask)
@@ -129,7 +109,17 @@ def generate_sigma(points, generators) -> FinMeasSpace:
     for i in range(len(points)):
         key = tuple(m >> i & 1 for m in masks)
         classes[key] = classes.get(key, 0) | (1 << i)
-    return FinMeasSpace.from_atoms(points, classes.values())
+    return FinMeasSpace(points, classes.values())
+
+
+def space_from_members(points, members) -> FinMeasSpace:
+    """The space whose sigma-algebra is exactly the masks `members`: the
+    one they generate, which holds them all, if it has as many members."""
+    members = set(members)
+    space = generate_sigma(points, members)
+    if len(members) != 1 << len(space.atoms):
+        raise DomainError("sigma is not closed under complement/union")
+    return space
 
 
 def coinduced_sigma(points, family) -> FinMeasSpace:
@@ -144,8 +134,8 @@ def coinduced_sigma(points, family) -> FinMeasSpace:
     index = {p: i for i, p in enumerate(points)}
     blocks = [1 << i for i in range(len(points))]
     for src, mapping in family:
-        images = [0] * len(src.atoms())
-        src_atom = src.atom_index()
+        images = [0] * len(src.atoms)
+        src_atom = src.atom_index
         for p in src.points:
             q = mapping[p]
             if q not in index:
@@ -157,26 +147,23 @@ def coinduced_sigma(points, family) -> FinMeasSpace:
                 if b & img:
                     joined |= b
             blocks = [b for b in blocks if not b & img] + [joined]
-    return FinMeasSpace.from_atoms(points, blocks)
+    return FinMeasSpace(points, blocks)
 
 
 def induced_sigma(points, family) -> FinMeasSpace:
     """Smallest sigma-algebra on `points` making every family map measurable.
 
     `family` is a list of (mapping, target_space) with mapping a dict from
-    carrier point to target point.
+    carrier point to target point.  The atoms are the classes of points
+    whose images share a target atom under every map.
     """
     points = tuple(points)
-    gens = []
-    for mapping, target in family:
-        tindex = {p: i for i, p in enumerate(target.points)}
-        for v in target.sigma:
-            pre = 0
-            for i, p in enumerate(points):
-                if v >> tindex[mapping[p]] & 1:
-                    pre |= 1 << i
-            gens.append(pre)
-    return generate_sigma(points, gens)
+    atom_maps = [(mapping, target.atom_index) for mapping, target in family]
+    classes: dict[tuple[int, ...], int] = {}
+    for i, p in enumerate(points):
+        key = tuple(t_atom[mapping[p]] for mapping, t_atom in atom_maps)
+        classes[key] = classes.get(key, 0) | (1 << i)
+    return FinMeasSpace(points, classes.values())
 
 
 @dataclass(frozen=True)
@@ -199,7 +186,7 @@ class MeasFn:
                               f"{len(self.dom.points)} domain points")
         # measurable exactly when each domain atom lands in one codomain
         # atom; the preimage scan only runs to name a witness
-        dom_atom, cod_atom = self.dom.atom_index(), self.cod.atom_index()
+        dom_atom, cod_atom = self.dom.atom_index, self.cod.atom_index
         landing: dict[int, int] = {}
         for p, q in zip(self.dom.points, self.mapping):
             if q not in cod_atom:
@@ -260,10 +247,10 @@ def enumerate_meas_fns(X: FinMeasSpace, Y: FinMeasSpace) -> list[MeasFn]:
     """
     if len(Y.points) ** len(X.points) > SIGMA_CAPACITY:
         raise CapacityError("function enumeration exceeds capacity")
-    x_atom = X.atom_index()
-    yatoms = Y.atoms()
+    x_atom = X.atom_index
+    yatoms = Y.atoms
     out = []
-    for assignment in itertools.product(range(len(yatoms)), repeat=len(X.atoms())):
+    for assignment in itertools.product(range(len(yatoms)), repeat=len(X.atoms)):
         choices = []
         for p in X.points:
             ya = yatoms[assignment[x_atom[p]]]
@@ -277,9 +264,11 @@ def enumerate_meas_fns(X: FinMeasSpace, Y: FinMeasSpace) -> list[MeasFn]:
 def is_separated(X: FinMeasSpace):
     """True iff every pair of distinct points is split by some sigma member.
 
-    Returns (True, None) or (False, (p, q)) with an inseparable pair.
+    Returns (True, None) or (False, (p, q)) with an inseparable pair: the
+    two lowest points of the first atom with more than one point, which is
+    the first inseparable pair in lexicographic order.
     """
-    for i, j in itertools.combinations(range(len(X.points)), 2):
-        if not any((u >> i & 1) != (u >> j & 1) for u in X.sigma):
-            return False, (X.points[i], X.points[j])
+    for a in X.atoms:
+        if a & (a - 1):
+            return False, X.subset_names(a)[:2]
     return True, None

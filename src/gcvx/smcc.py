@@ -22,7 +22,6 @@ from .measurable import (
     MeasFn,
     coinduced_sigma,
     enumerate_meas_fns,
-    generate_sigma,
     induced_sigma,
 )
 
@@ -83,18 +82,19 @@ def tensor_space(X: FinMeasSpace, Y: FinMeasSpace, graphs: str = "all") -> Tenso
 
 
 def product_space(X: FinMeasSpace, Y: FinMeasSpace) -> FinMeasSpace:
-    """The sigma-algebra generated by measurable rectangles."""
+    """The sigma-algebra generated by measurable rectangles; its atoms
+    are the rectangles u x v of atoms."""
     _check_tensor_guard(X, Y)
     ny = len(Y.points)
-    rects = []
-    for u in X.sigma:
-        for v in Y.sigma:
+    atoms = []
+    for u in X.atoms:
+        for v in Y.atoms:
             m = 0
             for i in range(len(X.points)):
                 if u >> i & 1:
                     m |= v << i * ny
-            rects.append(m)
-    return generate_sigma(product_points(X, Y), rects)
+            atoms.append(m)
+    return FinMeasSpace(product_points(X, Y), atoms)
 
 
 def function_space(X: FinMeasSpace, Y: FinMeasSpace) -> FnSpace:

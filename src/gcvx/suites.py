@@ -16,7 +16,7 @@ from . import convex as cvx
 from . import giry, smcc
 from .adjunction import MIX_GRID
 from .kernel import CapacityError, DomainError, ONE, ZERO, rat, rat_str, step_integrate
-from .measurable import FinMeasSpace, enumerate_meas_fns, is_separated
+from .measurable import FinMeasSpace, enumerate_meas_fns, is_separated, mask_of
 from .reports import LawReport
 
 SUITE_NAMES = (
@@ -41,11 +41,8 @@ def _partitions(items):
 def all_sigma_spaces(points) -> list[FinMeasSpace]:
     """Every sigma-algebra on the carrier, one per set partition."""
     points = tuple(points)
-    index = {p: i for i, p in enumerate(points)}
-    spaces = []
-    for part in _partitions(points):
-        blocks = [sum(1 << index[p] for p in b) for b in part]
-        spaces.append(FinMeasSpace.from_atoms(points, blocks))
+    spaces = [FinMeasSpace(points, [mask_of(points, b) for b in part])
+              for part in _partitions(points)]
     return sorted(spaces, key=lambda s: sorted(s.sigma))
 
 
@@ -65,11 +62,11 @@ def _suite_spaces(max_points: int) -> list[tuple[str, FinMeasSpace]]:
 # individual suites
 
 
-def _suite_giry(config) -> LawReport:
+def _suite_giry(config, mu_fn) -> LawReport:
     rep = LawReport("giry-monad")
     max_points = int(config.get("maxPoints", 2))
     max_support = int(config.get("maxSupport", 3))
-    mu_fn = config.get("mu_fn", giry.mu)
+    mu_fn = mu_fn or giry.mu
     for tag, X in _suite_spaces(max_points):
         nats = list(enumerate_meas_fns(X, X))
         rep.merge(giry.monad_law_report(
@@ -99,7 +96,7 @@ def _suite_adjunction(config) -> LawReport:
         X = FinMeasSpace.discrete(_point_names(n))
         rep.merge(adj.triangle_check(X))
         dists = giry.grid_dists(X)
-        atom = X.atom_index()
+        atom = X.atom_index
         for j, A in enumerate(lattices):
             sa = adj.sigma_functor(A)
             homs = enumerate_meas_fns(X, sa.space)
@@ -137,10 +134,9 @@ def _suite_adjunction(config) -> LawReport:
     return rep
 
 
-def _suite_algebra(config) -> LawReport:
+def _suite_algebra(config, h_twist) -> LawReport:
     rep = LawReport("algebra-roundtrip")
     max_elems = int(config.get("maxSize", 4))
-    h_twist = config.get("structure_map_twist")
     for n in range(1, max_elems + 1):
         for j, A in enumerate(cvx.enumerate_semilattices(n)):
             alg = adj.convex_to_algebra(A)
@@ -317,17 +313,17 @@ def _suite_smcc(config) -> LawReport:
     return rep
 
 
-def _suite_lebesgue(config) -> LawReport:
+def _suite_lebesgue(config, integrator) -> LawReport:
     rep = LawReport("lebesgue")
     samples = int(config.get("samples", 100))
     seed = int(config.get("seed", 0))
-    integrator = config.get("integrator", step_integrate)
     rng = random.Random(seed)
     levels = []
     for _ in range(samples):
         den = rng.randrange(1, 1000)
         levels.append(Fraction(rng.randrange(0, den + 1), den))
-    chk = smcc.lebesgue_section_check(levels, integrator=integrator)
+    chk = smcc.lebesgue_section_check(levels,
+                                      integrator=integrator or step_integrate)
     for i, e in enumerate(chk["entries"]):
         rep.record(e["passed"], "lebesgue.section", f"u{i}",
                    witness=(e["level"], e["integral"]), detail=e["level"])
@@ -384,10 +380,16 @@ _RUNNERS = {
 }
 
 
-def run_suite(name: str, config=None) -> LawReport:
+def run_suite(name: str, config=None, *, mu_fn=None, integrator=None,
+              structure_map_twist=None) -> LawReport:
+    """Run one suite on its JSON `config`.  The keyword arguments are
+    mutation hooks, None for the library's own: `mu_fn` in giry-monad,
+    `integrator` in lebesgue, `structure_map_twist` in algebra-roundtrip."""
     if name not in _RUNNERS:
         raise DomainError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
-    rep = _RUNNERS[name](dict(config or {}))
+    hooks = {"giry-monad": (mu_fn,), "lebesgue": (integrator,),
+             "algebra-roundtrip": (structure_map_twist,)}
+    rep = _RUNNERS[name](dict(config or {}), *hooks.get(name, ()))
     if rep.instances == 0:
         raise DomainError(f"suite {name!r} checked no instances; a run that "
                           f"checks nothing is not a pass")

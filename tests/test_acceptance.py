@@ -219,16 +219,16 @@ def test_criterion_11_mutation_self_check():
         return good
 
     giry_detects = not run_suite(
-        "giry-monad", {"maxPoints": 2, "mu_fn": bad_mu}).ok
+        "giry-monad", {"maxPoints": 2}, mu_fn=bad_mu).ok
 
     bad_int = lambda f: step_integrate(f) + Fraction(1, 7)
     lebesgue_detects = not run_suite(
-        "lebesgue", {"samples": 10, "integrator": bad_int}).ok
+        "lebesgue", {"samples": 10}, integrator=bad_int).ok
 
     def twist(h):
         def crooked(P):
             out = h(P)
-            atoms = P.space.atoms()
+            atoms = P.space.atoms
             if len(atoms) > 1:
                 names = P.space.subset_names(atoms[-1])
                 return names[0] if out != names[0] else \
@@ -237,7 +237,7 @@ def test_criterion_11_mutation_self_check():
         return crooked
 
     algebra_detects = not run_suite(
-        "algebra-roundtrip", {"maxSize": 2, "structure_map_twist": twist}).ok
+        "algebra-roundtrip", {"maxSize": 2}, structure_map_twist=twist).ok
 
     verdict(11, giry_detects and lebesgue_detects and algebra_detects,
             "corrupted multiplication, integrator and structure map are "

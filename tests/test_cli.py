@@ -42,6 +42,34 @@ def test_bad_config_file_is_usage_error(tmp_path, capsys):
     assert main(["lebesgue", "--config", str(tmp_path / "missing.json")]) == 2
     err = capsys.readouterr().err
     assert "error" in err
+    config = tmp_path / "config.json"
+    config.write_text("[1, 2]")  # not a JSON object
+    assert main(["lebesgue", "--config", str(config)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_malformed_space_file_is_usage_error(tmp_path, capsys):
+    good = tmp_path / "good.json"
+    good.write_text('{"points": ["a"]}')
+    bad = tmp_path / "bad.json"
+    for text in ('["a", "b"]', '{"points": [["a"], "b"]}',
+                 '{"points": ["a"], "sigma": [5]}',
+                 '{"points": ["a"], "generators": "a"}'):
+        bad.write_text(text)
+        assert main(["tensor", "--left", str(bad), "--right", str(good)]) == 2
+        assert main(["tensor", "--left", str(good), "--right", str(bad)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 8 and all(line.startswith("error: ") for line in err)
+
+
+def test_mutation_hooks_are_not_config_keys(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text('{"mu_fn": 1, "integrator": 1, '
+                      '"structure_map_twist": 1, "samples": 3}')
+    for suite in ("giry-monad", "lebesgue", "algebra-roundtrip"):
+        assert main([suite, "--config", str(config), "--max-points", "1",
+                     "--max-size", "1"]) == 0
+    capsys.readouterr()
 
 
 def test_tensor_subcommand(tmp_path, capsys):
@@ -86,11 +114,11 @@ def test_run_that_checks_nothing_is_usage_error(capsys):
 
 def test_detected_failure_exits_one(capsys):
     # a real (non-erratum) failure must fail the process; simulate by
-    # running a suite whose config injects a corrupted integrator
+    # running a suite with a corrupted integrator
     from gcvx.kernel import step_integrate
     from gcvx.suites import run_suite
     bad = lambda f: step_integrate(f) * 0
-    rep = run_suite("lebesgue", {"samples": 3, "integrator": bad})
+    rep = run_suite("lebesgue", {"samples": 3}, integrator=bad)
     assert not rep.ok
     from gcvx.cli import _emit
     assert _emit(rep, None) == 1

@@ -6,7 +6,7 @@ from gcvx.measurable import FinMeasSpace
 
 
 def test_space_roundtrip():
-    X = FinMeasSpace(("a", "b", "c"), frozenset({0, 0b001, 0b110, 0b111}))
+    X = FinMeasSpace(("a", "b", "c"), (0b001, 0b110))
     data = jsonio.space_to_json(X)
     assert data["points"] == ["a", "b", "c"]
     assert ["a"] in data["sigma"]

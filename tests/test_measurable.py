@@ -14,6 +14,7 @@ from gcvx.measurable import (
     is_measurable,
     is_separated,
     mask_of,
+    space_from_members,
 )
 from gcvx.suites import all_sigma_spaces
 
@@ -55,20 +56,34 @@ def test_sigma_algebra_counts_match_partition_counts():
 
 def test_space_validation_rejects_non_algebras():
     with pytest.raises(DomainError):
-        FinMeasSpace(PTS3, frozenset({0b111}))  # missing empty set
+        space_from_members(PTS3, {0b111})  # missing empty set
     with pytest.raises(DomainError):
-        FinMeasSpace(PTS3, frozenset({0, 0b001, 0b111}))  # no complement
+        space_from_members(PTS3, {0, 0b001, 0b111})  # no complement
     with pytest.raises(DomainError):
-        FinMeasSpace(PTS3, frozenset({0, 0b001, 0b010, 0b110, 0b101, 0b111}))
+        space_from_members(PTS3, {0, 0b001, 0b010, 0b110, 0b101, 0b111})
+    with pytest.raises(DomainError):
+        space_from_members(PTS3, {0, 0b1000, 0b111})  # outside the carrier
+    assert space_from_members(PTS3, {0, 0b001, 0b110, 0b111}).atoms == \
+        (0b001, 0b110)
+    for atoms in ((0, 0b001, 0b110),         # empty atom
+                  (0b011, 0b110),            # overlapping atoms
+                  (0b001, 0b010),            # not covering the carrier
+                  (0b001, 0b010, 0b1100)):   # reaching outside it
+        with pytest.raises(DomainError):
+            FinMeasSpace(PTS3, atoms)
 
 
 def test_atoms_are_the_partition_blocks():
-    X = FinMeasSpace(PTS3, frozenset({0, 0b001, 0b110, 0b111}))
-    assert X.atoms() == (0b001, 0b110)
+    X = FinMeasSpace(PTS3, (0b001, 0b110))
+    assert X.atoms == (0b001, 0b110)
+    assert X.sigma == frozenset({0, 0b001, 0b110, 0b111})
+    # stored ordered by lowest point: equal algebras are equal values
+    Y = FinMeasSpace(PTS3, [0b110, 0b001])
+    assert Y == X and hash(Y) == hash(X) and Y.atoms == X.atoms
     assert X.atom_of("a") == 0b001
     assert X.atom_of("b") == 0b110
-    assert FinMeasSpace.discrete(PTS3).atoms() == (0b001, 0b010, 0b100)
-    assert FinMeasSpace.trivial(PTS3).atoms() == (0b111,)
+    assert FinMeasSpace.discrete(PTS3).atoms == (0b001, 0b010, 0b100)
+    assert FinMeasSpace.trivial(PTS3).atoms == (0b111,)
 
 
 def test_generate_sigma_small_oracle():
@@ -98,7 +113,7 @@ def test_generate_sigma_capacity_guard():
 
 
 def test_measurability_definition_and_witness():
-    X = FinMeasSpace(PTS3, frozenset({0, 0b011, 0b100, 0b111}))
+    X = FinMeasSpace(PTS3, (0b011, 0b100))
     Y = FinMeasSpace.discrete(("0", "1"))
     ok, wit = is_measurable({"a": "0", "b": "0", "c": "1"}, X, Y)
     assert ok and wit is None
@@ -124,7 +139,7 @@ def test_measfn_composition_and_identity():
 
 
 def test_enumerate_meas_fns_agrees_with_preimage_definition():
-    X = FinMeasSpace(PTS3, frozenset({0, 0b001, 0b110, 0b111}))
+    X = FinMeasSpace(PTS3, (0b001, 0b110))
     Y = FinMeasSpace.discrete(("0", "1"))
     assert len(enumerate_meas_fns(X, Y)) == 4  # constant on the {b, c} atom
     spaces = [X for n in (1, 2, 3) for X in all_sigma_spaces(PTS3[:n])]
@@ -151,7 +166,7 @@ def test_enumerate_meas_fns_agrees_with_preimage_definition():
 
 def test_points_must_be_distinct():
     with pytest.raises(DomainError):
-        FinMeasSpace(("a", "a"), frozenset({0, 1, 2, 3}))
+        FinMeasSpace(("a", "a"), (0b01, 0b10))
     with pytest.raises(DomainError):
         FinMeasSpace.discrete(("a", "b", "a"))
 
@@ -184,7 +199,7 @@ def coinduced_by_definition(carrier, family):
 
 def test_coinduced_sigma_matches_definition_on_random_families():
     rng = random.Random(11)
-    sources = [FinMeasSpace(tuple("xyz"[:k]), fam)
+    sources = [space_from_members(tuple("xyz"[:k]), fam)
                for k in (1, 2, 3) for fam in brute_sigma_algebras(k)]
     for _ in range(200):
         carrier = tuple("pqrs"[:rng.randrange(1, 5)])
@@ -221,7 +236,25 @@ def test_coinduced_is_largest_making_family_measurable():
         if bigger_is_valid:
             # adding this set alone must fail sigma-algebra closure
             with pytest.raises(DomainError):
-                FinMeasSpace(carrier, C.sigma | {extra})
+                space_from_members(carrier, C.sigma | {extra})
+
+
+def test_induced_sigma_matches_definition_on_random_families():
+    # the definition: generated by the preimage of every target member
+    rng = random.Random(13)
+    targets = [X for k in (1, 2, 3) for X in all_sigma_spaces(tuple("xyz"[:k]))]
+    for _ in range(200):
+        carrier = tuple("pqrs"[:rng.randrange(1, 5)])
+        family = []
+        for _ in range(rng.randrange(4)):
+            target = rng.choice(targets)
+            family.append(({p: rng.choice(target.points) for p in carrier},
+                           target))
+        preimages = [sum(1 << i for i, p in enumerate(carrier)
+                         if v >> target.points.index(mapping[p]) & 1)
+                     for mapping, target in family for v in target.sigma]
+        assert induced_sigma(carrier, family).sigma == \
+            generate_sigma(carrier, preimages).sigma
 
 
 def test_induced_is_smallest_making_family_measurable():
@@ -236,3 +269,17 @@ def test_separation():
     assert is_separated(FinMeasSpace.discrete(PTS3)) == (True, None)
     ok, pair = is_separated(FinMeasSpace.trivial(PTS3))
     assert not ok and pair == ("a", "b")
+
+
+def test_is_separated_matches_a_pair_scan():
+    checked = 0
+    for n in (1, 2, 3, 4):
+        for X in all_sigma_spaces(tuple("abcd"[:n])):
+            want = (True, None)
+            for i, j in itertools.combinations(range(n), 2):
+                if all((u >> i & 1) == (u >> j & 1) for u in X.sigma):
+                    want = (False, (X.points[i], X.points[j]))
+                    break
+            assert is_separated(X) == want
+            checked += 1
+    assert checked == 23

@@ -5,7 +5,8 @@ from hypothesis import given, strategies as st
 
 from gcvx import smcc
 from gcvx.kernel import CapacityError, DomainError, ONE, ZERO, step_integrate
-from gcvx.measurable import FinMeasSpace, MeasFn, enumerate_meas_fns
+from gcvx.measurable import FinMeasSpace, MeasFn, enumerate_meas_fns, generate_sigma
+from gcvx.suites import all_sigma_spaces
 
 HALF = Fraction(1, 2)
 
@@ -31,6 +32,17 @@ def test_product_contained_in_tensor():
     T = smcc.tensor_space(X, Y)
     P = smcc.product_space(X, Y)
     assert P.sigma <= T.carrier.sigma
+
+
+def test_product_space_is_generated_by_rectangles():
+    spaces = [X for n in (1, 2, 3) for X in all_sigma_spaces(("a", "b", "c")[:n])]
+    for X in spaces:
+        for Y in spaces:
+            ny = len(Y.points)
+            rects = [sum(v << i * ny for i in range(len(X.points)) if u >> i & 1)
+                     for u in X.sigma for v in Y.sigma]
+            want = generate_sigma(smcc.product_points(X, Y), rects)
+            assert smcc.product_space(X, Y).sigma == want.sigma
 
 
 def test_constant_graphs_give_no_more_than_all_graphs():
