@@ -1,6 +1,10 @@
+import hashlib
+import json
+import random
 from fractions import Fraction
 
 from gcvx import exactlp
+from gcvx.kernel import rat_str
 
 
 def F(x):
@@ -61,3 +65,101 @@ def test_exact_rationals_survive_pivoting():
     x = res["x"]
     for row, rhs in zip(A, b):
         assert sum(c * v for c, v in zip(row, x)) == rhs
+
+
+# ---------------------------------------------------------------------------
+# seeded corpus: a behaviour gate and a self-contained answer check
+
+CORPUS_SIZE = 2400
+CORPUS_DIGEST = "758f7fd1dde30a2f4d0cf8adbdf1c7d2cbfd4ae4d5e7596269ddcad5975a7e2c"
+
+
+def _entry(rng):
+    if rng.random() < 0.3:
+        return F(0)
+    return Fraction(rng.randint(-4, 4), rng.choice((1, 1, 2, 3, 4, 5, 7, 8)))
+
+
+def lp_corpus():
+    """Seeded LPs with 1-6 rows and 1-10 columns over mixed denominators.
+
+    Half have a right-hand side A x0 for a random x0 >= 0 with some zero
+    entries (feasible, often degenerate), the rest a random one (often
+    infeasible).  Some systems repeat a row as a multiple of another or
+    have a zero right-hand side, and half carry an objective, some of
+    them unbounded."""
+    rng = random.Random("exactlp-corpus")
+    corpus = []
+    for k in range(CORPUS_SIZE):
+        m, n = rng.randint(1, 6), rng.randint(1, 10)
+        A = [[_entry(rng) for _ in range(n)] for _ in range(m)]
+        shape = k % 4
+        if shape in (0, 1):
+            x0 = [Fraction(rng.randint(0, 3), rng.choice((1, 2, 3)))
+                  if rng.random() < 0.6 else F(0) for _ in range(n)]
+            b = [sum((a * x for a, x in zip(row, x0)), F(0)) for row in A]
+        else:
+            b = [_entry(rng) for _ in range(m)]
+        if m > 1 and rng.random() < 0.25:
+            i, j = rng.sample(range(m), 2)
+            s = Fraction(rng.choice((-2, -1, 1, 3)), rng.choice((1, 2)))
+            A[j] = [s * v for v in A[i]]
+            b[j] = s * b[i]
+        if rng.random() < 0.1:
+            b = [F(0)] * m
+        objective = None
+        if k % 2:
+            objective = [_entry(rng) for _ in range(n)]
+        corpus.append((A, b, objective))
+    return corpus
+
+
+def _canonical(res):
+    out = {"status": res["status"]}
+    for key in ("x", "farkas"):
+        if key in res:
+            out[key] = [rat_str(Fraction(v)) for v in res[key]]
+    if "value" in res:
+        out["value"] = rat_str(Fraction(res["value"]))
+    return out
+
+
+def _dot(u, v):
+    return sum((a * b for a, b in zip(u, v)), F(0))
+
+
+def test_corpus_results_are_pinned():
+    results = [_canonical(exactlp.solve_eq_nonneg(A, b, objective=c))
+               for A, b, c in lp_corpus()]
+    counts = {}
+    for r in results:
+        counts[r["status"]] = counts.get(r["status"], 0) + 1
+    assert min(counts.get(s, 0) for s in (
+        exactlp.FEASIBLE, exactlp.OPTIMAL, exactlp.INFEASIBLE,
+        exactlp.UNBOUNDED)) >= 50, counts
+    blob = json.dumps(results, sort_keys=True)
+    assert hashlib.sha256(blob.encode()).hexdigest() == CORPUS_DIGEST
+
+
+def test_corpus_answers_check_on_their_own_terms():
+    degenerate = 0
+    for A, b, c in lp_corpus():
+        res = exactlp.solve_eq_nonneg(A, b, objective=c)
+        status = res["status"]
+        if status in (exactlp.FEASIBLE, exactlp.OPTIMAL):
+            x = res["x"]
+            assert len(x) == len(A[0]) and all(v >= 0 for v in x)
+            assert [_dot(row, x) for row in A] == list(b)
+            degenerate += sum(v == 0 for v in x) > len(x) - len(A)
+        if status == exactlp.OPTIMAL:
+            assert res["value"] == _dot(c, res["x"])
+        if status == exactlp.INFEASIBLE:
+            y = res["farkas"]
+            assert len(y) == len(A)
+            assert all(_dot(y, [row[j] for row in A]) <= 0
+                       for j in range(len(A[0])))
+            assert _dot(y, b) > 0
+        if status == exactlp.UNBOUNDED:
+            assert c is not None
+            assert exactlp.solve_eq_nonneg(A, b)["status"] == exactlp.FEASIBLE
+    assert degenerate >= 50
