@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import exactlp
-from .kernel import CapacityError, DomainError, ONE, ZERO, rat
+from .kernel import CapacityError, DomainError, ONE, ZERO, rat, rat_str
 
 Point = tuple[Fraction, ...]
 
@@ -49,10 +49,18 @@ class GeomCvx:
         return cls(int(dim), tuple(seen))
 
     def require_member(self, p: Point) -> None:
+        if p in self.generators:
+            return  # a generator lies in its own hull
         ok, cert = hull_member(self, p)
         if not ok:
+            c, t = cert
             raise DomainError(
-                f"point {p} is outside the hull; separating functional {cert}")
+                f"point {_vec_str(rat(x) for x in p)} is outside the hull; "
+                f"separating functional c = {_vec_str(c)}, t = {rat_str(t)}")
+
+
+def _vec_str(v) -> str:
+    return "(" + ", ".join(rat_str(x) for x in v) + ")"
 
 
 @dataclass(frozen=True)
@@ -151,10 +159,7 @@ def hull_member(A: GeomCvx, p):
     if res["status"] == exactlp.FEASIBLE:
         return True, tuple(res["x"])
     y = res["farkas"]  # y.cols <= 0, y.rhs > 0
-    c = tuple(y[:A.dim])
-    s = y[A.dim] if A.dim < len(y) else ZERO
-    t = -s
-    return False, (c, t)
+    return False, (tuple(y[:A.dim]), -y[A.dim])
 
 
 def convex_combine(A, a, b, alpha):

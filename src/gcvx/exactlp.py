@@ -4,11 +4,22 @@ A small dense two-phase simplex with Bland's rule, used for convex hull
 membership and related feasibility questions.  Problems have the standard
 form {x >= 0, A x = b}; infeasibility comes with a Farkas certificate
 y such that y.A <= 0 componentwise and y.b > 0.
+
+The tableau holds Python ints only.  Each row, the reduced-cost row
+included, is a list of integer numerators over one positive integer
+denominator, and every elimination cancels the row by the gcd of its
+denominator and all its numerators.  Signs are read off numerators, and
+the ratio test compares rhs_r / a_r with rhs_s / a_s exactly as
+rhs_r * a_s against rhs_s * a_r (both pivot entries are positive and the
+row denominators cancel).  Every comparison is the one exact rational
+arithmetic would make, so the pivots are the same, and solutions, values
+and certificates are returned as Fractions.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -19,13 +30,36 @@ OPTIMAL = "optimal"
 UNBOUNDED = "unbounded"
 
 
+def _int_row(values):
+    """Fractions as integer numerators over their least common denominator."""
+    den = lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def _eliminate(u, du, v, dv, col):
+    """u/du - (u[col]/du) * v/dv, for a pivot row with v[col] == dv."""
+    f = u[col]
+    row = [a * dv - f * b for a, b in zip(u, v)]
+    den = du * dv
+    g = gcd(den, *row)
+    if g > 1:
+        row = [a // g for a in row]
+        den //= g
+    return row, den
+
+
 def _pivot(tab, basis, row, col):
-    piv = tab[row][col]
-    tab[row] = [v / piv for v in tab[row]]
+    nums = tab[row][0]
+    if nums[col] < 0:
+        nums = [-v for v in nums]
+    g = gcd(*nums)
+    if g > 1:
+        nums = [v // g for v in nums]
+    piv = nums[col]
+    tab[row] = (nums, piv)
     for r in range(len(tab)):
-        if r != row and tab[r][col] != 0:
-            factor = tab[r][col]
-            tab[r] = [a - factor * b for a, b in zip(tab[r], tab[row])]
+        if r != row and tab[r][0][col] != 0:
+            tab[r] = _eliminate(*tab[r], nums, piv, col)
     basis[row] = col
 
 
@@ -33,39 +67,49 @@ def _simplex(tab, basis, cost, allowed):
     """Maximize cost over the tableau; Bland's rule guarantees termination.
 
     `cost` is the full cost vector (one entry per column); `allowed` marks
-    columns permitted to enter the basis.  Returns ("optimal", z) or
-    ("unbounded", entering_col).  The cost row is maintained separately as
-    reduced costs.
+    columns permitted to enter the basis.  Returns (status, red), status
+    "optimal" or "unbounded", where red = (numerators, denominator) holds
+    the reduced costs c_j - c_B . B^-1 A_j and, last, minus the objective
+    value.
     """
-    m = len(tab)
-    ncols = len(tab[0]) - 1
-    # reduced costs: c_j - c_B . B^-1 A_j
-    red = list(cost) + [ZERO]
-    for r in range(m):
-        cb = cost[basis[r]]
-        if cb != 0:
-            red = [a - cb * b for a, b in zip(red, tab[r])]
+    ncols = len(allowed)
+    red = _int_row(list(cost) + [ZERO])
+    # price out the basis; every basic column is a unit column, so row r
+    # is the pivot row of column basis[r]
+    for r in range(len(tab)):
+        if red[0][basis[r]] != 0:
+            red = _eliminate(*red, *tab[r], basis[r])
     while True:
+        rnums = red[0]
         enter = -1
         for j in range(ncols):
-            if allowed[j] and red[j] > 0:
+            if allowed[j] and rnums[j] > 0:
                 enter = j
                 break
         if enter < 0:
-            return OPTIMAL, -red[-1], red
-        leave, best = -1, None
-        for r in range(m):
-            if tab[r][enter] > 0:
-                ratio = tab[r][-1] / tab[r][enter]
-                if best is None or ratio < best or (
-                    ratio == best and basis[r] < basis[leave]
-                ):
-                    best, leave = ratio, r
+            return OPTIMAL, red
+        leave = -1
+        for r, (nums, _den) in enumerate(tab):
+            a = nums[enter]
+            if a > 0:
+                if leave < 0:
+                    leave, a_best, rhs_best = r, a, nums[-1]
+                    continue
+                lhs, rhs = nums[-1] * a_best, rhs_best * a
+                if lhs < rhs or (lhs == rhs and basis[r] < basis[leave]):
+                    leave, a_best, rhs_best = r, a, nums[-1]
         if leave < 0:
-            return UNBOUNDED, enter, red
-        factor = red[enter]
+            return UNBOUNDED, red
         _pivot(tab, basis, leave, enter)
-        red = [a - factor * b for a, b in zip(red, tab[leave])]
+        red = _eliminate(*red, *tab[leave], enter)
+
+
+def _basic_solution(tab, basis, n):
+    x = [ZERO] * n
+    for r, (nums, den) in enumerate(tab):
+        if basis[r] < n:
+            x[basis[r]] = Fraction(nums[-1], den)
+    return x
 
 
 def solve_eq_nonneg(A, b, objective=None):
@@ -79,33 +123,27 @@ def solve_eq_nonneg(A, b, objective=None):
     """
     m = len(A)
     n = len(A[0]) if m else 0
-    rows = [[Fraction(v) for v in row] for row in A]
-    rhs = [Fraction(v) for v in b]
-    flipped = []
-    for i in range(m):
-        if rhs[i] < 0:
-            rows[i] = [-v for v in rows[i]]
-            rhs[i] = -rhs[i]
-            flipped.append(True)
-        else:
-            flipped.append(False)
     # tableau columns: n structural + m artificial + rhs
     tab = []
+    flipped = []
     for i in range(m):
-        art = [ONE if j == i else ZERO for j in range(m)]
-        tab.append(rows[i] + art + [rhs[i]])
+        row = [Fraction(v) for v in A[i]] + [Fraction(b[i])]
+        flipped.append(row[-1] < 0)
+        if flipped[-1]:
+            row = [-v for v in row]
+        nums, den = _int_row(row)
+        art = [den if j == i else 0 for j in range(m)]
+        tab.append((nums[:n] + art + nums[n:], den))
     basis = [n + i for i in range(m)]
-    ncols = n + m
 
     phase1_cost = [ZERO] * n + [-ONE] * m
-    allowed = [True] * ncols
-    status, z1, red = _simplex(tab, basis, phase1_cost, allowed)
+    status, (red, rden) = _simplex(tab, basis, phase1_cost, [True] * (n + m))
     assert status == OPTIMAL
-    if z1 < 0:
+    if red[-1] > 0:
         # infeasible: recover y from the reduced costs of the artificials
-        # (reduced cost of artificial i is -1 - y_i in the maximize form)
-        y = [-ONE - red[n + i] for i in range(m)]
-        y = [-v for v in y]  # flip to the y.A <= 0, y.b > 0 convention
+        # (reduced cost of artificial i is -1 - y_i in the maximize form),
+        # flipped to the y.A <= 0, y.b > 0 convention
+        y = [Fraction(red[n + i] + rden, rden) for i in range(m)]
         y = [(-v if fl else v) for v, fl in zip(y, flipped)]
         return {"status": INFEASIBLE, "farkas": y}
 
@@ -113,26 +151,17 @@ def solve_eq_nonneg(A, b, objective=None):
     for r in range(m):
         if basis[r] >= n:
             for j in range(n):
-                if tab[r][j] != 0:
+                if tab[r][0][j] != 0:
                     _pivot(tab, basis, r, j)
                     break
     # artificials that could not be driven out sit on all-zero redundant
     # rows and can never re-enter; they are simply left in place
-    x = [ZERO] * n
-    for r in range(m):
-        if basis[r] < n:
-            x[basis[r]] = tab[r][-1]
-
     if objective is None:
-        return {"status": FEASIBLE, "x": x}
+        return {"status": FEASIBLE, "x": _basic_solution(tab, basis, n)}
 
-    allowed = [True] * n + [False] * m
     cost = [Fraction(c) for c in objective] + [ZERO] * m
-    status, z2, _red = _simplex(tab, basis, cost, allowed)
+    status, (red, rden) = _simplex(tab, basis, cost, [True] * n + [False] * m)
     if status == UNBOUNDED:
         return {"status": UNBOUNDED}
-    x = [ZERO] * n
-    for r in range(m):
-        if basis[r] < n:
-            x[basis[r]] = tab[r][-1]
-    return {"status": OPTIMAL, "x": x, "value": z2}
+    return {"status": OPTIMAL, "x": _basic_solution(tab, basis, n),
+            "value": Fraction(-red[-1], rden)}

@@ -24,6 +24,9 @@ SUITE_NAMES = (
     "boolean-subobjects", "smcc", "lebesgue", "errata",
 )
 
+# every key a suite reads from its config; run_suite rejects any other
+CONFIG_KEYS = ("maxPoints", "maxSupport", "maxSize", "samples", "seed")
+
 
 def _partitions(items):
     """All set partitions of a sequence, deterministic order."""
@@ -387,9 +390,14 @@ def run_suite(name: str, config=None, *, mu_fn=None, integrator=None,
     `integrator` in lebesgue, `structure_map_twist` in algebra-roundtrip."""
     if name not in _RUNNERS:
         raise DomainError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
+    config = dict(config or {})
+    unknown = [k for k in config if k not in CONFIG_KEYS]
+    if unknown:
+        raise DomainError(f"unknown config key(s) {unknown}; "
+                          f"choose from {CONFIG_KEYS}")
     hooks = {"giry-monad": (mu_fn,), "lebesgue": (integrator,),
              "algebra-roundtrip": (structure_map_twist,)}
-    rep = _RUNNERS[name](dict(config or {}), *hooks.get(name, ()))
+    rep = _RUNNERS[name](config, *hooks.get(name, ()))
     if rep.instances == 0:
         raise DomainError(f"suite {name!r} checked no instances; a run that "
                           f"checks nothing is not a pass")

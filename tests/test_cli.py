@@ -64,12 +64,26 @@ def test_malformed_space_file_is_usage_error(tmp_path, capsys):
 
 def test_mutation_hooks_are_not_config_keys(tmp_path, capsys):
     config = tmp_path / "config.json"
-    config.write_text('{"mu_fn": 1, "integrator": 1, '
-                      '"structure_map_twist": 1, "samples": 3}')
-    for suite in ("giry-monad", "lebesgue", "algebra-roundtrip"):
+    for suite, hook in (("giry-monad", "mu_fn"), ("lebesgue", "integrator"),
+                        ("algebra-roundtrip", "structure_map_twist")):
+        config.write_text(f'{{"{hook}": 1, "samples": 3}}')
         assert main([suite, "--config", str(config), "--max-points", "1",
-                     "--max-size", "1"]) == 0
-    capsys.readouterr()
+                     "--max-size", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: unknown config key") and hook in err
+
+
+def test_unknown_config_key_is_usage_error(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text('{"sampels": 3}')
+    assert main(["lebesgue", "--config", str(config)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: unknown config key") \
+        and "sampels" in captured.err
+    config.write_text('{"samples": 3}')
+    assert main(["lebesgue", "--config", str(config)]) == 0
+    assert "3/3 passed" in capsys.readouterr().out
 
 
 def test_tensor_subcommand(tmp_path, capsys):

@@ -81,6 +81,27 @@ def test_hull_member_inside_and_outside():
     assert sum(ci * pi for ci, pi in zip(c, (2, 0))) > t
 
 
+def test_require_member_skips_the_lp_for_generators(monkeypatch):
+    sq = square()
+
+    def no_lp(*args, **kwargs):
+        raise AssertionError("a generator needs no LP")
+
+    monkeypatch.setattr(cvx.exactlp, "solve_eq_nonneg", no_lp)
+    for g in sq.generators:
+        sq.require_member(g)
+    assert cvx.convex_combine(sq, (0, 0), (1, 1), HALF) == (HALF, HALF)
+
+
+def test_require_member_names_point_and_functional_as_p_over_q():
+    with pytest.raises(DomainError) as exc:
+        square().require_member((Fraction(3, 2), ZERO))
+    msg = str(exc.value)
+    assert "Fraction" not in msg
+    assert msg.startswith("point (3/2, 0/1) is outside the hull; "
+                          "separating functional c = (")
+
+
 def test_combine_many_geometric():
     sq = square()
     p = cvx.combine_many(sq, (HALF, Fraction(1, 4), Fraction(1, 4)),

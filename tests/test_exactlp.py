@@ -67,6 +67,12 @@ def test_exact_rationals_survive_pivoting():
         assert sum(c * v for c, v in zip(row, x)) == rhs
 
 
+def test_empty_system_is_feasible():
+    # no rows and no columns: the empty vector is the one solution
+    assert exactlp.solve_eq_nonneg([], []) == {"status": exactlp.FEASIBLE,
+                                               "x": []}
+
+
 # ---------------------------------------------------------------------------
 # seeded corpus: a behaviour gate and a self-contained answer check
 

@@ -3,8 +3,9 @@ import json
 
 import pytest
 
+from gcvx import convex as cvx
 from gcvx import jsonio
-from gcvx.kernel import DomainError
+from gcvx.kernel import DomainError, ZERO, rat
 from gcvx.suites import all_sigma_spaces, explain, run_suite
 
 # config and the SHA-256 of the canonical report; a refactor that keeps
@@ -87,3 +88,20 @@ def test_lebesgue_seed_changes_samples_not_verdict():
     b = run_suite("lebesgue", {"samples": 10, "seed": 2}).to_json()
     assert a["passed"] == b["passed"] == 10
     assert a["instanceIndex"] != b["instanceIndex"]
+
+
+def test_convex_axioms_mutation_self_check(monkeypatch):
+    # a hull test that wrongly rejects every point with a quarter
+    # coordinate must make the closure axiom fail
+    real = cvx.hull_member
+
+    def crooked(A, p):
+        ok, cert = real(A, p)
+        if ok and any(rat(x).denominator == 4 for x in p):
+            return False, (tuple(ZERO for _ in p), ZERO)
+        return ok, cert
+
+    monkeypatch.setattr(cvx, "hull_member", crooked)
+    rep = run_suite("convex-axioms", {"maxSize": 3})
+    assert not rep.ok
+    assert {f.law for f in rep.failures} == {"axiom.closure"}
