@@ -9,11 +9,12 @@ The tableau holds Python ints only.  Each row, the reduced-cost row
 included, is a list of integer numerators over one positive integer
 denominator, and every elimination cancels the row by the gcd of its
 denominator and all its numerators.  Signs are read off numerators, and
-the ratio test compares rhs_r / a_r with rhs_s / a_s exactly as
-rhs_r * a_s against rhs_s * a_r (both pivot entries are positive and the
-row denominators cancel).  Every comparison is the one exact rational
-arithmetic would make, so the pivots are the same, and solutions, values
-and certificates are returned as Fractions.
+the ratio test compares rhs_r / a_r with rhs_s / a_s as rhs_r * a_s
+against rhs_s * a_r, which is exact because both entries a are positive
+and each row's denominator cancels in its own ratio.  Every comparison
+agrees with rational arithmetic, so the pivot sequence is that of a
+Fraction tableau; solutions, values and certificates are returned as
+Fractions.
 """
 
 from __future__ import annotations
