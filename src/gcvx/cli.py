@@ -89,9 +89,9 @@ def main(argv=None) -> int:
             T = tensor_space(left, right)
             P = product_space(left, right)
             data = {
-                "tensorSigma": space_to_json(T.carrier)["sigma"],
+                "tensorSigma": space_to_json(T)["sigma"],
                 "productSigma": space_to_json(P)["sigma"],
-                "strictlyLarger": P.sigma < T.carrier.sigma,
+                "strictlyLarger": P.sigma < T.sigma,
             }
             if args.json_out:
                 dump_json(data, args.json_out)

@@ -22,6 +22,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
+from .kernel import DomainError
+
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
@@ -121,9 +123,15 @@ def solve_eq_nonneg(A, b, objective=None):
       x       -- a solution (feasible statuses)
       value   -- objective value (status "optimal")
       farkas  -- certificate y with y.A <= 0, y.b > 0 (status "infeasible")
+    Raises DomainError unless A is m x n, b has m entries and
+    `objective` n.
     """
     m = len(A)
     n = len(A[0]) if m else 0
+    if (any(len(row) != n for row in A) or len(b) != m
+            or objective is not None and len(objective) != n):
+        raise DomainError(f"A must be {m} x {n}, with {m} entries in b and "
+                          f"{n} in the objective")
     # tableau columns: n structural + m artificial + rhs
     tab = []
     flipped = []

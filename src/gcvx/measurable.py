@@ -78,10 +78,15 @@ class FinMeasSpace:
         return frozenset(members)
 
     @cached_property
+    def point_atom(self) -> tuple[int, ...]:
+        """Position in atoms of the atom holding each point, by position."""
+        return tuple(next(k for k, a in enumerate(self.atoms) if a >> i & 1)
+                     for i in range(len(self.points)))
+
+    @cached_property
     def atom_index(self) -> dict[str, int]:
-        """Position in atoms of the atom holding each point."""
-        return {p: k for k, a in enumerate(self.atoms)
-                for i, p in enumerate(self.points) if a >> i & 1}
+        """Position in atoms of the atom holding each point, by name."""
+        return dict(zip(self.points, self.point_atom))
 
     def atom_of(self, point: str) -> int:
         k = self.atom_index.get(point)
@@ -122,46 +127,52 @@ def space_from_members(points, members) -> FinMeasSpace:
     return space
 
 
+def _check_positions(mapping, n_from, n_to):
+    if len(mapping) != n_from or mapping and not 0 <= min(mapping) <= max(mapping) < n_to:
+        raise DomainError(f"a family map needs {n_from} positions in range({n_to})")
+
+
 def coinduced_sigma(points, family) -> FinMeasSpace:
     """Largest sigma-algebra on `points` making every family map measurable.
 
-    `family` is a list of (source_space, mapping) with mapping a dict from
-    source point to carrier point.  An empty family yields the powerset.
-    A set is measurable for a map exactly when it splits the image of no
-    source atom, so the atoms are the classes those images join.
+    `family` is a list of (source_space, mapping) with mapping a tuple
+    giving, for each source point, a carrier position.  An empty family
+    yields the powerset.  A set is measurable for a map exactly when it
+    splits the image of no source atom, so the atoms are the classes those
+    images join.
     """
     points = tuple(points)
-    index = {p: i for i, p in enumerate(points)}
     blocks = [1 << i for i in range(len(points))]
     for src, mapping in family:
+        _check_positions(mapping, len(src.points), len(points))
         images = [0] * len(src.atoms)
-        src_atom = src.atom_index
-        for p in src.points:
-            q = mapping[p]
-            if q not in index:
-                raise DomainError(f"map image {q!r} is not in the carrier")
-            images[src_atom[p]] |= 1 << index[q]
+        for k, q in zip(src.point_atom, mapping):
+            images[k] |= 1 << q
         for img in images:
-            joined = 0
-            for b in blocks:
-                if b & img:
-                    joined |= b
-            blocks = [b for b in blocks if not b & img] + [joined]
+            if img & (img - 1):  # an image of one point joins nothing
+                joined = 0
+                for b in blocks:
+                    if b & img:
+                        joined |= b
+                blocks = [b for b in blocks if not b & img] + [joined]
     return FinMeasSpace(points, blocks)
 
 
 def induced_sigma(points, family) -> FinMeasSpace:
     """Smallest sigma-algebra on `points` making every family map measurable.
 
-    `family` is a list of (mapping, target_space) with mapping a dict from
-    carrier point to target point.  The atoms are the classes of points
-    whose images share a target atom under every map.
+    `family` is a list of (mapping, target_space) with mapping a tuple
+    giving, for each carrier point, a target position.  The atoms are the
+    classes of points whose images share a target atom under every map.
     """
     points = tuple(points)
-    atom_maps = [(mapping, target.atom_index) for mapping, target in family]
+    keys = [()] * len(points)
+    for mapping, target in family:
+        _check_positions(mapping, len(points), len(target.points))
+        t_atom = target.point_atom
+        keys = [key + (t_atom[j],) for key, j in zip(keys, mapping)]
     classes: dict[tuple[int, ...], int] = {}
-    for i, p in enumerate(points):
-        key = tuple(t_atom[mapping[p]] for mapping, t_atom in atom_maps)
+    for i, key in enumerate(keys):
         classes[key] = classes.get(key, 0) | (1 << i)
     return FinMeasSpace(points, classes.values())
 
@@ -238,25 +249,29 @@ def is_measurable(mapping, dom: FinMeasSpace, cod: FinMeasSpace):
     return True, None
 
 
-def enumerate_meas_fns(X: FinMeasSpace, Y: FinMeasSpace) -> list[MeasFn]:
-    """All measurable functions X -> Y in lexicographic mapping order.
+def measurable_maps(X: FinMeasSpace, Y: FinMeasSpace) -> list[tuple[int, ...]]:
+    """Every measurable map X -> Y as the tuple of its codomain positions,
+    in lexicographic order.
 
     A map is measurable exactly when each atom of X lands inside a single
-    atom of Y, which keeps the enumeration cheap; the equivalence with the
+    atom of Y, so the maps are, for each choice of a Y atom per X atom,
+    every choice of a point of it per point; the equivalence with the
     preimage definition is covered by tests.
     """
     if len(Y.points) ** len(X.points) > SIGMA_CAPACITY:
         raise CapacityError("function enumeration exceeds capacity")
-    x_atom = X.atom_index
-    yatoms = Y.atoms
+    blocks = [[j for j in range(len(Y.points)) if b >> j & 1] for b in Y.atoms]
     out = []
-    for assignment in itertools.product(range(len(yatoms)), repeat=len(X.atoms)):
-        choices = []
-        for p in X.points:
-            ya = yatoms[assignment[x_atom[p]]]
-            choices.append([Y.points[j] for j in range(len(Y.points)) if ya >> j & 1])
-        for combo in itertools.product(*choices):
-            out.append(MeasFn(X, Y, tuple(combo)))
+    for assignment in itertools.product(blocks, repeat=len(X.atoms)):
+        out.extend(itertools.product(*(assignment[k] for k in X.point_atom)))
+    out.sort()
+    return out
+
+
+def enumerate_meas_fns(X: FinMeasSpace, Y: FinMeasSpace) -> list[MeasFn]:
+    """`measurable_maps` as checked `MeasFn`s, in lexicographic mapping order."""
+    out = [MeasFn(X, Y, tuple(Y.points[j] for j in m))
+           for m in measurable_maps(X, Y)]
     out.sort(key=lambda f: f.mapping)
     return out
 

@@ -5,31 +5,36 @@ with the evaluation-induced sigma-algebra, currying, and the threshold /
 lower-indicator maps on the unit interval together with the section
 property of Lebesgue integration on step functions.
 
-Product and function-space points are positions: the pair (x_i, y_j) of
-X x Y is point i*|Y| + j, and the j-th measurable map is point j of the
-function space.  Their names, "(x,y)" and the comma-joined mapping, are
-labels that nothing parses, so point names may contain any character.
+A measurable map is the tuple of its codomain positions
+(`measurable_maps`), so hom-sets are lists of position tuples.  The pair
+(x_i, y_j) is point i*|Y| + j of X x Y, and the k-th map X -> Y is point
+k of the function space.  curry(f)[k] is the position of the section
+f[k::|Z|] and uncurry(g)[i*|Z| + k] is value i of the map at g[k];
+`curry`/`uncurry` are their checked `MeasFn` views.  Names are labels
+that nothing parses, "(x,y)" for a pair and the comma-joined values for
+a map, with a component holding , ( ) or " JSON-quoted: plain components
+hold no delimiter and quoted ones delimit themselves, so distinct points
+get distinct labels.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 from dataclasses import dataclass, field
 
 from .kernel import CapacityError, DomainError, ONE, ZERO, StepFn, rat, rat_str, step_integrate
-from .measurable import (
-    FinMeasSpace,
-    MeasFn,
-    coinduced_sigma,
-    enumerate_meas_fns,
-    induced_sigma,
-)
+from .measurable import FinMeasSpace, MeasFn, coinduced_sigma, induced_sigma, measurable_maps
 
 TENSOR_POINT_GUARD = 16
 
 
+def _component(name: str) -> str:
+    return json.dumps(name) if any(c in name for c in ',()"') else name
+
+
 def pair_name(x: str, y: str) -> str:
-    return f"({x},{y})"
+    return f"({_component(x)},{_component(y)})"
 
 
 def product_points(X: FinMeasSpace, Y: FinMeasSpace) -> tuple[str, ...]:
@@ -37,20 +42,10 @@ def product_points(X: FinMeasSpace, Y: FinMeasSpace) -> tuple[str, ...]:
 
 
 @dataclass(frozen=True)
-class TensorSpace:
-    left: FinMeasSpace
-    right: FinMeasSpace
-    carrier: FinMeasSpace
-
-
-@dataclass(frozen=True)
 class FnSpace:
-    base: FinMeasSpace
-    target: FinMeasSpace
-    elements: tuple[MeasFn, ...]
-    carrier: FinMeasSpace
-    # position of each element, keyed by its mapping
-    position: dict[tuple[str, ...], int] = field(repr=False, compare=False)
+    elements: tuple[tuple[int, ...], ...]  # measurable maps, as positions
+    carrier: FinMeasSpace  # point k is elements[k]
+    position: dict[tuple[int, ...], int] = field(repr=False, compare=False)  # k by element
 
 
 def _check_tensor_guard(X, Y):
@@ -58,27 +53,16 @@ def _check_tensor_guard(X, Y):
         raise CapacityError("product carrier exceeds the tensor guard")
 
 
-def tensor_space(X: FinMeasSpace, Y: FinMeasSpace, graphs: str = "all") -> TensorSpace:
-    """The largest sigma-algebra making all graph maps measurable.
-
-    With graphs="all" the family contains the graph of every measurable
-    cross map in both directions; graphs="constant" restricts to graphs
-    of constant maps (a strictly weaker condition, kept for comparison).
-    """
+def tensor_space(X: FinMeasSpace, Y: FinMeasSpace) -> FinMeasSpace:
+    """The largest sigma-algebra on X x Y making the graph of every
+    measurable cross map, in both directions, measurable."""
     _check_tensor_guard(X, Y)
-    if graphs not in ("all", "constant"):
-        raise DomainError(f"unknown graph family {graphs!r}")
-    carrier = product_points(X, Y)
-    family = []
-    for f in enumerate_meas_fns(X, Y):
-        if graphs == "constant" and len(set(f.mapping)) > 1:
-            continue
-        family.append((X, {x: pair_name(x, f(x)) for x in X.points}))
-    for g in enumerate_meas_fns(Y, X):
-        if graphs == "constant" and len(set(g.mapping)) > 1:
-            continue
-        family.append((Y, {y: pair_name(g(y), y) for y in Y.points}))
-    return TensorSpace(X, Y, coinduced_sigma(carrier, family))
+    ny = len(Y.points)
+    family = [(X, tuple(i * ny + j for i, j in enumerate(f)))
+              for f in measurable_maps(X, Y)]
+    family += [(Y, tuple(i * ny + j for j, i in enumerate(g)))
+               for g in measurable_maps(Y, X)]
+    return coinduced_sigma(product_points(X, Y), family)
 
 
 def product_space(X: FinMeasSpace, Y: FinMeasSpace) -> FinMeasSpace:
@@ -86,81 +70,59 @@ def product_space(X: FinMeasSpace, Y: FinMeasSpace) -> FinMeasSpace:
     are the rectangles u x v of atoms."""
     _check_tensor_guard(X, Y)
     ny = len(Y.points)
-    atoms = []
-    for u in X.atoms:
-        for v in Y.atoms:
-            m = 0
-            for i in range(len(X.points)):
-                if u >> i & 1:
-                    m |= v << i * ny
-            atoms.append(m)
+    atoms = [sum(v << i * ny for i in range(len(X.points)) if u >> i & 1)
+             for u in X.atoms for v in Y.atoms]
     return FinMeasSpace(product_points(X, Y), atoms)
 
 
 def function_space(X: FinMeasSpace, Y: FinMeasSpace) -> FnSpace:
     """The measurable functions X -> Y with the evaluation-induced sigma."""
-    elements = tuple(enumerate_meas_fns(X, Y))
-    names = tuple(",".join(f.mapping) for f in elements)
-    family = []
-    for i in range(len(X.points)):
-        mapping = {name: f.mapping[i] for name, f in zip(names, elements)}
-        family.append((mapping, Y))
-    carrier = induced_sigma(names, family)
-    position = {f.mapping: j for j, f in enumerate(elements)}
-    return FnSpace(X, Y, elements, carrier, position)
+    elements = tuple(measurable_maps(X, Y))
+    names = tuple(",".join(_component(Y.points[j]) for j in f) for f in elements)
+    family = [(tuple(f[i] for f in elements), Y) for i in range(len(X.points))]
+    position = {f: k for k, f in enumerate(elements)}
+    return FnSpace(elements, induced_sigma(names, family), position)
 
 
 def eval_map(X: FinMeasSpace, Y: FinMeasSpace) -> MeasFn:
-    """(x, f) -> f(x) on the tensor of X with the function space.
-
-    MeasFn raises DomainError if it is not measurable, which would be a
-    library bug.
-    """
+    """(x, f) -> f(x) on the tensor of X with the function space; MeasFn
+    raises DomainError if it is not measurable, which would be a bug."""
     F = function_space(X, Y)
-    T = tensor_space(X, F.carrier)
-    mapping = tuple(f.mapping[i] for i in range(len(X.points))
+    mapping = tuple(Y.points[f[i]] for i in range(len(X.points))
                     for f in F.elements)
-    return MeasFn(T.carrier, Y, mapping)
+    return MeasFn(tensor_space(X, F.carrier), Y, mapping)
 
 
-def curry(f: MeasFn, X: FinMeasSpace, Z: FinMeasSpace, Y: FinMeasSpace,
-          F: FnSpace = None, T: TensorSpace = None) -> MeasFn:
-    """Transpose a map on the tensor of X and Z into a map Z -> Y^X.
+def curry_positions(f: tuple[int, ...], F: FnSpace, nz: int) -> tuple:
+    """Transpose a map on X (x) Z into a map Z -> Y^X: value k is the
+    position of the section f[k::nz], None if that is not measurable."""
+    return tuple([F.position.get(f[k::nz]) for k in range(nz)])
 
-    Precomputed function and tensor spaces avoid rebuilding per call.
-    """
-    if F is None:
-        F = function_space(X, Y)
-    if T is None:
-        T = tensor_space(X, Z)
-    if f.dom != T.carrier:
+
+def uncurry_positions(g: tuple[int, ...], F: FnSpace) -> tuple[int, ...]:
+    """Inverse transpose: position i*|Z| + k of the result is value i of
+    the map at function-space position g[k]."""
+    return tuple(itertools.chain.from_iterable(zip(*[F.elements[j] for j in g])))
+
+
+def curry(f: MeasFn, X: FinMeasSpace, Z: FinMeasSpace, Y: FinMeasSpace) -> MeasFn:
+    """Transpose a map on the tensor of X and Z into a map Z -> Y^X."""
+    if f.dom != tensor_space(X, Z):
         raise DomainError("map is not defined on the tensor of X and Z")
-    nz = len(Z.points)
-    mapping = []
-    for k, z in enumerate(Z.points):
-        j = F.position.get(f.mapping[k::nz])
-        if j is None:
-            raise RuntimeError(
-                f"section at {z!r} is not a measurable element of the "
-                f"function space")
-        mapping.append(F.carrier.points[j])
-    return MeasFn(Z, F.carrier, tuple(mapping))
+    F = function_space(X, Y)
+    g = curry_positions(tuple(map(f.cod.points.index, f.mapping)), F, len(Z.points))
+    if None in g:
+        raise DomainError(f"section at {Z.points[g.index(None)]!r} is not measurable")
+    return MeasFn(Z, F.carrier, tuple(F.carrier.points[j] for j in g))
 
 
-def uncurry(g: MeasFn, X: FinMeasSpace, Z: FinMeasSpace, Y: FinMeasSpace,
-            F: FnSpace = None, T: TensorSpace = None) -> MeasFn:
-    """Inverse transpose: a map Z -> Y^X becomes a map on the tensor.
-
-    Precomputed function and tensor spaces avoid rebuilding per call.
-    """
-    if F is None:
-        F = function_space(X, Y)
-    if T is None:
-        T = tensor_space(X, Z)
-    sections = [F.elements[F.carrier.points.index(q)].mapping
-                for q in g.mapping]
-    mapping = tuple(s[i] for i in range(len(X.points)) for s in sections)
-    return MeasFn(T.carrier, Y, mapping)
+def uncurry(g: MeasFn, X: FinMeasSpace, Z: FinMeasSpace, Y: FinMeasSpace) -> MeasFn:
+    """Inverse transpose: a map Z -> Y^X becomes a map on the tensor."""
+    F = function_space(X, Y)
+    if g.cod != F.carrier:
+        raise DomainError("map does not land in the function space of X and Y")
+    f = uncurry_positions(tuple(map(F.carrier.points.index, g.mapping)), F)
+    return MeasFn(tensor_space(X, Z), Y, tuple(Y.points[j] for j in f))
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,10 @@ import json
 import random
 from fractions import Fraction
 
+import pytest
+
 from gcvx import exactlp
-from gcvx.kernel import rat_str
+from gcvx.kernel import DomainError, rat_str
 
 
 def F(x):
@@ -71,6 +73,19 @@ def test_empty_system_is_feasible():
     # no rows and no columns: the empty vector is the one solution
     assert exactlp.solve_eq_nonneg([], []) == {"status": exactlp.FEASIBLE,
                                                "x": []}
+
+
+def test_shapes_must_agree():
+    # each of these was answered "feasible": [[1]], [1, 2] dropped 0 = 2,
+    # and the ragged A gave x = [-1, 1]
+    for A, b, objective in (([[1]], [1, 2], None),
+                            ([[1, 1], [1]], [1, 2], None),
+                            ([[1, 1]], [], None),
+                            ([], [1], None),
+                            ([[1, 1]], [1], [1]),
+                            ([[1, 1]], [1], [1, 1, 1])):
+        with pytest.raises(DomainError):
+            exactlp.solve_eq_nonneg(A, b, objective)
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from gcvx.measurable import (
     is_measurable,
     is_separated,
     mask_of,
+    measurable_maps,
     space_from_members,
 )
 from gcvx.suites import all_sigma_spaces
@@ -161,6 +162,9 @@ def test_enumerate_meas_fns_agrees_with_preimage_definition():
                     f"map is not measurable; witness set "
                     f"{Y.subset_names(wit)}")
         assert fast == slow
+        # the position enumerator, read as names, is the same list
+        assert [tuple(Y.points[j] for j in m) for m in measurable_maps(X, Y)] \
+            == [f.mapping for f in enumerate_meas_fns(X, Y)]
     assert candidates == 888
 
 
@@ -188,8 +192,8 @@ def coinduced_by_definition(carrier, family):
         keep = True
         for src, mapping in family:
             pre = 0
-            for i, p in enumerate(src.points):
-                if u >> carrier.index(mapping[p]) & 1:
+            for i, q in enumerate(mapping):
+                if u >> q & 1:
                     pre |= 1 << i
             keep = keep and pre in src.sigma
         if keep:
@@ -206,7 +210,8 @@ def test_coinduced_sigma_matches_definition_on_random_families():
         family = []
         for _ in range(rng.randrange(4)):
             src = rng.choice(sources)
-            family.append((src, {p: rng.choice(carrier) for p in src.points}))
+            family.append((src, tuple(rng.randrange(len(carrier))
+                                      for _ in src.points)))
         got = coinduced_sigma(carrier, family)
         assert got.sigma == coinduced_by_definition(carrier, family)
 
@@ -214,23 +219,22 @@ def test_coinduced_sigma_matches_definition_on_random_families():
 def test_coinduced_is_largest_making_family_measurable():
     Z = FinMeasSpace.discrete(("x", "y"))
     carrier = ("u", "v", "w")
-    fam = [(Z, {"x": "u", "y": "v"})]
+    fam = [(Z, (0, 1))]  # x -> u, y -> v
     C = coinduced_sigma(carrier, fam)
     # every member has measurable preimage, and any strictly larger
     # sigma-algebra breaks that
     for u in C.sigma:
         pre = 0
-        for i, p in enumerate(Z.points):
-            target = fam[0][1][p]
-            if u >> carrier.index(target) & 1:
+        for i, q in enumerate(fam[0][1]):
+            if u >> q & 1:
                 pre |= 1 << i
         assert pre in Z.sigma
     for extra in range(8):
         if extra in C.sigma:
             continue
         pre = 0
-        for i, p in enumerate(Z.points):
-            if extra >> carrier.index(fam[0][1][p]) & 1:
+        for i, q in enumerate(fam[0][1]):
+            if extra >> q & 1:
                 pre |= 1 << i
         bigger_is_valid = pre in Z.sigma
         if bigger_is_valid:
@@ -248,19 +252,29 @@ def test_induced_sigma_matches_definition_on_random_families():
         family = []
         for _ in range(rng.randrange(4)):
             target = rng.choice(targets)
-            family.append(({p: rng.choice(target.points) for p in carrier},
-                           target))
-        preimages = [sum(1 << i for i, p in enumerate(carrier)
-                         if v >> target.points.index(mapping[p]) & 1)
+            family.append((tuple(rng.randrange(len(target.points))
+                                 for _ in carrier), target))
+        preimages = [sum(1 << i for i, j in enumerate(mapping) if v >> j & 1)
                      for mapping, target in family for v in target.sigma]
         assert induced_sigma(carrier, family).sigma == \
             generate_sigma(carrier, preimages).sigma
 
 
+def test_family_maps_must_fit_their_spaces():
+    Y = FinMeasSpace.discrete(("0", "1"))
+    carrier = ("u", "v", "w")
+    for bad in ((0, 3), (0, -1), (0,), (0, 1, 2)):
+        with pytest.raises(DomainError):
+            coinduced_sigma(carrier, [(Y, bad)])
+    for bad in ((0, 0, 2), (0, -1, 1), (0, 1)):
+        with pytest.raises(DomainError):
+            induced_sigma(carrier, [(bad, Y)])
+
+
 def test_induced_is_smallest_making_family_measurable():
     Y = FinMeasSpace.discrete(("0", "1"))
     carrier = ("u", "v", "w")
-    fam = [({"u": "0", "v": "0", "w": "1"}, Y)]
+    fam = [((0, 0, 1), Y)]  # u -> 0, v -> 0, w -> 1
     I = induced_sigma(carrier, fam)
     assert I.sigma == frozenset({0, 0b011, 0b100, 0b111})
 

@@ -22,8 +22,8 @@ def two_trivial():
 def test_tensor_of_discrete_spaces_is_discrete():
     X, Y = two_discrete(), FinMeasSpace.discrete(("x", "y"))
     T = smcc.tensor_space(X, Y)
-    assert len(T.carrier.sigma) == 16
-    assert T.carrier.points == ("(a,x)", "(a,y)", "(b,x)", "(b,y)")
+    assert len(T.sigma) == 16
+    assert T.points == ("(a,x)", "(a,y)", "(b,x)", "(b,y)")
 
 
 def test_product_contained_in_tensor():
@@ -31,7 +31,7 @@ def test_product_contained_in_tensor():
     Y = two_trivial()
     T = smcc.tensor_space(X, Y)
     P = smcc.product_space(X, Y)
-    assert P.sigma <= T.carrier.sigma
+    assert P.sigma <= T.sigma
 
 
 def test_product_space_is_generated_by_rectangles():
@@ -43,16 +43,6 @@ def test_product_space_is_generated_by_rectangles():
                      for u in X.sigma for v in Y.sigma]
             want = generate_sigma(smcc.product_points(X, Y), rects)
             assert smcc.product_space(X, Y).sigma == want.sigma
-
-
-def test_constant_graphs_give_no_more_than_all_graphs():
-    X = two_discrete()
-    Y = FinMeasSpace.discrete(("x", "y"))
-    T_all = smcc.tensor_space(X, Y, graphs="all")
-    T_const = smcc.tensor_space(X, Y, graphs="constant")
-    assert T_all.carrier.sigma <= T_const.carrier.sigma
-    with pytest.raises(DomainError):
-        smcc.tensor_space(X, Y, graphs="bogus")
 
 
 def test_tensor_guard():
@@ -77,14 +67,16 @@ def comma_discrete():
 def test_eval_map_is_measurable():
     Y = FinMeasSpace.discrete(("0", "1"))
     ev = smcc.eval_map(two_discrete(), Y)
-    # spot check: ev at (a, f) where f maps a -> 1
-    assert ev("(a,1,0)") == "1"
-    assert ev("(b,1,0)") == "0"
+    # spot check: ev at (a, f) where f maps a -> 1; the map's label "1,0"
+    # holds a comma, so it is quoted inside the pair's label
+    assert ev('(a,"1,0")') == "1"
+    assert ev('(b,"1,0")') == "0"
     for X in (two_discrete(), comma_discrete()):
         ev = smcc.eval_map(X, Y)
         for f in smcc.function_space(X, Y).elements:
-            for x in X.points:
-                assert ev(smcc.pair_name(x, ",".join(f.mapping))) == f(x)
+            mapping = tuple(Y.points[j] for j in f)
+            for x, y in zip(X.points, mapping):
+                assert ev(smcc.pair_name(x, ",".join(mapping))) == y
 
 
 def test_curry_uncurry_roundtrip_exhaustive():
@@ -93,19 +85,19 @@ def test_curry_uncurry_roundtrip_exhaustive():
     for X in (two_discrete(), comma_discrete()):
         F = smcc.function_space(X, Y)
         T = smcc.tensor_space(X, Z)
-        outer = enumerate_meas_fns(T.carrier, Y)
+        outer = enumerate_meas_fns(T, Y)
         inner = enumerate_meas_fns(Z, F.carrier)
         assert len(outer) == len(inner) == 16
         for f in outer:
-            g = smcc.curry(f, X, Z, Y, F=F)
-            assert smcc.uncurry(g, X, Z, Y, F=F, T=T).mapping == f.mapping
+            g = smcc.curry(f, X, Z, Y)
+            assert smcc.uncurry(g, X, Z, Y).mapping == f.mapping
             # the section at each z is f restricted to the pairs (x, z)
             for z in Z.points:
                 section = tuple(f(smcc.pair_name(x, z)) for x in X.points)
                 assert g(z) == ",".join(section)
         for g in inner:
-            f = smcc.uncurry(g, X, Z, Y, F=F, T=T)
-            assert smcc.curry(f, X, Z, Y, F=F).mapping == g.mapping
+            f = smcc.uncurry(g, X, Z, Y)
+            assert smcc.curry(f, X, Z, Y).mapping == g.mapping
 
 
 def test_curry_rejects_a_map_off_the_tensor():
@@ -114,6 +106,20 @@ def test_curry_rejects_a_map_off_the_tensor():
     W = FinMeasSpace.discrete(("p", "q", "r", "s"))
     with pytest.raises(DomainError):
         smcc.curry(MeasFn(W, Y, ("0", "1", "0", "1")), X, Z, Y)
+
+
+def test_labels_stay_distinct_when_names_hold_delimiters():
+    # (a, "b,c") and ("a,b", c) would both read "(a,b,c)" unquoted
+    X = FinMeasSpace.discrete(("a", "a,b"))
+    Y = FinMeasSpace.discrete(("b,c", "c"))
+    T = smcc.tensor_space(X, Y)
+    assert T.points == ('(a,"b,c")', "(a,c)", '("a,b","b,c")', '("a,b",c)')
+    assert len(T.sigma) == 16
+    # the maps (a, "b,c") and ("a,b", c) would both read "a,b,c" unquoted
+    F = smcc.function_space(FinMeasSpace.discrete(("p", "q")),
+                            FinMeasSpace.discrete(("a", "a,b", "b,c", "c")))
+    assert len(F.elements) == len(set(F.carrier.points)) == 16
+    assert 'a,"b,c"' in F.carrier.points and '"a,b",c' in F.carrier.points
 
 
 # ---------------------------------------------------------------------------

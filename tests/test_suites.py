@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from gcvx import cli, smcc
 from gcvx import convex as cvx
 from gcvx import jsonio
 from gcvx.kernel import DomainError, ZERO, rat
@@ -105,3 +106,26 @@ def test_convex_axioms_mutation_self_check(monkeypatch):
     rep = run_suite("convex-axioms", {"maxSize": 3})
     assert not rep.ok
     assert {f.law for f in rep.failures} == {"axiom.closure"}
+
+
+def test_smcc_mutation_self_check(monkeypatch, capsys):
+    # a curry that swaps the first two sections must make the inverse
+    # law fail, as a recorded failure with exit 1 and no traceback
+    real = smcc.curry_positions
+
+    def crooked(f, F, nz):
+        g = real(f, F, nz)
+        return g[1::-1] + g[2:] if nz > 1 else g
+
+    monkeypatch.setattr(smcc, "curry_positions", crooked)
+    rep = run_suite("smcc", {"maxPoints": 2})
+    assert not rep.ok
+    assert {f.law for f in rep.failures} == {"smcc.curry-uncurry-inverse"}
+    for f in rep.failures:
+        assert f.witness["check"] in ("uncurry after curry is the identity",
+                                      "curry lands in the hom-set")
+        assert isinstance(f.witness["map"], tuple)
+    assert cli.main(["smcc", "--max-points", "2"]) == 1
+    out, err = capsys.readouterr()
+    assert "FAIL smcc.curry-uncurry-inverse" in out
+    assert "Traceback" not in err
