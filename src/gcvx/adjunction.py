@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Callable
 
 from .convex import (
@@ -36,7 +37,7 @@ from .giry import (
     mu,
     pushforward,
 )
-from .kernel import DomainError, ONE, ZERO, rat, rat_str
+from .kernel import DomainError, ONE, ZERO, int_row, rat, rat_str
 from .measurable import FinMeasSpace, MeasFn, generate_sigma
 from .reports import LawReport
 
@@ -77,8 +78,8 @@ def counit(A, P):
     """
     if isinstance(A, SemiCvx):
         carriers = []
-        for a, m in zip(P.space.atoms, P.mass):
-            if m > 0:
+        for a, n in zip(P.space.atoms, P.num):
+            if n:
                 carriers.extend(P.space.subset_names(a))
         return A.meet_all(carriers)
     if isinstance(A, GeomCvx):
@@ -126,12 +127,16 @@ def triangle_check(X: FinMeasSpace, semilattices=(), grid=None) -> LawReport:
     rep = LawReport("adjunction")
     for i, P in enumerate(grid_dists(X, grid)):
         PP = map_unit(P)
-        # counit at the simplex of measures is the barycenter
-        bar = [ZERO] * len(X.atoms)
+        # counit at the simplex of measures is the barycenter, here over
+        # the lcm of each weight's denominator times its measure's
+        den = lcm(*(w.denominator * q.den
+                    for q, w in zip(PP.support, PP.weights)))
+        bar = [0] * len(X.atoms)
         for q, w in zip(PP.support, PP.weights):
-            for k, m in enumerate(q.mass):
-                bar[k] += w * m
-        got = FinDist(X, tuple(bar))
+            scale = w.numerator * (den // (w.denominator * q.den))
+            for k, n in enumerate(q.num):
+                bar[k] += scale * n
+        got = FinDist(X, bar, den)
         rep.record(got == P, "triangle.measure-side", f"P{i}",
                    witness=(got.describe(), P.describe()),
                    detail=P.describe())
@@ -241,10 +246,11 @@ class GiryAlgebra:
     def map_h(self, PP: DistOverDists) -> FinDist:
         """The functor applied to h: measures-of-measures to measures."""
         index = self.space.atom_index
-        masses = [ZERO] * len(self.space.atoms)
-        for q, w in zip(PP.support, PP.weights):
-            masses[index[self.h(q)]] += w
-        return FinDist(self.space, tuple(masses))
+        ws, den = int_row(PP.weights)
+        num = [0] * len(self.space.atoms)
+        for q, w in zip(PP.support, ws):
+            num[index[self.h(q)]] += w
+        return FinDist(self.space, num, den)
 
 
 def convex_to_algebra(A: SemiCvx) -> GiryAlgebra:

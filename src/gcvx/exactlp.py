@@ -20,9 +20,9 @@ Fractions.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
-from .kernel import DomainError
+from .kernel import DomainError, int_row
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -31,12 +31,6 @@ FEASIBLE = "feasible"
 INFEASIBLE = "infeasible"
 OPTIMAL = "optimal"
 UNBOUNDED = "unbounded"
-
-
-def _int_row(values):
-    """Fractions as integer numerators over their least common denominator."""
-    den = lcm(*(v.denominator for v in values))
-    return [v.numerator * (den // v.denominator) for v in values], den
 
 
 def _eliminate(u, du, v, dv, col):
@@ -76,7 +70,7 @@ def _simplex(tab, basis, cost, allowed):
     value.
     """
     ncols = len(allowed)
-    red = _int_row(list(cost) + [ZERO])
+    red = int_row(list(cost) + [ZERO])
     # price out the basis; every basic column is a unit column, so row r
     # is the pivot row of column basis[r]
     for r in range(len(tab)):
@@ -140,7 +134,7 @@ def solve_eq_nonneg(A, b, objective=None):
         flipped.append(row[-1] < 0)
         if flipped[-1]:
             row = [-v for v in row]
-        nums, den = _int_row(row)
+        nums, den = int_row(row)
         art = [den if j == i else 0 for j in range(m)]
         tab.append((nums[:n] + art + nums[n:], den))
     basis = [n + i for i in range(m)]

@@ -2,12 +2,17 @@
 
 Measures live on the atoms of their sigma-algebra, not on points: on a
 non-separated space distinct point weightings induce the same measure,
-and atom masses make equality decidable and canonical.  The monad acts
-linearly on these atom-mass vectors: pushforward adds each domain atom's
-mass into the codomain atom it lands in (`MeasFn.atom_map`), and the
-multiplication is the weighted sum of the support's mass vectors.
-Distributions over distributions carry their finite support explicitly
-with a powerset sigma-algebra, which is all the multiplication ever reads.
+and atom masses make equality decidable and canonical.  On a finite space
+the measures form a rational simplex, and a measure is a point of it held
+exactly: one integer numerator per atom over one positive denominator,
+reduced by their gcd, so equal measures have equal integers.  `mass` is
+the same point as Fractions, for output and for the API.  The monad acts
+linearly on these vectors, in integer arithmetic: pushforward adds each
+domain atom's numerator into the codomain atom it lands in
+(`MeasFn.atom_map`), and the multiplication is the weighted sum of the
+support's vectors over the least common denominator.  Distributions over
+distributions carry their finite support explicitly with a powerset
+sigma-algebra, which is all the multiplication ever reads.
 """
 
 from __future__ import annotations
@@ -15,9 +20,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import gcd, lcm
 
 from .convex import GeomCvx, SemiCvx, free_convex
-from .kernel import DomainError, ONE, ZERO, rat, rat_str
+from .kernel import DomainError, ONE, ZERO, int_row, rat, rat_str
 from .measurable import FinMeasSpace, MeasFn
 from .reports import LawReport
 
@@ -28,21 +35,46 @@ class MeasurabilityError(DomainError):
     """An integrand is not constant on the atoms of its space."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class FinDist:
-    """A probability measure, stored as masses on the sigma-algebra atoms."""
+    """A probability measure on the sigma-algebra atoms: numerator `num[k]`
+    over the denominator `den` is the mass of atom k.  The numerators and
+    the denominator share no factor, so equal measures have equal fields."""
 
     space: FinMeasSpace
-    mass: tuple[Fraction, ...]
+    num: tuple[int, ...]
+    den: int
 
-    def __post_init__(self):
-        atoms = self.space.atoms
-        if len(self.mass) != len(atoms):
+    def __init__(self, space: FinMeasSpace, num, den: int | None = None):
+        """`num` holds integer numerators over `den`; with `den` left out
+        it holds the masses themselves as rationals."""
+        if den is None:
+            num, den = int_row([rat(m) for m in num])
+        num = tuple(num)
+        if len(num) != len(space.atoms):
             raise DomainError("need exactly one mass per atom")
-        if any(m < 0 for m in self.mass):
-            raise DomainError("masses must be nonnegative")
-        if sum(self.mass, ZERO) != ONE:
+        try:
+            g = gcd(den, *num)
+        except TypeError:
+            raise DomainError("numerators and denominator must be "
+                              "integers") from None
+        if den <= 0:
+            raise DomainError("the denominator must be positive")
+        if sum(num) != den:
             raise DomainError("masses must sum to exactly 1")
+        if min(num) < 0:
+            raise DomainError("masses must be nonnegative")
+        if g > 1:
+            num = tuple(n // g for n in num)
+            den //= g
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
+
+    @cached_property
+    def mass(self) -> tuple[Fraction, ...]:
+        """The atom masses as Fractions."""
+        return tuple(Fraction(n, self.den) for n in self.num)
 
     def measure(self, mask: int) -> Fraction:
         if mask not in self.space.sigma:
@@ -63,18 +95,19 @@ def dirac(X: FinMeasSpace, x: str) -> FinDist:
     k = X.atom_index.get(x)
     if k is None:
         raise DomainError(f"unknown point {x!r}")
-    return FinDist(X, tuple(ONE if j == k else ZERO
-                            for j in range(len(X.atoms))))
+    num = [0] * len(X.atoms)
+    num[k] = 1
+    return FinDist(X, num, 1)
 
 
 def pushforward(f: MeasFn, P: FinDist) -> FinDist:
     """The image measure: (f_* P)(V) = P(f^-1(V))."""
     if P.space != f.dom:
         raise DomainError("measure does not live on the map's domain")
-    masses = [ZERO] * len(f.cod.atoms)
-    for k, m in zip(f.atom_map, P.mass):
-        masses[k] += m
-    return FinDist(f.cod, tuple(masses))
+    num = [0] * len(f.cod.atoms)
+    for k, n in zip(f.atom_map, P.num):
+        num[k] += n
+    return FinDist(f.cod, num, P.den)
 
 
 def _atom_values(P: FinDist, f) -> list[Fraction]:
@@ -128,9 +161,10 @@ class DistOverDists:
             raise DomainError("support and weights must align and be nonempty")
         if len(set(self.support)) != len(self.support):
             raise DomainError("support elements must be distinct")
-        if any(w <= 0 for w in self.weights):
+        ws, den = int_row(self.weights)
+        if min(ws) <= 0:
             raise DomainError("weights must be positive")
-        if sum(self.weights, ZERO) != ONE:
+        if sum(ws) != den:
             raise DomainError("weights must sum to 1")
         for q in self.support:
             if q.space != self.base:
@@ -142,11 +176,10 @@ class DistOverDists:
         acc: dict[FinDist, Fraction] = {}
         for w, q in pairs:
             w = rat(w)
-            if w == 0:
-                continue
-            acc[q] = acc.get(q, ZERO) + w
-        support = sorted(acc, key=lambda q: q.mass)
-        return cls(base, tuple(support), tuple(acc[q] for q in support))
+            if w:
+                acc[q] = acc[q] + w if q in acc else w
+        support = _by_mass(acc)
+        return cls(base, support, tuple(acc[q] for q in support))
 
     def weight_of(self, q: FinDist) -> Fraction:
         for s, w in zip(self.support, self.weights):
@@ -160,12 +193,27 @@ class DistOverDists:
         return "[" + "; ".join(parts) + "]"
 
 
+def _by_mass(measures) -> tuple[FinDist, ...]:
+    """Measures in the order of their `mass` tuples: numerators scaled to
+    one common denominator compare exactly as the Fractions do."""
+    den = lcm(*(q.den for q in measures))
+    return tuple(sorted(measures,
+                        key=lambda q: [n * (den // q.den) for n in q.num]))
+
+
 def mu(PP: DistOverDists) -> FinDist:
     """Monad multiplication: mu(PP)(U) integrates ev_U over the support,
-    so each atom's mass is the weighted sum of the support's masses there."""
-    columns = zip(*(q.mass for q in PP.support))
-    return FinDist(PP.base, tuple(
-        sum((w * m for w, m in zip(PP.weights, col)), ZERO) for col in columns))
+    so each atom's mass is the weighted sum of the support's masses there.
+    Over L, the lcm of each weight's denominator times its measure's,
+    support element i contributes w_i.num * L / (w_i.den * d_i) per unit
+    of its numerators."""
+    pairs = list(zip(PP.weights, PP.support))
+    den = lcm(*(w.denominator * q.den for w, q in pairs))
+    scales = [w.numerator * (den // (w.denominator * q.den)) for w, q in pairs]
+    columns = zip(*(q.num for q in PP.support))
+    return FinDist(PP.base,
+                   [sum(s * n for s, n in zip(scales, col)) for col in columns],
+                   den)
 
 
 def flatten_oracle(PP: DistOverDists) -> FinDist:
@@ -190,10 +238,10 @@ def map_unit(P: FinDist) -> DistOverDists:
     """Push P forward along x -> dirac(x); constant on atoms, so the
     resulting support is one dirac per atom with positive mass."""
     pairs = []
-    for a, m in zip(P.space.atoms, P.mass):
-        if m > 0:
+    for a, n in zip(P.space.atoms, P.num):
+        if n:
             rep = P.space.subset_names(a)[0]
-            pairs.append((m, dirac(P.space, rep)))
+            pairs.append((Fraction(n, P.den), dirac(P.space, rep)))
     return DistOverDists.of(P.space, pairs)
 
 
@@ -214,8 +262,8 @@ def flatten_outer(PPP: ThreeLevel) -> DistOverDists:
     for w, PP in PPP:
         for q, v in zip(PP.support, PP.weights):
             acc[q] = acc.get(q, ZERO) + rat(w) * v
-    support = sorted(acc, key=lambda q: q.mass)
-    return DistOverDists(base, tuple(support), tuple(acc[q] for q in support))
+    support = _by_mass(acc)
+    return DistOverDists(base, support, tuple(acc[q] for q in support))
 
 
 def map_mu(PPP: ThreeLevel, mu_fn=mu) -> DistOverDists:
@@ -234,11 +282,16 @@ def P_as_convex(X: FinMeasSpace) -> GeomCvx:
 
 
 def mix_dists(P: FinDist, Q: FinDist, alpha) -> FinDist:
+    """(1 - alpha) P + alpha Q, over alpha's denominator times the lcm of
+    the two measures' denominators."""
     alpha = rat(alpha)
     if P.space != Q.space:
         raise DomainError("cannot mix measures on different spaces")
-    return FinDist(P.space, tuple((ONE - alpha) * p + alpha * q
-                                  for p, q in zip(P.mass, Q.mass)))
+    a, b = alpha.numerator, alpha.denominator
+    den = lcm(P.den, Q.den)
+    sp, sq = (b - a) * (den // P.den), a * (den // Q.den)
+    return FinDist(P.space, [sp * p + sq * q for p, q in zip(P.num, Q.num)],
+                   b * den)
 
 
 # ---------------------------------------------------------------------------
@@ -258,10 +311,10 @@ class WAFunctional:
     terms: tuple[tuple[Fraction, object], ...]
 
     def __post_init__(self):
-        ws = [w for w, _ in self.terms]
+        ws, den = self.weight_row
         if any(w <= 0 for w in ws):
             raise DomainError("weights must be positive")
-        if sum(ws, ZERO) != ONE:
+        if sum(ws) != den:
             raise DomainError("weights must sum to exactly 1")
 
     @classmethod
@@ -272,9 +325,21 @@ class WAFunctional:
         object.__setattr__(obj, "terms", tuple(terms))
         return obj
 
-    def apply(self, m) -> Fraction:
+    @cached_property
+    def weight_row(self) -> tuple[list[int], int]:
+        """The weights as integer numerators over one denominator."""
+        return int_row([rat(w) for w, _ in self.terms])
+
+    def values(self, m) -> tuple[list[int], int]:
+        """m at the term points, as integer numerators over one
+        denominator."""
         call = m.apply if hasattr(m, "apply") else m
-        return sum((w * rat(call(a)) for w, a in self.terms), ZERO)
+        return int_row([rat(call(a)) for _, a in self.terms])
+
+    def apply(self, m) -> Fraction:
+        ws, wden = self.weight_row
+        vs, vden = self.values(m)
+        return Fraction(sum(w * v for w, v in zip(ws, vs)), wden * vden)
 
 
 def wa_functional(A, weights, points) -> WAFunctional:
@@ -297,11 +362,18 @@ def wa_check(F: WAFunctional, endos, test_fns,
         got = F.apply(lambda _a, c=c: c)
         entries.append({"law": "constant", "value": rat_str(rat(c)),
                         "passed": got == rat(c), "got": rat_str(got)})
+    ws, wden = F.weight_row
+    values = [F.values(m) for m in test_fns]
     for e in endos:
-        for i, m in enumerate(test_fns):
-            call = m.apply if hasattr(m, "apply") else m
-            lhs = F.apply(lambda a, e=e, call=call: e.s * rat(call(a)) + e.t)
-            rhs = e.s * F.apply(m) + e.t
+        # s = p/q and t = r/u; with m = v/vden at the term points, both
+        # sides are numerators over wden * q * u * vden
+        p, q = e.s.numerator, e.s.denominator
+        r, u = e.t.numerator, e.t.denominator
+        for i, (vs, vden) in enumerate(values):
+            # F(s*m + t): transform pointwise, then average
+            lhs = sum(w * (p * u * v + r * q * vden) for w, v in zip(ws, vs))
+            # s*F(m) + t: average, then transform
+            rhs = p * u * sum(w * v for w, v in zip(ws, vs)) + r * q * wden * vden
             entries.append({
                 "law": "equivariance",
                 "endo": (rat_str(e.s), rat_str(e.t)),
@@ -326,10 +398,11 @@ def measure_to_functional(P: FinDist, A: SemiCvx) -> WAFunctional:
 def functional_to_measure(F: WAFunctional, space: FinMeasSpace) -> FinDist:
     """phi inverse: read the measure back off the evaluation terms."""
     index = space.atom_index
-    masses = [ZERO] * len(space.atoms)
-    for w, a in F.terms:
-        masses[index[a]] += w
-    return FinDist(space, tuple(masses))
+    ws, den = F.weight_row
+    num = [0] * len(space.atoms)
+    for w, (_, a) in zip(ws, F.terms):
+        num[index[a]] += w
+    return FinDist(space, num, den)
 
 
 # ---------------------------------------------------------------------------
@@ -338,12 +411,10 @@ def functional_to_measure(F: WAFunctional, space: FinMeasSpace) -> FinDist:
 
 def grid_dists(X: FinMeasSpace, grid=DEFAULT_GRID) -> list[FinDist]:
     """All measures on X whose atom masses come from the grid."""
-    k = len(X.atoms)
-    out = []
-    for combo in itertools.product(grid, repeat=k):
-        if sum(combo, ZERO) == ONE:
-            out.append(FinDist(X, tuple(combo)))
-    return out
+    nums, den = int_row([rat(g) for g in grid])
+    return [FinDist(X, combo, den)
+            for combo in itertools.product(nums, repeat=len(X.atoms))
+            if sum(combo) == den]
 
 
 def grid_weightings(n: int, grid=DEFAULT_GRID) -> list[tuple[Fraction, ...]]:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 Rat = Fraction
 
@@ -39,6 +40,12 @@ def rat(value) -> Fraction:
 def rat_str(q: Fraction) -> str:
     """Canonical "p/q" form (denominator positive, gcd 1)."""
     return f"{q.numerator}/{q.denominator}"
+
+
+def int_row(values) -> tuple[list[int], int]:
+    """Fractions as integer numerators over their least common denominator."""
+    den = lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
 
 
 def check_unit(q: Fraction, name: str = "value") -> Fraction:

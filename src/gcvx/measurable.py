@@ -256,9 +256,14 @@ def measurable_maps(X: FinMeasSpace, Y: FinMeasSpace) -> list[tuple[int, ...]]:
     A map is measurable exactly when each atom of X lands inside a single
     atom of Y, so the maps are, for each choice of a Y atom per X atom,
     every choice of a point of it per point; the equivalence with the
-    preimage definition is covered by tests.
+    preimage definition is covered by tests.  There are as many as the
+    product over X atoms a of the sum over Y atoms b of |b|^|a|, and that
+    count is what the capacity bounds.
     """
-    if len(Y.points) ** len(X.points) > SIGMA_CAPACITY:
+    count = 1
+    for a in X.atoms:
+        count *= sum(b.bit_count() ** a.bit_count() for b in Y.atoms)
+    if count > SIGMA_CAPACITY:
         raise CapacityError("function enumeration exceeds capacity")
     blocks = [[j for j in range(len(Y.points)) if b >> j & 1] for b in Y.atoms]
     out = []

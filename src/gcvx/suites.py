@@ -113,7 +113,7 @@ def _suite_adjunction(config) -> LawReport:
                 dirac_profile = tuple(g(giry.dirac(X, x)) for x in X.points)
                 seen_diracs.add(dirac_profile)
                 for i, P in enumerate(dists):
-                    support = [x for x in X.points if P.mass[atom[x]] > 0]
+                    support = [x for x in X.points if P.num[atom[x]]]
                     expect = A.meet_all(f(x) for x in support)
                     rep.record(g(P) == expect, "adjunct.meet-of-support",
                                f"X{n}-A{j}-f{k}-P{i}",
@@ -277,16 +277,27 @@ def _curry_uncurry_failure(outer, inner, F, nz):
     return None
 
 
+def _or_none(build, *args):
+    """build(*args), or None past a capacity guard."""
+    try:
+        return build(*args)
+    except CapacityError:
+        return None
+
+
 def _suite_smcc(config) -> LawReport:
     rep = LawReport("smcc")
     max_points = int(config.get("maxPoints", 2))
     spaces = _suite_spaces(max_points)
+    # one tensor per pair of spaces, for the product check of (X, Y) and
+    # the outer hom-sets of every (X, Z)
+    tensors = {(ta, tb): _or_none(smcc.tensor_space, X, Y)
+               for (ta, X), (tb, Y) in itertools.product(spaces, spaces)}
     for (ta, X), (tb, Y) in itertools.product(spaces, spaces):
         inst = f"{ta}x{tb}"
-        try:
-            T = smcc.tensor_space(X, Y)
-            Pr = smcc.product_space(X, Y)
-        except CapacityError:
+        T = tensors[ta, tb]
+        Pr = None if T is None else _or_none(smcc.product_space, X, Y)
+        if Pr is None:
             rep.record(True, "smcc.skipped-guard", inst, detail="capacity")
             continue
         rep.record(Pr.sigma <= T.sigma, "smcc.product-in-tensor",
@@ -301,20 +312,14 @@ def _suite_smcc(config) -> LawReport:
             else:
                 rep.record(False, "smcc.eval-measurable", inst,
                            witness=str(exc))
-        try:
-            F = smcc.function_space(X, Y)
-        except CapacityError:
-            F = None
+        F = _or_none(smcc.function_space, X, Y)
         for tc, Z in spaces:
             cinst = f"{inst}-{tc}"
-            if F is None:
-                rep.record(True, "smcc.skipped-guard", cinst,
-                           detail="capacity")
-                continue
-            try:
-                outer = measurable_maps(smcc.tensor_space(X, Z), Y)
-                inner = measurable_maps(Z, F.carrier)
-            except CapacityError:
+            XZ = None if F is None else tensors[ta, tc]
+            outer = None if XZ is None else _or_none(measurable_maps, XZ, Y)
+            inner = None if outer is None else \
+                _or_none(measurable_maps, Z, F.carrier)
+            if inner is None:
                 rep.record(True, "smcc.skipped-guard", cinst,
                            detail="capacity")
                 continue

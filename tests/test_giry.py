@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from gcvx.giry import (
     MeasurabilityError,
     dirac,
     flatten_oracle,
+    flatten_outer,
     grid_dists,
     integrate,
     map_unit,
@@ -45,6 +47,55 @@ def test_findist_validation():
         FinDist(X, (HALF, QUARTER))  # does not sum to 1
     with pytest.raises(DomainError):
         FinDist(X, (Fraction(3, 2), Fraction(-1, 2)))  # negative mass
+
+
+def test_integer_form_is_canonical():
+    X = disc(3)
+    P = FinDist(X, (QUARTER, HALF, QUARTER))
+    Q = FinDist(X, (6, 12, 6), 24)  # not reduced
+    assert P == Q
+    assert hash(P) == hash(Q)
+    assert P.mass == Q.mass == (QUARTER, HALF, QUARTER)
+    assert (Q.num, Q.den) == ((1, 2, 1), 4)
+    assert FinDist(X, (0, 3, 0), 3) == dirac(X, "b")
+
+
+def test_integer_form_validation():
+    X = disc(2)
+    for num, den in (((1,), 1),            # wrong arity
+                     ((3, -1), 2),         # negative numerator
+                     ((1, 1), 3),          # does not sum to den
+                     ((0, 0), 0),          # zero denominator
+                     ((-1, -1), -2),       # negative denominator
+                     ((HALF, HALF), 1)):   # not integers
+        with pytest.raises(DomainError):
+            FinDist(X, num, den)
+
+
+def random_measure(rng, X):
+    den = rng.randrange(1, 13)
+    first = rng.randrange(den + 1)
+    second = rng.randrange(den - first + 1)
+    return FinDist(X, (first, second, den - first - second), den)
+
+
+def test_support_order_is_that_of_the_fraction_tuples():
+    def fraction_tuple(q):
+        return tuple(Fraction(n, q.den) for n in q.num)
+
+    rng = random.Random(2017)
+    X = disc(3)
+    for _ in range(300):
+        qs = [random_measure(rng, X) for _ in range(rng.randrange(1, 6))]
+        raw = [rng.randrange(1, 10) for _ in qs]
+        PP = DistOverDists.of(X, [(Fraction(r, sum(raw)), q)
+                                  for r, q in zip(raw, qs)])
+        assert list(PP.support) == sorted(set(qs), key=fraction_tuple)
+        assert mu(PP) == flatten_oracle(PP)
+        other = DistOverDists.of(X, [(ONE, random_measure(rng, X))])
+        outer = flatten_outer(((HALF, PP), (HALF, other)))
+        assert list(outer.support) == \
+            sorted(set(qs) | set(other.support), key=fraction_tuple)
 
 
 def test_measure_of_sets_and_non_measurable_rejection():

@@ -139,6 +139,24 @@ def test_measfn_composition_and_identity():
     assert f.atom_map == (0, 1)
 
 
+def test_map_capacity_counts_measurable_maps():
+    pts21 = tuple(f"p{i}" for i in range(21))
+    two = FinMeasSpace.discrete(("0", "1"))
+    # 2^21 maps, of which only the 2 constant ones are measurable
+    assert measurable_maps(FinMeasSpace.trivial(pts21), two) == \
+        [(0,) * 21, (1,) * 21]
+    # atoms of 10 and 11 points: 2 * 2 measurable maps
+    halves = FinMeasSpace(pts21, ((1 << 10) - 1, ((1 << 21) - 1) ^ ((1 << 10) - 1)))
+    assert len(measurable_maps(halves, two)) == 4
+    # discrete on 21 points exceeds the atom capacity itself; on 20 points
+    # into 3 there are 3^20 measurable maps
+    with pytest.raises(CapacityError):
+        FinMeasSpace.discrete(pts21)
+    X = FinMeasSpace.discrete(pts21[:20])
+    with pytest.raises(CapacityError):
+        measurable_maps(X, FinMeasSpace.discrete(("0", "1", "2")))
+
+
 def test_enumerate_meas_fns_agrees_with_preimage_definition():
     X = FinMeasSpace(PTS3, (0b001, 0b110))
     Y = FinMeasSpace.discrete(("0", "1"))

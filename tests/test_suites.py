@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from gcvx import adjunction as adj
 from gcvx import cli, smcc
 from gcvx import convex as cvx
 from gcvx import jsonio
@@ -128,4 +129,25 @@ def test_smcc_mutation_self_check(monkeypatch, capsys):
     assert cli.main(["smcc", "--max-points", "2"]) == 1
     out, err = capsys.readouterr()
     assert "FAIL smcc.curry-uncurry-inverse" in out
+    assert "Traceback" not in err
+
+
+def test_adjunction_mutation_self_check(monkeypatch, capsys):
+    # a counit that returns the first point carrying mass instead of the
+    # meet of the support must make the meet-of-support law fail
+    real = adj.counit
+
+    def crooked(A, P):
+        if isinstance(A, cvx.SemiCvx):
+            first = next(a for a, n in zip(P.space.atoms, P.num) if n)
+            return P.space.subset_names(first)[0]
+        return real(A, P)
+
+    monkeypatch.setattr(adj, "counit", crooked)
+    rep = run_suite("adjunction", {"maxPoints": 2, "maxSize": 3})
+    assert not rep.ok
+    assert {f.law for f in rep.failures} == {"adjunct.meet-of-support"}
+    assert cli.main(["adjunction", "--max-points", "2", "--max-size", "3"]) == 1
+    out, err = capsys.readouterr()
+    assert "FAIL adjunct.meet-of-support" in out
     assert "Traceback" not in err
