@@ -4,7 +4,7 @@ import json
 import pytest
 
 from gcvx import adjunction as adj
-from gcvx import cli, smcc
+from gcvx import cli, giry, smcc
 from gcvx import convex as cvx
 from gcvx import jsonio
 from gcvx.kernel import DomainError, ZERO, rat
@@ -132,18 +132,31 @@ def test_smcc_mutation_self_check(monkeypatch, capsys):
     assert "Traceback" not in err
 
 
-def test_adjunction_mutation_self_check(monkeypatch, capsys):
-    # a counit that returns the first point carrying mass instead of the
-    # meet of the support must make the meet-of-support law fail
-    real = adj.counit
-
+def first_point_counit(real):
+    """A counit that returns the first point carrying mass instead of the
+    meet of the support."""
     def crooked(A, P):
         if isinstance(A, cvx.SemiCvx):
             first = next(a for a, n in zip(P.space.atoms, P.num) if n)
             return P.space.subset_names(first)[0]
         return real(A, P)
+    return crooked
 
-    monkeypatch.setattr(adj, "counit", crooked)
+
+def swapped_mu(PP):
+    """A multiplication that swaps the first and last atom masses whenever
+    the support has more than one measure (criterion 11's mutation)."""
+    good = giry.mu(PP)
+    if len(PP.support) > 1:
+        m = list(good.mass)
+        m[0], m[-1] = m[-1], m[0]
+        return giry.FinDist(good.space, tuple(m))
+    return good
+
+
+def test_adjunction_mutation_self_check(monkeypatch, capsys):
+    # the first-point counit must make the meet-of-support law fail
+    monkeypatch.setattr(adj, "counit", first_point_counit(adj.counit))
     rep = run_suite("adjunction", {"maxPoints": 2, "maxSize": 3})
     assert not rep.ok
     assert {f.law for f in rep.failures} == {"adjunct.meet-of-support"}
@@ -151,3 +164,22 @@ def test_adjunction_mutation_self_check(monkeypatch, capsys):
     out, err = capsys.readouterr()
     assert "FAIL adjunct.meet-of-support" in out
     assert "Traceback" not in err
+
+
+# SHA-256 of the canonical report of two mutated runs, with the number of
+# failures: the SMALL digests cover passing reports only, so these pin the
+# failure witnesses themselves
+FAILURE_DIGESTS = {
+    "giry-monad": (845, "720dd6c4a952a021ca965b51b0ca74d1fdfbbc9ff918b2827107eccceea37c6f"),
+    "adjunction": (96, "ceda3b0993d3b171232d7116fa2e22be6dde344d73645fb641e2f0d729abc7c3"),
+}
+
+
+def test_failure_witnesses_are_pinned(monkeypatch):
+    rep = run_suite("giry-monad", {"maxPoints": 2}, mu_fn=swapped_mu)
+    assert (len(rep.failures), report_digest(rep)) == \
+        FAILURE_DIGESTS["giry-monad"]
+    monkeypatch.setattr(adj, "counit", first_point_counit(adj.counit))
+    rep = run_suite("adjunction", {"maxPoints": 2, "maxSize": 3})
+    assert (len(rep.failures), report_digest(rep)) == \
+        FAILURE_DIGESTS["adjunction"]
