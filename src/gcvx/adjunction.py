@@ -37,7 +37,7 @@ from .giry import (
     mu,
     pushforward,
 )
-from .kernel import DomainError, ONE, ZERO, int_row, rat, rat_str
+from .kernel import DomainError, ONE, ZERO, rat, rat_str
 from .measurable import FinMeasSpace, MeasFn, generate_sigma
 from .reports import LawReport
 
@@ -128,17 +128,16 @@ def triangle_check(X: FinMeasSpace, semilattices=(), grid=None) -> LawReport:
     for i, P in enumerate(grid_dists(X, grid)):
         PP = map_unit(P)
         # counit at the simplex of measures is the barycenter, here over
-        # the lcm of each weight's denominator times its measure's
-        den = lcm(*(w.denominator * q.den
-                    for q, w in zip(PP.support, PP.weights)))
+        # the weight denominator times the lcm of the measures'
+        D = lcm(*(q.den for q in PP.support))
         bar = [0] * len(X.atoms)
-        for q, w in zip(PP.support, PP.weights):
-            scale = w.numerator * (den // (w.denominator * q.den))
+        for q, w in zip(PP.support, PP.wnum):
+            scale = w * (D // q.den)
             for k, n in enumerate(q.num):
                 bar[k] += scale * n
-        got = FinDist(X, bar, den)
+        got = FinDist(X, bar, PP.wden * D)
         rep.record(got == P, "triangle.measure-side", f"P{i}",
-                   witness=(got.describe(), P.describe()),
+                   witness=lambda: (got.describe(), P.describe()),
                    detail=P.describe())
     for j, A in enumerate(semilattices):
         sa = sigma_functor(A)
@@ -246,11 +245,10 @@ class GiryAlgebra:
     def map_h(self, PP: DistOverDists) -> FinDist:
         """The functor applied to h: measures-of-measures to measures."""
         index = self.space.atom_index
-        ws, den = int_row(PP.weights)
         num = [0] * len(self.space.atoms)
-        for q, w in zip(PP.support, ws):
+        for q, w in zip(PP.support, PP.wnum):
             num[index[self.h(q)]] += w
-        return FinDist(self.space, num, den)
+        return FinDist(self.space, num, PP.wden)
 
 
 def convex_to_algebra(A: SemiCvx) -> GiryAlgebra:

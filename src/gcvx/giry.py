@@ -12,7 +12,11 @@ domain atom's numerator into the codomain atom it lands in
 (`MeasFn.atom_map`), and the multiplication is the weighted sum of the
 support's vectors over the least common denominator.  Distributions over
 distributions carry their finite support explicitly with a powerset
-sigma-algebra, which is all the multiplication ever reads.
+sigma-algebra, which is all the multiplication ever reads, and hold
+their weights in the same integer form (`wnum` over `wden`, `weights`
+the Fraction view); `flatten_oracle` alone reads the Fraction views, so
+it stays an independent route to the multiplication.  The monad-law
+report builds a counterexample witness only when its check fails.
 """
 
 from __future__ import annotations
@@ -145,47 +149,72 @@ def integrate(P: FinDist, f) -> Fraction:
 # distributions over distributions
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class DistOverDists:
     """A finitely-supported distribution whose points are measures.
 
     The carrier is the support itself with the powerset sigma-algebra.
+    Weight `wnum[i]` over `wden` belongs to `support[i]`, in the reduced
+    integer form of `FinDist`, so equal distributions have equal fields.
     """
 
     base: FinMeasSpace
     support: tuple[FinDist, ...]
-    weights: tuple[Fraction, ...]
+    wnum: tuple[int, ...]
+    wden: int
 
-    def __post_init__(self):
-        if len(self.support) != len(self.weights) or not self.support:
+    def __init__(self, base: FinMeasSpace, support, weights,
+                 den: int | None = None):
+        """`weights` holds integer numerators over `den`; with `den` left
+        out it holds the weights themselves as rationals."""
+        if den is None:
+            weights, den = int_row([rat(w) for w in weights])
+        support, weights = tuple(support), tuple(weights)
+        if len(support) != len(weights) or not support:
             raise DomainError("support and weights must align and be nonempty")
-        if len(set(self.support)) != len(self.support):
+        if len(set(support)) != len(support):
             raise DomainError("support elements must be distinct")
-        ws, den = int_row(self.weights)
-        if min(ws) <= 0:
+        try:
+            g = gcd(den, *weights)
+        except TypeError:
+            raise DomainError("weight numerators and denominator must be "
+                              "integers") from None
+        if den <= 0:
+            raise DomainError("the weight denominator must be positive")
+        if min(weights) <= 0:
             raise DomainError("weights must be positive")
-        if sum(ws) != den:
+        if sum(weights) != den:
             raise DomainError("weights must sum to 1")
-        for q in self.support:
-            if q.space != self.base:
+        for q in support:
+            if q.space != base:
                 raise DomainError("mixed base spaces in support")
+        if g > 1:
+            weights = tuple(w // g for w in weights)
+            den //= g
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "support", support)
+        object.__setattr__(self, "wnum", weights)
+        object.__setattr__(self, "wden", den)
+
+    @cached_property
+    def weights(self) -> tuple[Fraction, ...]:
+        """The weights as Fractions."""
+        return tuple(Fraction(w, self.wden) for w in self.wnum)
 
     @classmethod
-    def of(cls, base, pairs) -> "DistOverDists":
-        """Build from (weight, measure) pairs, merging duplicate measures."""
-        acc: dict[FinDist, Fraction] = {}
+    def of(cls, base, pairs, den: int | None = None) -> "DistOverDists":
+        """Build from (weight, measure) pairs, merging duplicate measures;
+        with `den` the weights are integer numerators over it."""
+        if den is None:
+            pairs = list(pairs)
+            nums, den = int_row([rat(w) for w, _ in pairs])
+            pairs = zip(nums, (q for _, q in pairs))
+        acc: dict[FinDist, int] = {}
         for w, q in pairs:
-            w = rat(w)
             if w:
                 acc[q] = acc[q] + w if q in acc else w
         support = _by_mass(acc)
-        return cls(base, support, tuple(acc[q] for q in support))
-
-    def weight_of(self, q: FinDist) -> Fraction:
-        for s, w in zip(self.support, self.weights):
-            if s == q:
-                return w
-        return ZERO
+        return cls(base, support, [acc[q] for q in support], den)
 
     def describe(self) -> str:
         parts = [f"{rat_str(w)}@{q.describe()}"
@@ -204,16 +233,14 @@ def _by_mass(measures) -> tuple[FinDist, ...]:
 def mu(PP: DistOverDists) -> FinDist:
     """Monad multiplication: mu(PP)(U) integrates ev_U over the support,
     so each atom's mass is the weighted sum of the support's masses there.
-    Over L, the lcm of each weight's denominator times its measure's,
-    support element i contributes w_i.num * L / (w_i.den * d_i) per unit
-    of its numerators."""
-    pairs = list(zip(PP.weights, PP.support))
-    den = lcm(*(w.denominator * q.den for w, q in pairs))
-    scales = [w.numerator * (den // (w.denominator * q.den)) for w, q in pairs]
+    Over wden * D, with D the lcm of the support's denominators, support
+    element i contributes wnum_i * D / d_i per unit of its numerators."""
+    D = lcm(*(q.den for q in PP.support))
+    scales = [w * (D // q.den) for w, q in zip(PP.wnum, PP.support)]
     columns = zip(*(q.num for q in PP.support))
     return FinDist(PP.base,
                    [sum(s * n for s, n in zip(scales, col)) for col in columns],
-                   den)
+                   PP.wden * D)
 
 
 def flatten_oracle(PP: DistOverDists) -> FinDist:
@@ -231,7 +258,7 @@ def flatten_oracle(PP: DistOverDists) -> FinDist:
 
 def unit_outer(P: FinDist) -> DistOverDists:
     """The dirac at P, one level up."""
-    return DistOverDists(P.space, (P,), (ONE,))
+    return DistOverDists(P.space, (P,), (1,), 1)
 
 
 def map_unit(P: FinDist) -> DistOverDists:
@@ -241,14 +268,15 @@ def map_unit(P: FinDist) -> DistOverDists:
     for a, n in zip(P.space.atoms, P.num):
         if n:
             rep = P.space.subset_names(a)[0]
-            pairs.append((Fraction(n, P.den), dirac(P.space, rep)))
-    return DistOverDists.of(P.space, pairs)
+            pairs.append((n, dirac(P.space, rep)))
+    return DistOverDists.of(P.space, pairs, P.den)
 
 
 def push_outer(f: MeasFn, PP: DistOverDists) -> DistOverDists:
     """Apply the monad's functor action to a distribution of measures."""
     return DistOverDists.of(
-        f.cod, [(w, pushforward(f, q)) for q, w in zip(PP.support, PP.weights)])
+        f.cod, [(w, pushforward(f, q)) for q, w in zip(PP.support, PP.wnum)],
+        PP.wden)
 
 
 ThreeLevel = tuple[tuple[Fraction, DistOverDists], ...]
@@ -256,14 +284,20 @@ ThreeLevel = tuple[tuple[Fraction, DistOverDists], ...]
 
 def flatten_outer(PPP: ThreeLevel) -> DistOverDists:
     """Multiplication applied at the outer two levels of a three-level
-    measure (the support stays at the middle level)."""
+    measure (the support stays at the middle level).  With the outer
+    weights as a_j over A and D the lcm of the middle denominators, the
+    measure q gets a_j * v * D / wden_j from each middle weight v over
+    wden_j, all over A * D."""
     base = PPP[0][1].base
-    acc: dict[FinDist, Fraction] = {}
-    for w, PP in PPP:
-        for q, v in zip(PP.support, PP.weights):
-            acc[q] = acc.get(q, ZERO) + rat(w) * v
+    outer, A = int_row([rat(w) for w, _ in PPP])
+    D = lcm(*(PP.wden for _, PP in PPP))
+    acc: dict[FinDist, int] = {}
+    for a, (_, PP) in zip(outer, PPP):
+        scale = a * (D // PP.wden)
+        for q, v in zip(PP.support, PP.wnum):
+            acc[q] = acc.get(q, 0) + scale * v
     support = _by_mass(acc)
-    return DistOverDists(base, support, tuple(acc[q] for q in support))
+    return DistOverDists(base, support, [acc[q] for q in support], A * D)
 
 
 def map_mu(PPP: ThreeLevel, mu_fn=mu) -> DistOverDists:
@@ -446,7 +480,8 @@ def monad_law_report(X: FinMeasSpace, grid=DEFAULT_GRID, max_support: int = 3,
     support up to two drawn from a deterministic prefix of the two-level
     family.  `naturality_maps` is a list of MeasFn out of X checked for
     unit and multiplication naturality.  `mu_fn` exists so harness
-    self-tests can inject a corrupted multiplication.
+    self-tests can inject a corrupted multiplication.  Witnesses are
+    thunks, formatted only for a failing instance.
     """
     rep = LawReport("giry-monad")
     pre = instance_prefix
@@ -454,40 +489,41 @@ def monad_law_report(X: FinMeasSpace, grid=DEFAULT_GRID, max_support: int = 3,
     for i, P in enumerate(dists):
         inst = f"{pre}P{i}"
         got = mu_fn(unit_outer(P))
-        rep.record(got == P, "mu.unit-left", inst, witness=got.describe(),
+        rep.record(got == P, "mu.unit-left", inst, witness=got.describe,
                    detail=P.describe())
         got = mu_fn(map_unit(P))
-        rep.record(got == P, "mu.unit-right", inst, witness=got.describe())
+        rep.record(got == P, "mu.unit-right", inst, witness=got.describe)
     two_level = two_level_dists(X, grid, max_support)
     for i, PP in enumerate(two_level):
         inst = f"{pre}PP{i}"
         lhs = mu_fn(PP)
         rhs = flatten_oracle(PP)
         rep.record(lhs == rhs, "mu.flatten-oracle", inst,
-                   witness=(lhs.describe(), rhs.describe()),
+                   witness=lambda: (lhs.describe(), rhs.describe()),
                    detail=PP.describe())
     prefix = two_level[:assoc_outer_limit]
     triples = [((ONE, PP),) for PP in prefix]
+    pair_weights = grid_weightings(2, grid)
     for PPa, PPb in itertools.combinations(prefix, 2):
-        for w in grid_weightings(2, grid):
+        for w in pair_weights:
             triples.append(((w[0], PPa), (w[1], PPb)))
     for i, PPP in enumerate(triples):
         inst = f"{pre}PPP{i}"
         lhs = mu_fn(flatten_outer(PPP))
         rhs = mu_fn(map_mu(PPP, mu_fn=mu_fn))
         rep.record(lhs == rhs, "mu.associativity", inst,
-                   witness=(lhs.describe(), rhs.describe()))
+                   witness=lambda: (lhs.describe(), rhs.describe()))
     for j, f in enumerate(naturality_maps):
         for x in X.points:
             inst = f"{pre}nat-eta-f{j}-{x}"
             lhs = pushforward(f, dirac(X, x))
             rhs = dirac(f.cod, f(x))
             rep.record(lhs == rhs, "eta.naturality", inst,
-                       witness=(lhs.describe(), rhs.describe()))
+                       witness=lambda: (lhs.describe(), rhs.describe()))
         for i, PP in enumerate(two_level):
             inst = f"{pre}nat-mu-f{j}-PP{i}"
             lhs = mu_fn(push_outer(f, PP))
             rhs = pushforward(f, mu_fn(PP))
             rep.record(lhs == rhs, "mu.naturality", inst,
-                       witness=(lhs.describe(), rhs.describe()))
+                       witness=lambda: (lhs.describe(), rhs.describe()))
     return rep

@@ -1,4 +1,11 @@
-"""Law-check reports with reproducible counterexample witnesses."""
+"""Law-check reports with reproducible counterexample witnesses.
+
+A witness is only read when its check fails, so `LawReport.record` takes
+it either as a value or as a zero-argument callable that it calls once,
+on failure; a passing check then pays nothing for formatting its
+counterexample.  `detail` is recorded for every instance and stays a
+value.
+"""
 
 from __future__ import annotations
 
@@ -46,6 +53,8 @@ class LawReport:
         if detail is not None:
             self.instance_index[instance] = detail
         if not passed:
+            if callable(witness):
+                witness = witness()
             self.failures.append(
                 Failure(law, instance, witness, erratum_expected))
 

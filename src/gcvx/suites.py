@@ -25,7 +25,8 @@ SUITE_NAMES = (
     "boolean-subobjects", "smcc", "lebesgue", "errata",
 )
 
-# every key a suite reads from its config; run_suite rejects any other
+# every key a suite reads from its config, each an int; run_suite
+# rejects any other key and any value that is not an int
 CONFIG_KEYS = ("maxPoints", "maxSupport", "maxSize", "samples", "seed")
 
 
@@ -68,8 +69,8 @@ def _suite_spaces(max_points: int) -> list[tuple[str, FinMeasSpace]]:
 
 def _suite_giry(config, mu_fn) -> LawReport:
     rep = LawReport("giry-monad")
-    max_points = int(config.get("maxPoints", 2))
-    max_support = int(config.get("maxSupport", 3))
+    max_points = config.get("maxPoints", 2)
+    max_support = config.get("maxSupport", 3)
     mu_fn = mu_fn or giry.mu
     for tag, X in _suite_spaces(max_points):
         nats = list(enumerate_meas_fns(X, X))
@@ -88,8 +89,8 @@ def _indicator_fns(A: cvx.SemiCvx):
 
 def _suite_adjunction(config) -> LawReport:
     rep = LawReport("adjunction")
-    max_points = int(config.get("maxPoints", 3))
-    max_elems = int(config.get("maxSize", 3))
+    max_points = config.get("maxPoints", 3)
+    max_elems = config.get("maxSize", 3)
     lattices = []
     for n in range(1, max_elems + 1):
         lattices.extend(cvx.enumerate_semilattices(n))
@@ -115,9 +116,9 @@ def _suite_adjunction(config) -> LawReport:
                 for i, P in enumerate(dists):
                     support = [x for x in X.points if P.num[atom[x]]]
                     expect = A.meet_all(f(x) for x in support)
-                    rep.record(g(P) == expect, "adjunct.meet-of-support",
-                               f"X{n}-A{j}-f{k}-P{i}",
-                               witness=(g(P), expect))
+                    got = g(P)
+                    rep.record(got == expect, "adjunct.meet-of-support",
+                               f"X{n}-A{j}-f{k}-P{i}", witness=(got, expect))
             rep.record(len(seen_diracs) == len(homs), "adjunct.injective",
                        f"X{n}-A{j}", witness=len(seen_diracs))
     for j, A in enumerate(lattices):
@@ -131,16 +132,17 @@ def _suite_adjunction(config) -> LawReport:
             F = giry.measure_to_functional(P, A)
             back = giry.functional_to_measure(F, sa.space)
             rep.record(back == P, "phi.roundtrip", f"A{j}-P{i}",
-                       witness=(back.describe(), P.describe()))
+                       witness=lambda: (back.describe(), P.describe()))
             chk = giry.wa_check(F, endos, fns)
             rep.record(chk["passed"], "phi.weakly-averaging", f"A{j}-P{i}",
-                       witness=[e for e in chk["entries"] if not e["passed"]])
+                       witness=lambda: [e for e in chk["entries"]
+                                        if not e["passed"]])
     return rep
 
 
 def _suite_algebra(config, h_twist) -> LawReport:
     rep = LawReport("algebra-roundtrip")
-    max_elems = int(config.get("maxSize", 4))
+    max_elems = config.get("maxSize", 4)
     for n in range(1, max_elems + 1):
         for j, A in enumerate(cvx.enumerate_semilattices(n)):
             alg = adj.convex_to_algebra(A)
@@ -163,7 +165,7 @@ def _suite_algebra(config, h_twist) -> LawReport:
         ok = adj.mu_matches_counit(X, PP)
         bary = free["q"](PP)
         rep.record(ok and bary == giry.mu(PP).mass, "roundtrip.free-barycenter",
-                   f"free-PP{i}", witness=PP.describe())
+                   f"free-PP{i}", witness=PP.describe)
     return rep
 
 
@@ -174,7 +176,7 @@ def _axiom_instances_semi(A: cvx.SemiCvx):
 
 def _suite_convex(config) -> LawReport:
     rep = LawReport("convex-axioms")
-    max_elems = int(config.get("maxSize", 4))
+    max_elems = config.get("maxSize", 4)
     lattices = []
     for n in range(1, max_elems + 1):
         lattices.extend(cvx.enumerate_semilattices(n))
@@ -231,7 +233,7 @@ def _suite_convex(config) -> LawReport:
 
 def _suite_boolean(config) -> LawReport:
     rep = LawReport("boolean-subobjects")
-    max_elems = int(config.get("maxSize", 4))
+    max_elems = config.get("maxSize", 4)
     lattices = []
     for n in range(1, max_elems + 1):
         lattices.extend(cvx.enumerate_semilattices(n))
@@ -254,7 +256,7 @@ def _suite_boolean(config) -> LawReport:
             gen = cvx.generated_subobject(A, a)
             up = frozenset(b for b in A.elements if A.leq(a, b))
             rep.record(gen == up, "boolean.generated-is-upset", f"L{j}-{a}",
-                       witness=(sorted(gen), sorted(up)))
+                       witness=lambda: (sorted(gen), sorted(up)))
     return rep
 
 
@@ -287,7 +289,7 @@ def _or_none(build, *args):
 
 def _suite_smcc(config) -> LawReport:
     rep = LawReport("smcc")
-    max_points = int(config.get("maxPoints", 2))
+    max_points = config.get("maxPoints", 2)
     spaces = _suite_spaces(max_points)
     # one tensor per pair of spaces, for the product check of (X, Y) and
     # the outer hom-sets of every (X, Z)
@@ -333,8 +335,8 @@ def _suite_smcc(config) -> LawReport:
 
 def _suite_lebesgue(config, integrator) -> LawReport:
     rep = LawReport("lebesgue")
-    samples = int(config.get("samples", 100))
-    seed = int(config.get("seed", 0))
+    samples = config.get("samples", 100)
+    seed = config.get("seed", 0)
     rng = random.Random(seed)
     levels = []
     for _ in range(samples):
@@ -374,8 +376,8 @@ def _suite_errata(config) -> LawReport:
         two, (ZERO, Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), ONE))
     rep.record(all(m.apply("0") == m.apply("1") for m in maps),
                "errata.two-affine-maps-constant", "collapse",
-               witness=[(rat_str(m.apply("0")), rat_str(m.apply("1")))
-                        for m in maps])
+               witness=lambda: [(rat_str(m.apply("0")), rat_str(m.apply("1")))
+                                for m in maps])
     inj = cvx.injectivity_check(two)
     rep.record(not inj["injective"], "errata.double-dual-not-injective",
                "collapse", witness=inj["witness"])
@@ -410,6 +412,10 @@ def run_suite(name: str, config=None, *, mu_fn=None, integrator=None,
     if unknown:
         raise DomainError(f"unknown config key(s) {unknown}; "
                           f"choose from {CONFIG_KEYS}")
+    untyped = [k for k, v in config.items()
+               if not isinstance(v, int) or isinstance(v, bool)]
+    if untyped:
+        raise DomainError(f"config value(s) of {untyped} must be integers")
     hooks = {"giry-monad": (mu_fn,), "lebesgue": (integrator,),
              "algebra-roundtrip": (structure_map_twist,)}
     rep = _RUNNERS[name](config, *hooks.get(name, ()))

@@ -1,6 +1,8 @@
 import hashlib
 import json
 
+import pytest
+
 from gcvx.cli import main
 from gcvx.jsonio import space_to_json
 from gcvx.suites import all_sigma_spaces
@@ -84,6 +86,17 @@ def test_unknown_config_key_is_usage_error(tmp_path, capsys):
     config.write_text('{"samples": 3}')
     assert main(["lebesgue", "--config", str(config)]) == 0
     assert "3/3 passed" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("value", ["2.7", "true", '"2"'])
+def test_non_integer_config_value_is_usage_error(tmp_path, capsys, value):
+    config = tmp_path / "config.json"
+    config.write_text(f'{{"maxPoints": {value}}}')
+    assert main(["smcc", "--config", str(config)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: config value") \
+        and "maxPoints" in captured.err
 
 
 def test_tensor_subcommand(tmp_path, capsys):

@@ -165,8 +165,48 @@ def test_dist_over_dists_merges_and_sorts():
     P = dirac(X, "a")
     PP = DistOverDists.of(X, [(HALF, P), (QUARTER, P),
                               (QUARTER, dirac(X, "b"))])
-    assert len(PP.support) == 2
-    assert PP.weight_of(P) == Fraction(3, 4)
+    assert PP.support == (dirac(X, "b"), P)
+    assert PP.weights == (QUARTER, Fraction(3, 4))
+
+
+def test_dist_over_dists_integer_form_is_canonical():
+    X = disc(2)
+    P, Q = dirac(X, "a"), FinDist(X, (HALF, HALF))
+    PP = DistOverDists(X, (P, Q), (QUARTER, Fraction(3, 4)))
+    QQ = DistOverDists(X, (P, Q), (3, 9), 12)  # not reduced
+    assert PP == QQ
+    assert hash(PP) == hash(QQ)
+    assert PP.weights == QQ.weights == (QUARTER, Fraction(3, 4))
+    assert (QQ.wnum, QQ.wden) == ((1, 3), 4)
+
+
+def test_dist_over_dists_integer_form_validation():
+    X = disc(2)
+    P, Q = dirac(X, "a"), dirac(X, "b")
+    for weights, den in (((0, 2), 2),          # non-positive weight
+                         ((-1, 3), 2),         # negative weight
+                         ((1, 1), 3),          # does not sum to den
+                         ((0, 0), 0),          # zero denominator
+                         ((-1, -1), -2),       # negative denominator
+                         ((1,), 1),            # length mismatch
+                         ((HALF, HALF), 1),    # not integers
+                         ((1.0, 1.0), 2)):     # not integers
+        with pytest.raises(DomainError):
+            DistOverDists(X, (P, Q), weights, den)
+
+
+def test_of_with_integer_weights_matches_fractions():
+    rng = random.Random(1982)
+    X = disc(3)
+    for _ in range(300):
+        qs = [random_measure(rng, X) for _ in range(rng.randrange(1, 7))]
+        raw = [rng.randrange(1, 10) for _ in qs]
+        by_int = DistOverDists.of(X, zip(raw, qs), sum(raw))
+        by_frac = DistOverDists.of(X, [(Fraction(r, sum(raw)), q)
+                                       for r, q in zip(raw, qs)])
+        assert by_int == by_frac
+        assert by_int.support == by_frac.support
+        assert by_int.weights == by_frac.weights
 
 
 def test_mu_agrees_with_hand_computation():
