@@ -1,8 +1,14 @@
-"""Command-line workbench: run law suites and inspect counterexamples."""
+"""Command-line workbench: run law suites and inspect counterexamples.
+
+`main` can be called repeatedly in one process: it builds its parser
+once, on the first call, and each call parses and runs only its own
+request.
+"""
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -14,6 +20,7 @@ from .suites import SUITE_NAMES, explain, run_suite
 USAGE_EXIT = 2
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gcvx",

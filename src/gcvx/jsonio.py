@@ -16,9 +16,12 @@ from .measurable import FinMeasSpace, generate_sigma, mask_of, space_from_member
 
 
 def space_to_json(X: FinMeasSpace) -> dict:
+    points = X.points
+    positions = range(len(points))
     return {
-        "points": list(X.points),
-        "sigma": [list(X.subset_names(m)) for m in sorted(X.sigma)],
+        "points": list(points),
+        "sigma": [[points[i] for i in positions if m >> i & 1]
+                  for m in sorted(X.sigma)],
     }
 
 

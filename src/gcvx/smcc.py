@@ -84,10 +84,10 @@ def function_space(X: FinMeasSpace, Y: FinMeasSpace) -> FnSpace:
     return FnSpace(elements, induced_sigma(names, family), position)
 
 
-def eval_map(X: FinMeasSpace, Y: FinMeasSpace) -> MeasFn:
-    """(x, f) -> f(x) on the tensor of X with the function space; MeasFn
-    raises DomainError if it is not measurable, which would be a bug."""
-    F = function_space(X, Y)
+def eval_map(X: FinMeasSpace, Y: FinMeasSpace, F: FnSpace) -> MeasFn:
+    """(x, f) -> f(x) on the tensor of X with F = function_space(X, Y);
+    MeasFn raises DomainError if it is not measurable, which would be a
+    bug."""
     mapping = tuple(Y.points[f[i]] for i in range(len(X.points))
                     for f in F.elements)
     return MeasFn(tensor_space(X, F.carrier), Y, mapping)

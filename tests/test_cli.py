@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 
@@ -97,6 +98,55 @@ def test_non_integer_config_value_is_usage_error(tmp_path, capsys, value):
     assert captured.out == ""
     assert captured.err.startswith("error: config value") \
         and "maxPoints" in captured.err
+
+
+@pytest.mark.parametrize("suite, config", [
+    ("giry-monad", {"maxPoints": 1, "maxSupport": 0}),
+    ("giry-monad", {"maxPoints": 1, "maxSupport": -3}),
+    ("convex-axioms", {"maxSize": 0}),
+    ("algebra-roundtrip", {"maxSize": 0}),
+    ("adjunction", {"maxPoints": 1, "maxSize": 0}),
+    ("lebesgue", {"samples": 0}),
+])
+def test_config_bound_below_one_is_usage_error(tmp_path, capsys, suite,
+                                               config):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert main([suite, "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    low = [k for k, v in config.items() if v < 1]
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: config value(s) of {low} "
+                                   f"must be at least 1")
+
+
+def test_negative_seed_is_accepted(capsys):
+    assert main(["lebesgue", "--samples", "2", "--seed", "-7"]) == 0
+    assert "2/2 passed" in capsys.readouterr().out
+
+
+def test_parser_is_built_once_per_process(monkeypatch, capsys):
+    main(["lebesgue", "--samples", "1"])
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert main(["lebesgue", "--samples", "1"]) == 0
+    assert built == []
+    capsys.readouterr()
+
+
+def test_repeated_calls_stay_independent(capsys):
+    assert main(["--bogus"]) == 2
+    capsys.readouterr()
+    assert main(["lebesgue", "--samples", "2"]) == 0
+    assert "suite lebesgue: 2/2 passed" in capsys.readouterr().out
+    assert main(["lebesgue"]) == 0
+    assert "suite lebesgue: 100/100 passed" in capsys.readouterr().out
 
 
 def test_tensor_subcommand(tmp_path, capsys):

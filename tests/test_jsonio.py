@@ -11,6 +11,14 @@ def test_space_roundtrip():
     assert data["points"] == ["a", "b", "c"]
     assert ["a"] in data["sigma"]
     assert jsonio.space_from_json(data) == X
+    # a wide carrier: four atoms interleaved across positions 0-19
+    points = tuple(f"p{i}" for i in range(20))
+    W = FinMeasSpace(points, tuple(sum(1 << i for i in range(k, 20, 4))
+                                   for k in range(4)))
+    data = jsonio.space_to_json(W)
+    assert data["sigma"] == [list(W.subset_names(m)) for m in sorted(W.sigma)]
+    assert len(data["sigma"]) == 16
+    assert jsonio.space_from_json(data) == W
 
 
 def test_space_from_generators_and_default_powerset():

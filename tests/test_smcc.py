@@ -66,14 +66,16 @@ def comma_discrete():
 
 def test_eval_map_is_measurable():
     Y = FinMeasSpace.discrete(("0", "1"))
-    ev = smcc.eval_map(two_discrete(), Y)
+    X = two_discrete()
+    ev = smcc.eval_map(X, Y, smcc.function_space(X, Y))
     # spot check: ev at (a, f) where f maps a -> 1; the map's label "1,0"
     # holds a comma, so it is quoted inside the pair's label
     assert ev('(a,"1,0")') == "1"
     assert ev('(b,"1,0")') == "0"
     for X in (two_discrete(), comma_discrete()):
-        ev = smcc.eval_map(X, Y)
-        for f in smcc.function_space(X, Y).elements:
+        F = smcc.function_space(X, Y)
+        ev = smcc.eval_map(X, Y, F)
+        for f in F.elements:
             mapping = tuple(Y.points[j] for j in f)
             for x, y in zip(X.points, mapping):
                 assert ev(smcc.pair_name(x, ",".join(mapping))) == y
