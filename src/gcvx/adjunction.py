@@ -18,11 +18,7 @@ from typing import Callable
 
 from .convex import (
     GeomCvx,
-    GeomToI,
-    HalfspaceSplit,
     SemiCvx,
-    SemiSubset,
-    SemiToI,
     all_boolean_subobjects,
     combine_many,
 )
@@ -60,14 +56,6 @@ def sigma_functor(A: SemiCvx) -> SigmaOfA:
     return SigmaOfA(A, space)
 
 
-def epsilon_two(alpha) -> int:
-    """0 on [0,1), 1 at 1: the counit at the classifier."""
-    alpha = rat(alpha)
-    if not (ZERO <= alpha <= ONE):
-        raise DomainError("argument must lie in [0, 1]")
-    return 1 if alpha == ONE else 0
-
-
 def counit(A, P):
     """Extract the point of A represented by the measure P.
 
@@ -89,16 +77,6 @@ def counit(A, P):
     raise DomainError(f"unknown convex space {A!r}")
 
 
-def epsilon2_postcompose(m) -> object:
-    """The Boolean subobject cut out by composing the counit after m."""
-    if isinstance(m, GeomToI):
-        return HalfspaceSplit(m.dom, m.c, ONE - m.t, upper_closed=True)
-    if isinstance(m, SemiToI):
-        members = frozenset(a for a in m.dom.elements if m.apply(a) == ONE)
-        return SemiSubset(m.dom, members)
-    raise DomainError(f"unsupported affine map {m!r}")
-
-
 def adjunct(f: MeasFn, A: SemiCvx) -> Callable[[FinDist], str]:
     """Transpose a measurable map into the generated space of A to an
     affine map on measures: push forward, then take the counit."""
@@ -114,18 +92,15 @@ def adjunct_inverse(g, X: FinMeasSpace, sigma_a: SigmaOfA) -> MeasFn:
     return MeasFn(X, sigma_a.space, mapping)
 
 
-def triangle_check(X: FinMeasSpace, semilattices=(), grid=None) -> LawReport:
+def triangle_check(X: FinMeasSpace, semilattices=()) -> LawReport:
     """Both triangle identities, checked pointwise with exact equality.
 
     The measure-side triangle runs over a spanning family of grid
     measures on X; the convex-side triangle runs over the points of every
     supplied semilattice.
     """
-    from .giry import DEFAULT_GRID
-    if grid is None:
-        grid = DEFAULT_GRID
     rep = LawReport("adjunction")
-    for i, P in enumerate(grid_dists(X, grid)):
+    for i, P in enumerate(grid_dists(X)):
         PP = map_unit(P)
         # counit at the simplex of measures is the barycenter, here over
         # the weight denominator times the lcm of the measures'
@@ -156,12 +131,12 @@ def mu_matches_counit(X: FinMeasSpace, PP: DistOverDists) -> bool:
     return FinDist(X, tuple(bary)) == mu(PP)
 
 
-def unit_generator_measurability(X: FinMeasSpace, thresholds=MIX_GRID) -> LawReport:
+def unit_generator_measurability(X: FinMeasSpace) -> LawReport:
     """The unit is measurable at generator level: preimages of the sets
     {P : P(U) >= t} under x -> dirac(x) land in the sigma-algebra."""
     rep = LawReport("adjunction")
     for u in sorted(X.sigma):
-        for t in thresholds:
+        for t in MIX_GRID:
             pre = 0
             for i, x in enumerate(X.points):
                 if dirac(X, x).measure(u) >= t:
@@ -257,7 +232,7 @@ def convex_to_algebra(A: SemiCvx) -> GiryAlgebra:
     return GiryAlgebra(sa.space, lambda P: counit(A, P))
 
 
-def algebra_law_report(alg: GiryAlgebra, grid=MIX_GRID) -> LawReport:
+def algebra_law_report(alg: GiryAlgebra) -> LawReport:
     """Unit and multiplication laws on diracs, grid mixtures of diracs,
     and nested two-level mixtures."""
     rep = LawReport("algebra")
@@ -269,12 +244,12 @@ def algebra_law_report(alg: GiryAlgebra, grid=MIX_GRID) -> LawReport:
                    witness=got, detail=P.describe())
     test_measures = list(dict.fromkeys(diracs))
     for P, Q in itertools.combinations(dict.fromkeys(diracs), 2):
-        for a in grid:
+        for a in MIX_GRID:
             test_measures.append(mix_dists(P, Q, a))
     test_measures = list(dict.fromkeys(test_measures))
     nested = []
     for P, Q in itertools.combinations(test_measures, 2):
-        for a in grid:
+        for a in MIX_GRID:
             nested.append(DistOverDists.of(X, [(ONE - a, P), (a, Q)]))
     for P in test_measures:
         nested.append(DistOverDists.of(X, [(ONE, P)]))
@@ -286,11 +261,11 @@ def algebra_law_report(alg: GiryAlgebra, grid=MIX_GRID) -> LawReport:
     return rep
 
 
-def algebra_to_convex(alg: GiryAlgebra, grid=MIX_GRID) -> dict:
+def algebra_to_convex(alg: GiryAlgebra) -> dict:
     """Recover the convex space carried by an algebra's structure map.
 
     The induced combination x +_a y = h((1-a) dirac x + a dirac y) is
-    probed on the grid; on a finite carrier a lawful algebra is weight
+    probed on MIX_GRID; on a finite carrier a lawful algebra is weight
     independent in the interior, yielding a meet-semilattice.  Weight
     dependence means the structure map was not an algebra and is
     reported as an axiom failure.
@@ -299,7 +274,7 @@ def algebra_to_convex(alg: GiryAlgebra, grid=MIX_GRID) -> dict:
     points = X.points
     mixes = {}
     for x, y in itertools.product(points, points):
-        vals = {alg.h(mix_dists(dirac(X, x), dirac(X, y), a)) for a in grid}
+        vals = {alg.h(mix_dists(dirac(X, x), dirac(X, y), a)) for a in MIX_GRID}
         if len(vals) != 1:
             raise DomainError(
                 f"induced combination of ({x}, {y}) is weight dependent: "

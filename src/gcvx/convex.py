@@ -204,30 +204,6 @@ def combine_many(A, weights, points):
     raise DomainError(f"unknown convex space {A!r}")
 
 
-@dataclass(frozen=True)
-class PositivelyConvex:
-    """A convex space extended with a zero element for sub-unity sums."""
-
-    base: object
-    zero: object
-
-    def combine(self, weighted_points):
-        weights = [rat(w) for w, _ in weighted_points]
-        total = sum(weights, ZERO)
-        if any(w < 0 for w in weights) or total > ONE:
-            raise DomainError("coefficients must be nonnegative with sum <= 1")
-        pts = [p for _, p in weighted_points]
-        return combine_many(self.base, weights + [ONE - total], pts + [self.zero])
-
-
-def with_zero(A, a0) -> PositivelyConvex:
-    if isinstance(A, GeomCvx):
-        A.require_member(tuple(rat(x) for x in a0))
-    else:
-        A.index(a0)
-    return PositivelyConvex(A, a0)
-
-
 # ---------------------------------------------------------------------------
 # interval endomorphisms
 
@@ -347,30 +323,6 @@ def generated_subobject(A: SemiCvx, a: str) -> frozenset[str]:
     """
     A.index(a)
     return frozenset(b for b in A.elements if A.meet(a, b) == a)
-
-
-def geom_generated_member(A: GeomCvx, a, b) -> bool:
-    """Whether b lies in the subobject generated by a, decided per query.
-
-    b qualifies iff a + tau*(a - b) stays in the hull for some tau > 0,
-    i.e. a can be written as a combination giving b positive weight.
-    """
-    a = tuple(rat(x) for x in a)
-    b = tuple(rat(x) for x in b)
-    A.require_member(a)
-    A.require_member(b)
-    if a == b:
-        return True
-    d = tuple(x - y for x, y in zip(a, b))
-    n = len(A.generators)
-    rows = []
-    for k in range(A.dim):
-        rows.append([g[k] for g in A.generators] + [-d[k]])
-    rows.append([ONE] * n + [ZERO])
-    rhs = list(a) + [ONE]
-    obj = [ZERO] * n + [ONE]
-    res = exactlp.solve_eq_nonneg(rows, rhs, objective=obj)
-    return res["status"] == exactlp.OPTIMAL and res["value"] > 0
 
 
 def _geom_probe_points(A: GeomCvx):
@@ -494,16 +446,6 @@ class SemiToI:
         return self.table[self.dom.index(a)]
 
 
-@dataclass(frozen=True)
-class AnyToTwo:
-    """The indicator map of a Boolean subobject into the classifier."""
-
-    sub: object  # HalfspaceSplit or SemiSubset
-
-    def apply(self, p) -> str:
-        return "1" if self.sub.contains(p) else "0"
-
-
 def affine_semi_to_interval_maps(A: SemiCvx, values) -> list[SemiToI]:
     """All affine maps from A into the interval taking values in `values`.
 
@@ -557,22 +499,13 @@ def geom_spanning_functionals(A: GeomCvx) -> list[GeomToI]:
     return fns
 
 
-def double_dual_embed(A, a):
-    """The evaluation functional of a on the variant's affine-map family."""
-    if isinstance(A, GeomCvx):
-        a = tuple(rat(x) for x in a)
-        A.require_member(a)
-        return lambda m: m.apply(a)
-    A.index(a)
-    return lambda m: m.apply(a)
-
-
-def injectivity_check(A, interval_grid=(ZERO, Fraction(1, 2), ONE)) -> dict:
+def injectivity_check(A) -> dict:
     """Search for distinct points with equal evaluation functionals.
 
     Geometric carriers are separated by rescaled coordinate functionals;
     on semilattices every affine map into the interval is constant, so
-    evaluations collapse and the check reports the witnessing pair.
+    evaluations collapse and the check reports the witnessing pair.  The
+    semilattice maps are the constants 0, 1/2 and 1.
     """
     if isinstance(A, GeomCvx):
         fns = geom_spanning_functionals(A)
@@ -580,7 +513,7 @@ def injectivity_check(A, interval_grid=(ZERO, Fraction(1, 2), ONE)) -> dict:
             if all(m.apply(a) == m.apply(b) for m in fns):
                 return {"injective": False, "witness": (a, b)}
         return {"injective": True, "witness": None}
-    fns = affine_semi_to_interval_maps(A, interval_grid)
+    fns = affine_semi_to_interval_maps(A, (ZERO, Fraction(1, 2), ONE))
     for a, b in itertools.combinations(A.elements, 2):
         if all(m.apply(a) == m.apply(b) for m in fns):
             return {"injective": False, "witness": (a, b)}
@@ -588,7 +521,7 @@ def injectivity_check(A, interval_grid=(ZERO, Fraction(1, 2), ONE)) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# function spaces and semilattice enumeration
+# semilattice enumeration
 
 
 def all_boolean_subobjects(A: SemiCvx) -> list[SemiSubset]:
@@ -605,46 +538,14 @@ def all_boolean_subobjects(A: SemiCvx) -> list[SemiSubset]:
     return out
 
 
-def _subset_name(A: SemiCvx, members: frozenset[str]) -> str:
-    return "{" + ",".join(sorted(members, key=A.index)) + "}"
-
-
-def function_space_convex(A: SemiCvx) -> SemiCvx:
-    """The Boolean subobjects of A under intersection, as a semilattice.
-
-    Interior convex sums of indicators realize the indicator of the
-    intersection, with the empty subobject as zero element.  Raises when
-    the Boolean subobjects are not intersection-closed (which can happen;
-    the complement of an intersection need not be meet-closed).
-    """
-    subs = all_boolean_subobjects(A)
-    members = {_subset_name(A, S.members): S.members for S in subs}
-    names = sorted(members)
-    by_set = {members[n]: n for n in names}
-    table = []
-    for n1 in names:
-        row = []
-        for n2 in names:
-            inter = members[n1] & members[n2]
-            if inter not in by_set:
-                raise DomainError(
-                    f"Boolean subobjects not closed under intersection: "
-                    f"{n1} and {n2} meet in a non-Boolean subset")
-            row.append(by_set[inter])
-        table.append(tuple(row))
-    return SemiCvx.of(tuple(names), table)
-
-
-def enumerate_semilattices(n: int, names=None) -> list[SemiCvx]:
-    """All meet-semilattices on n labelled elements.
+def enumerate_semilattices(n: int) -> list[SemiCvx]:
+    """All meet-semilattices on the n elements a, b, c, ...
 
     Enumerates partial orders by orienting each unordered pair three ways
     and filtering for transitivity, then keeps those where every pair has
     a greatest lower bound.
     """
-    if names is None:
-        names = tuple(chr(ord("a") + i) for i in range(n))
-    names = tuple(names)
+    names = tuple(chr(ord("a") + i) for i in range(n))
     if n == 0:
         return []
     if n > 6:
@@ -688,5 +589,5 @@ def enumerate_semilattices(n: int, names=None) -> list[SemiCvx]:
                 break
             table.append(tuple(row))
         if ok:
-            out.append(SemiCvx(names[:n], tuple(table)))
+            out.append(SemiCvx(names, tuple(table)))
     return out

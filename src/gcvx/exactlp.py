@@ -22,10 +22,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from .kernel import DomainError, int_row
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
+from .kernel import DomainError, ONE, ZERO, int_row
 
 FEASIBLE = "feasible"
 INFEASIBLE = "infeasible"

@@ -351,14 +351,6 @@ class WAFunctional:
         if sum(ws) != den:
             raise DomainError("weights must sum to exactly 1")
 
-    @classmethod
-    def unchecked(cls, base, terms) -> "WAFunctional":
-        """Bypass the weight-sum validation (for harness self-tests)."""
-        obj = object.__new__(cls)
-        object.__setattr__(obj, "base", base)
-        object.__setattr__(obj, "terms", tuple(terms))
-        return obj
-
     @cached_property
     def weight_row(self) -> tuple[list[int], int]:
         """The weights as integer numerators over one denominator."""
@@ -376,26 +368,18 @@ class WAFunctional:
         return Fraction(sum(w * v for w, v in zip(ws, vs)), wden * vden)
 
 
-def wa_functional(A, weights, points) -> WAFunctional:
-    weights = [rat(w) for w in weights]
-    if sum(weights, ZERO) != ONE:
-        raise DomainError("weights must sum to 1")
-    terms = [(w, p) for w, p in zip(weights, points) if w > 0]
-    return WAFunctional(A, tuple(terms))
-
-
-def wa_check(F: WAFunctional, endos, test_fns,
-             constants=(ZERO, Fraction(1, 2), ONE)) -> dict:
-    """Verify constants map to themselves and scaling equivariance.
+def wa_check(F: WAFunctional, endos, test_fns) -> dict:
+    """Verify that the constants 0, 1/2 and 1 map to themselves, and
+    scaling equivariance.
 
     For each interval endomorphism <s,t> and test function m the identity
     F(s*m + t) = s*F(m) + t must hold exactly.
     """
     entries = []
-    for c in constants:
+    for c in (ZERO, Fraction(1, 2), ONE):
         got = F.apply(lambda _a, c=c: c)
-        entries.append({"law": "constant", "value": rat_str(rat(c)),
-                        "passed": got == rat(c), "got": rat_str(got)})
+        entries.append({"law": "constant", "value": rat_str(c),
+                        "passed": got == c, "got": rat_str(got)})
     ws, wden = F.weight_row
     values = [F.values(m) for m in test_fns]
     for e in endos:
@@ -443,49 +427,47 @@ def functional_to_measure(F: WAFunctional, space: FinMeasSpace) -> FinDist:
 # monad-law checking
 
 
-def grid_dists(X: FinMeasSpace, grid=DEFAULT_GRID) -> list[FinDist]:
-    """All measures on X whose atom masses come from the grid."""
-    nums, den = int_row([rat(g) for g in grid])
+def grid_dists(X: FinMeasSpace) -> list[FinDist]:
+    """All measures on X whose atom masses come from DEFAULT_GRID."""
+    nums, den = int_row(DEFAULT_GRID)
     return [FinDist(X, combo, den)
             for combo in itertools.product(nums, repeat=len(X.atoms))
             if sum(combo) == den]
 
 
-def grid_weightings(n: int, grid=DEFAULT_GRID) -> list[tuple[Fraction, ...]]:
+def grid_weightings(n: int) -> list[tuple[Fraction, ...]]:
     """Strictly positive grid weight vectors of length n summing to one."""
-    pos = [g for g in grid if g > 0]
+    pos = [g for g in DEFAULT_GRID if g > 0]
     return [c for c in itertools.product(pos, repeat=n) if sum(c, ZERO) == ONE]
 
 
-def two_level_dists(X: FinMeasSpace, grid=DEFAULT_GRID,
-                    max_support: int = 3) -> list[DistOverDists]:
+def two_level_dists(X: FinMeasSpace, max_support: int = 3) -> list[DistOverDists]:
     """All grid-weighted distributions over grid measures on X, with
     support size up to `max_support`."""
-    inner = grid_dists(X, grid)
+    inner = grid_dists(X)
     out = []
     for size in range(1, max_support + 1):
         for support in itertools.combinations(inner, size):
-            for ws in grid_weightings(size, grid):
+            for ws in grid_weightings(size):
                 out.append(DistOverDists(X, support, ws))
     return out
 
 
-def monad_law_report(X: FinMeasSpace, grid=DEFAULT_GRID, max_support: int = 3,
-                     mu_fn=mu, naturality_maps=(), assoc_outer_limit: int = 25,
-                     instance_prefix: str = "") -> LawReport:
+def monad_law_report(X: FinMeasSpace, max_support: int = 3, mu_fn=mu,
+                     naturality_maps=(), instance_prefix: str = "") -> LawReport:
     """Check the monad laws with exact equality on grid-valued measures.
 
     Unit laws and the flatten oracle run over every two-level grid
     measure; associativity runs over three-level measures with outer
-    support up to two drawn from a deterministic prefix of the two-level
-    family.  `naturality_maps` is a list of MeasFn out of X checked for
-    unit and multiplication naturality.  `mu_fn` exists so harness
-    self-tests can inject a corrupted multiplication.  Witnesses are
-    thunks, formatted only for a failing instance.
+    support up to two drawn from the first 25 of the two-level family.
+    `naturality_maps` is a list of MeasFn out of X checked for unit and
+    multiplication naturality.  `mu_fn` exists so harness self-tests can
+    inject a corrupted multiplication.  Witnesses are thunks, formatted
+    only for a failing instance.
     """
     rep = LawReport("giry-monad")
     pre = instance_prefix
-    dists = grid_dists(X, grid)
+    dists = grid_dists(X)
     for i, P in enumerate(dists):
         inst = f"{pre}P{i}"
         got = mu_fn(unit_outer(P))
@@ -493,7 +475,7 @@ def monad_law_report(X: FinMeasSpace, grid=DEFAULT_GRID, max_support: int = 3,
                    detail=P.describe())
         got = mu_fn(map_unit(P))
         rep.record(got == P, "mu.unit-right", inst, witness=got.describe)
-    two_level = two_level_dists(X, grid, max_support)
+    two_level = two_level_dists(X, max_support)
     for i, PP in enumerate(two_level):
         inst = f"{pre}PP{i}"
         lhs = mu_fn(PP)
@@ -501,9 +483,9 @@ def monad_law_report(X: FinMeasSpace, grid=DEFAULT_GRID, max_support: int = 3,
         rep.record(lhs == rhs, "mu.flatten-oracle", inst,
                    witness=lambda: (lhs.describe(), rhs.describe()),
                    detail=PP.describe())
-    prefix = two_level[:assoc_outer_limit]
+    prefix = two_level[:25]
     triples = [((ONE, PP),) for PP in prefix]
-    pair_weights = grid_weightings(2, grid)
+    pair_weights = grid_weightings(2)
     for PPa, PPb in itertools.combinations(prefix, 2):
         for w in pair_weights:
             triples.append(((w[0], PPa), (w[1], PPb)))

@@ -116,16 +116,3 @@ def step_integrate(f: StepFn) -> Fraction:
     for i, v in enumerate(f.values):
         total += v * (f.breakpoints[i + 1] - f.breakpoints[i])
     return total
-
-
-def step_pointwise_mix(f: StepFn, g: StepFn, alpha: Fraction) -> StepFn:
-    """Pointwise convex combination (1-alpha)*f + alpha*g."""
-    alpha = rat(alpha)
-    if not (ZERO <= alpha <= ONE):
-        raise DomainError(f"mixing weight {alpha} outside [0, 1]")
-    cuts = sorted(set(f.breakpoints) | set(g.breakpoints))
-    vals = []
-    for lo in cuts[:-1]:
-        vals.append((ONE - alpha) * f(lo) + alpha * g(lo))
-    v1 = (ONE - alpha) * f.value_at_one + alpha * g.value_at_one
-    return StepFn.of(cuts, vals, v1)

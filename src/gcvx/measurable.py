@@ -59,6 +59,15 @@ class FinMeasSpace:
             raise DomainError("atoms must cover exactly the carrier")
         object.__setattr__(self, "atoms", atoms)
 
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        """The hash of (points, atoms), computed once: measures and their
+        supports hash their space on every lookup."""
+        return hash((self.points, self.atoms))
+
     @classmethod
     def discrete(cls, points) -> "FinMeasSpace":
         points = tuple(points)
@@ -212,13 +221,6 @@ class MeasFn:
 
     def __call__(self, p: str) -> str:
         return self.mapping[self.dom.points.index(p)]
-
-    def compose(self, other: "MeasFn") -> "MeasFn":
-        """self after other (other's codomain must be self's domain)."""
-        if other.cod != self.dom:
-            raise DomainError("composition domain mismatch")
-        return MeasFn(other.dom, self.cod,
-                      tuple(self(q) for q in other.mapping))
 
     @classmethod
     def identity(cls, space: FinMeasSpace) -> "MeasFn":

@@ -1,8 +1,8 @@
 """Monoidal structure of finite measurable spaces.
 
 Tensor and product sigma-algebras on cartesian products, function spaces
-with the evaluation-induced sigma-algebra, currying, and the threshold /
-lower-indicator maps on the unit interval together with the section
+with the evaluation-induced sigma-algebra, currying, and the
+lower-indicator map on the unit interval together with the section
 property of Lebesgue integration on step functions.
 
 A measurable map is the tuple of its codomain positions
@@ -126,15 +126,7 @@ def uncurry(g: MeasFn, X: FinMeasSpace, Z: FinMeasSpace, Y: FinMeasSpace) -> Mea
 
 
 # ---------------------------------------------------------------------------
-# threshold and lower-indicator maps on the interval
-
-
-def ge_map(u, v) -> int:
-    """1 iff v <= u (non-strict at the boundary), else 0."""
-    u, v = rat(u), rat(v)
-    if not (ZERO <= u <= ONE) or not (ZERO <= v <= ONE):
-        raise DomainError("arguments must lie in [0, 1]")
-    return 1 if v <= u else 0
+# the lower-indicator map on the interval
 
 
 def down_map(u) -> StepFn:
@@ -154,22 +146,19 @@ def down_map(u) -> StepFn:
     return StepFn.of((ZERO, u, ONE), (ONE, ZERO), ZERO)
 
 
-def lebesgue_section_check(samples, functional_values=(), integrator=step_integrate) -> dict:
+def lebesgue_section_check(samples, integrator=step_integrate) -> dict:
     """Verify that integrating the lower indicator returns its level.
 
-    `samples` are levels u; `functional_values` are values attributed to a
-    probability functional, checked through the identical section
-    property.  Failures are report entries, never exceptions.
+    `samples` are levels u.  Failures are report entries, never
+    exceptions.
     """
     entries = []
-    for kind, vals in (("sample", samples), ("functional", functional_values)):
-        for v in vals:
-            v = rat(v)
-            got = integrator(down_map(v))
-            entries.append({
-                "kind": kind,
-                "level": rat_str(v),
-                "integral": rat_str(got),
-                "passed": got == v,
-            })
+    for v in samples:
+        v = rat(v)
+        got = integrator(down_map(v))
+        entries.append({
+            "level": rat_str(v),
+            "integral": rat_str(got),
+            "passed": got == v,
+        })
     return {"passed": all(e["passed"] for e in entries), "entries": entries}

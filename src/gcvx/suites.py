@@ -64,6 +64,12 @@ def _suite_spaces(max_points: int) -> list[tuple[str, FinMeasSpace]]:
     return out
 
 
+def _semilattices(max_size: int) -> list[cvx.SemiCvx]:
+    """Every semilattice on 1 to max_size elements, smallest first."""
+    return [A for n in range(1, max_size + 1)
+            for A in cvx.enumerate_semilattices(n)]
+
+
 # ---------------------------------------------------------------------------
 # individual suites
 
@@ -91,10 +97,7 @@ def _indicator_fns(A: cvx.SemiCvx):
 def _suite_adjunction(config) -> LawReport:
     rep = LawReport("adjunction")
     max_points = config.get("maxPoints", 3)
-    max_elems = config.get("maxSize", 3)
-    lattices = []
-    for n in range(1, max_elems + 1):
-        lattices.extend(cvx.enumerate_semilattices(n))
+    lattices = _semilattices(config.get("maxSize", 3))
     endos = [cvx.EndoI.of(s, t)
              for s, t in ((1, 0), (Fraction(1, 2), 0), (Fraction(1, 2), Fraction(1, 4)),
                           (-Fraction(1, 2), Fraction(3, 4)), (0, Fraction(1, 2)))]
@@ -170,21 +173,13 @@ def _suite_algebra(config, h_twist) -> LawReport:
     return rep
 
 
-def _axiom_instances_semi(A: cvx.SemiCvx):
-    for a, b in itertools.product(A.elements, A.elements):
-        yield a, b
-
-
 def _suite_convex(config) -> LawReport:
     rep = LawReport("convex-axioms")
-    max_elems = config.get("maxSize", 4)
-    lattices = []
-    for n in range(1, max_elems + 1):
-        lattices.extend(cvx.enumerate_semilattices(n))
+    lattices = _semilattices(config.get("maxSize", 4))
     geoms = [cvx.unit_interval(), cvx.free_convex(2),
              cvx.GeomCvx.of(2, (("0", "0"), ("1", "0"), ("0", "1"), ("1", "1")))]
     for j, A in enumerate(lattices):
-        for a, b in _axiom_instances_semi(A):
+        for a, b in itertools.product(A.elements, repeat=2):
             inst = f"L{j}-{a}{b}"
             rep.record(cvx.convex_combine(A, a, b, ZERO) == a,
                        "axiom.left-unit", inst)
@@ -234,11 +229,7 @@ def _suite_convex(config) -> LawReport:
 
 def _suite_boolean(config) -> LawReport:
     rep = LawReport("boolean-subobjects")
-    max_elems = config.get("maxSize", 4)
-    lattices = []
-    for n in range(1, max_elems + 1):
-        lattices.extend(cvx.enumerate_semilattices(n))
-    for j, A in enumerate(lattices):
+    for j, A in enumerate(_semilattices(config.get("maxSize", 4))):
         subs = cvx.all_boolean_subobjects(A)
         for k, S in enumerate(subs):
             ok, wit = cvx.is_boolean_subobject(S)

@@ -6,11 +6,7 @@ from hypothesis import given, strategies as st
 from gcvx import adjunction as adj
 from gcvx.convex import (
     GeomCvx,
-    GeomToI,
-    HalfspaceSplit,
     SemiCvx,
-    SemiSubset,
-    SemiToI,
     geom_spanning_functionals,
     two_space,
 )
@@ -42,14 +38,6 @@ def test_sigma_functor_separates_all_small_semilattices():
             assert is_separated(adj.sigma_functor(A).space)[0]
 
 
-def test_epsilon_two_threshold():
-    assert adj.epsilon_two(ONE) == 1
-    for v in (ZERO, QUARTER, HALF, Fraction(999, 1000)):
-        assert adj.epsilon_two(v) == 0
-    with pytest.raises(DomainError):
-        adj.epsilon_two(2)
-
-
 def test_counit_meet_of_support():
     A = chain3()
     sa = adj.sigma_functor(A)
@@ -61,23 +49,6 @@ def test_counit_meet_of_support():
 def test_counit_barycenter():
     seg = GeomCvx.of(1, ((0,), (1,)))
     assert adj.counit(seg, [(HALF, (ZERO,)), (HALF, (ONE,))]) == (HALF,)
-
-
-def test_epsilon2_postcompose_semilattice():
-    A = chain3()
-    m = SemiToI(A, (ONE, ONE, ONE))
-    S = adj.epsilon2_postcompose(m)
-    assert isinstance(S, SemiSubset) and S.members == frozenset({"a", "b", "c"})
-    m0 = SemiToI(A, (HALF, HALF, HALF))
-    assert adj.epsilon2_postcompose(m0).members == frozenset()
-
-
-def test_epsilon2_postcompose_geometric():
-    seg = GeomCvx.of(1, ((0,), (1,)))
-    m = GeomToI(seg, (HALF,), HALF)  # x -> x/2 + 1/2, hits 1 only at x = 1
-    S = adj.epsilon2_postcompose(m)
-    assert isinstance(S, HalfspaceSplit)
-    assert S.contains((ONE,)) and not S.contains((Fraction(99, 100),))
 
 
 def test_adjunct_roundtrip_and_meet_formula():

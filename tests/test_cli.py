@@ -51,6 +51,19 @@ def test_bad_config_file_is_usage_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("argv", [
+    ["errata", "--config", "{dir}"],
+    ["errata", "--json", "{dir}"],
+    ["tensor", "--left", "{dir}", "--right", "{dir}"],
+], ids=["config", "json", "tensor-left"])
+def test_directory_path_is_usage_error(tmp_path, capsys, argv):
+    # a directory where a file is expected raises IsADirectoryError, an
+    # OSError; it must read as bad input, not as a law failure (exit 1)
+    assert main([a.format(dir=tmp_path) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_malformed_space_file_is_usage_error(tmp_path, capsys):
     good = tmp_path / "good.json"
     good.write_text('{"points": ["a"]}')

@@ -124,13 +124,6 @@ def test_combine_semilattice_weight_independent():
     assert cvx.combine_many(A, (ONE, ZERO, ZERO), ("r", "s", "p")) == "r"
 
 
-def test_positively_convex_pads_onto_zero():
-    A = chain2()
-    P = cvx.with_zero(A, "a")
-    assert P.combine([(HALF, "b")]) == "a"
-    assert P.combine([(ONE, "b")]) == "b"
-
-
 # ---------------------------------------------------------------------------
 # interval endomorphisms
 
@@ -186,15 +179,6 @@ def test_generated_subobject_is_up_set():
     assert cvx.generated_subobject(A, "a") == frozenset({"a", "b", "c"})
 
 
-def test_geom_generated_membership():
-    seg = cvx.unit_interval()
-    # 1/2 decomposes with positive weight on anything in the segment
-    assert cvx.geom_generated_member(seg, (HALF,), (ONE,))
-    # an extreme point only decomposes trivially
-    assert not cvx.geom_generated_member(seg, (ZERO,), (ONE,))
-    assert cvx.geom_generated_member(seg, (HALF,), (HALF,))
-
-
 def test_semilattice_intersection_can_fail():
     A = vee()
     S1 = cvx.SemiSubset(A, frozenset({"p", "r"}))
@@ -204,9 +188,6 @@ def test_semilattice_intersection_can_fail():
     chk = cvx.boolean_intersection_check(A, S1, S2)
     assert not chk["passed"]
     assert chk["intersection"] == ["p"]
-    # hence the function-space semilattice cannot be formed here
-    with pytest.raises(DomainError):
-        cvx.function_space_convex(A)
 
 
 def test_lshape_intersection_fails_in_dimension_two():
@@ -219,14 +200,6 @@ def test_lshape_intersection_fails_in_dimension_two():
     mid = tuple((ONE - alpha) * u + alpha * v for u, v in zip(x, y))
     inside = lambda p: S1.contains(p) and S2.contains(p)
     assert inside(x) == inside(y) != inside(mid)
-
-
-def test_function_space_convex_on_a_chain():
-    A = chain3()
-    F = cvx.function_space_convex(A)
-    # every subset of a chain is meet-closed, so all 8 subsets qualify
-    assert len(F.elements) == 8
-    assert F.meet("{b,c}", "{c}") == "{c}"
 
 
 # ---------------------------------------------------------------------------
@@ -266,17 +239,8 @@ def test_two_space_double_dual_collapses():
     res = cvx.injectivity_check(two)
     assert not res["injective"]
     assert res["witness"] == ("0", "1")
-    ev0 = cvx.double_dual_embed(two, "0")
-    ev1 = cvx.double_dual_embed(two, "1")
     for m in cvx.affine_semi_to_interval_maps(two, (ZERO, HALF, ONE)):
-        assert ev0(m) == ev1(m)
-
-
-def test_any_to_two_indicator():
-    A = chain2()
-    S = cvx.SemiSubset(A, frozenset({"b"}))
-    chi = cvx.AnyToTwo(S)
-    assert chi.apply("b") == "1" and chi.apply("a") == "0"
+        assert m.apply("0") == m.apply("1")
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,6 @@ from gcvx.giry import (
     two_level_dists,
     unit_outer,
     wa_check,
-    wa_functional,
     functional_to_measure,
 )
 from gcvx.kernel import DomainError, ONE, ZERO
@@ -263,7 +262,7 @@ def test_mix_dists_is_coordinatewise(alpha):
 
 def test_wa_functional_constants_and_equivariance():
     two = two_space()
-    F = wa_functional(two, (HALF, HALF), ("0", "1"))
+    F = giry.WAFunctional(two, ((HALF, "0"), (HALF, "1")))
     endos = [EndoI.of(HALF, QUARTER), EndoI.of(-HALF, Fraction(3, 4))]
     fns = [lambda a: ONE if a == "1" else ZERO]
     chk = wa_check(F, endos, fns)
@@ -272,7 +271,10 @@ def test_wa_functional_constants_and_equivariance():
 
 def test_wa_check_detects_unnormalized_weights():
     two = two_space()
-    bad = giry.WAFunctional.unchecked(two, ((HALF, "0"), (QUARTER, "1")))
+    # the constructor rejects these weights, so bypass it
+    bad = object.__new__(giry.WAFunctional)
+    object.__setattr__(bad, "base", two)
+    object.__setattr__(bad, "terms", ((HALF, "0"), (QUARTER, "1")))
     chk = wa_check(bad, [], [])
     assert not chk["passed"]
 

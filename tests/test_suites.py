@@ -132,6 +132,23 @@ def test_smcc_mutation_self_check(monkeypatch, capsys):
     assert "Traceback" not in err
 
 
+def test_boolean_subobjects_mutation_self_check(monkeypatch, capsys):
+    # a generated subobject that drops its own generator must make the
+    # up-set law and the union identity over filters fail
+    real = cvx.generated_subobject
+    monkeypatch.setattr(cvx, "generated_subobject",
+                        lambda A, a: real(A, a) - {a})
+    rep = run_suite("boolean-subobjects", {"maxSize": 3})
+    assert (rep.instances, len(rep.failures)) == (213, 64)
+    laws = [f.law for f in rep.failures]
+    assert laws.count("boolean.generated-is-upset") == 32
+    assert laws.count("boolean.union-of-generated") == 32
+    assert cli.main(["boolean-subobjects", "--max-size", "3"]) == 1
+    out, err = capsys.readouterr()
+    assert "FAIL boolean.generated-is-upset" in out
+    assert "Traceback" not in err
+
+
 def first_point_counit(real):
     """A counit that returns the first point carrying mass instead of the
     meet of the support."""
