@@ -26,7 +26,7 @@ from .giry import (
     DistOverDists,
     FinDist,
     P_as_convex,
-    dirac,
+    atom_dirac,
     grid_dists,
     map_unit,
     mix_dists,
@@ -50,26 +50,21 @@ class SigmaOfA:
 
 def sigma_functor(A: SemiCvx) -> SigmaOfA:
     """Generate the sigma-algebra from all Boolean subobjects of A."""
-    subs = all_boolean_subobjects(A)
-    gens = [frozenset(S.members) for S in subs]
-    space = generate_sigma(A.elements, gens)
-    return SigmaOfA(A, space)
+    gens = [sum(1 << i for i in S.members) for S in all_boolean_subobjects(A)]
+    return SigmaOfA(A, generate_sigma(A.elements, gens))
 
 
 def counit(A, P):
     """Extract the point of A represented by the measure P.
 
     For a semilattice, P is a FinDist on the generated space and the
-    result is the meet of everything carrying positive mass; for a
-    polytope, P is an iterable of (weight, point) pairs and the result is
-    the barycenter.
+    result is the meet of the positions in the atoms carrying positive
+    mass; for a polytope, P is an iterable of (weight, point) pairs and
+    the result is the barycenter.
     """
     if isinstance(A, SemiCvx):
-        carriers = []
-        for a, n in zip(P.space.atoms, P.num):
-            if n:
-                carriers.extend(P.space.subset_names(a))
-        return A.meet_all(carriers)
+        mask = sum(a for a, n in zip(P.space.atoms, P.num) if n)  # disjoint
+        return A.meet_all(i for i in range(len(A.elements)) if mask >> i & 1)
     if isinstance(A, GeomCvx):
         pairs = list(P)
         weights = [rat(w) for w, _ in pairs]
@@ -77,10 +72,10 @@ def counit(A, P):
     raise DomainError(f"unknown convex space {A!r}")
 
 
-def adjunct(f: MeasFn, A: SemiCvx) -> Callable[[FinDist], str]:
+def adjunct(f: MeasFn, A: SemiCvx) -> Callable[[FinDist], int]:
     """Transpose a measurable map into the generated space of A to an
     affine map on measures: push forward, then take the counit."""
-    def g(P: FinDist) -> str:
+    def g(P: FinDist) -> int:
         return counit(A, pushforward(f, P))
     return g
 
@@ -88,8 +83,8 @@ def adjunct(f: MeasFn, A: SemiCvx) -> Callable[[FinDist], str]:
 def adjunct_inverse(g, X: FinMeasSpace, sigma_a: SigmaOfA) -> MeasFn:
     """Transpose an affine map on measures back by precomposing with the
     unit x -> dirac(x)."""
-    mapping = tuple(g(dirac(X, x)) for x in X.points)
-    return MeasFn(X, sigma_a.space, mapping)
+    return MeasFn(X, sigma_a.space,
+                  tuple(g(atom_dirac(X, k)) for k in X.point_atom))
 
 
 def triangle_check(X: FinMeasSpace, semilattices=()) -> LawReport:
@@ -116,10 +111,10 @@ def triangle_check(X: FinMeasSpace, semilattices=()) -> LawReport:
                    detail=P.describe())
     for j, A in enumerate(semilattices):
         sa = sigma_functor(A)
-        for a in A.elements:
-            got = counit(A, dirac(sa.space, a))
-            rep.record(got == a, "triangle.convex-side", f"A{j}-{a}",
-                       witness=got)
+        for a, k in enumerate(sa.space.point_atom):
+            got = counit(A, atom_dirac(sa.space, k))
+            rep.record(got == a, "triangle.convex-side", f"A{j}-{A.elements[a]}",
+                       witness=lambda: A.elements[got])
     return rep
 
 
@@ -138,8 +133,8 @@ def unit_generator_measurability(X: FinMeasSpace) -> LawReport:
     for u in sorted(X.sigma):
         for t in MIX_GRID:
             pre = 0
-            for i, x in enumerate(X.points):
-                if dirac(X, x).measure(u) >= t:
+            for i, k in enumerate(X.point_atom):
+                if atom_dirac(X, k).measure(u) >= t:
                     pre |= 1 << i
             rep.record(pre in X.sigma, "unit.generator-measurable",
                        f"U{u}-t{rat_str(rat(t))}",
@@ -212,17 +207,18 @@ def eval_hull_identity(A: GeomCvx, weights, points, spanning_fns) -> dict:
 
 @dataclass(frozen=True)
 class GiryAlgebra:
-    """A structure map collapsing measures on a finite space to points."""
+    """A structure map collapsing measures on a finite space to points,
+    each given as its position in space.points."""
 
     space: FinMeasSpace
-    h: Callable[[FinDist], str]
+    h: Callable[[FinDist], int]
 
     def map_h(self, PP: DistOverDists) -> FinDist:
         """The functor applied to h: measures-of-measures to measures."""
-        index = self.space.atom_index
+        atom = self.space.point_atom
         num = [0] * len(self.space.atoms)
         for q, w in zip(PP.support, PP.wnum):
-            num[index[self.h(q)]] += w
+            num[atom[self.h(q)]] += w
         return FinDist(self.space, num, PP.wden)
 
 
@@ -234,14 +230,16 @@ def convex_to_algebra(A: SemiCvx) -> GiryAlgebra:
 
 def algebra_law_report(alg: GiryAlgebra) -> LawReport:
     """Unit and multiplication laws on diracs, grid mixtures of diracs,
-    and nested two-level mixtures."""
+    and nested two-level mixtures.  Two points agree when they share an
+    atom."""
     rep = LawReport("algebra")
     X = alg.space
-    diracs = [dirac(X, x) for x in X.points]
-    for x, P in zip(X.points, diracs):
+    atom, names = X.point_atom, X.points
+    diracs = [atom_dirac(X, k) for k in atom]
+    for x, P in enumerate(diracs):
         got = alg.h(P)
-        rep.record(X.atom_of(got) == X.atom_of(x), "algebra.unit", f"delta-{x}",
-                   witness=got, detail=P.describe())
+        rep.record(atom[got] == atom[x], "algebra.unit", f"delta-{names[x]}",
+                   witness=lambda: names[got], detail=P.describe())
     test_measures = list(dict.fromkeys(diracs))
     for P, Q in itertools.combinations(dict.fromkeys(diracs), 2):
         for a in MIX_GRID:
@@ -256,8 +254,9 @@ def algebra_law_report(alg: GiryAlgebra) -> LawReport:
     for i, PP in enumerate(nested):
         lhs = alg.h(alg.map_h(PP))
         rhs = alg.h(mu(PP))
-        rep.record(X.atom_of(lhs) == X.atom_of(rhs), "algebra.multiplication",
-                   f"PP{i}", witness=(lhs, rhs), detail=PP.describe())
+        rep.record(atom[lhs] == atom[rhs], "algebra.multiplication",
+                   f"PP{i}", witness=lambda: (names[lhs], names[rhs]),
+                   detail=PP.describe())
     return rep
 
 
@@ -268,35 +267,27 @@ def algebra_to_convex(alg: GiryAlgebra) -> dict:
     probed on MIX_GRID; on a finite carrier a lawful algebra is weight
     independent in the interior, yielding a meet-semilattice.  Weight
     dependence means the structure map was not an algebra and is
-    reported as an axiom failure.
+    reported as an axiom failure.  `theta` maps each point's label to the
+    label of h at its dirac.
     """
     X = alg.space
-    points = X.points
-    mixes = {}
-    for x, y in itertools.product(points, points):
-        vals = {alg.h(mix_dists(dirac(X, x), dirac(X, y), a)) for a in MIX_GRID}
-        if len(vals) != 1:
-            raise DomainError(
-                f"induced combination of ({x}, {y}) is weight dependent: "
-                f"{sorted(vals)}; the structure map is not an algebra")
-        mixes[(x, y)] = vals.pop()
-    index = {p: i for i, p in enumerate(points)}
-    table = tuple(tuple(index[mixes[(x, y)]] for y in points) for x in points)
-    space = SemiCvx(points, table)  # raises if the axioms fail
-    theta = {x: alg.h(dirac(X, x)) for x in points}
-    return {"kind": "semi", "space": space, "q": alg.h, "theta": theta}
-
-
-def free_algebra_to_convex(X: FinMeasSpace) -> dict:
-    """The free algebra on X (measures with the multiplication as
-    structure map) realized as the simplex of measures."""
-    simplex = P_as_convex(X)
-
-    def q(PP: DistOverDists):
-        return mu(PP).mass
-
-    theta = {x: dirac(X, x).mass for x in X.points}
-    return {"kind": "geom", "space": simplex, "q": q, "theta": theta}
+    names = X.points
+    diracs = [atom_dirac(X, k) for k in X.point_atom]
+    table = []
+    for x, P in enumerate(diracs):
+        row = []
+        for y, Q in enumerate(diracs):
+            vals = {alg.h(mix_dists(P, Q, a)) for a in MIX_GRID}
+            if len(vals) != 1:
+                raise DomainError(
+                    f"induced combination of ({names[x]}, {names[y]}) is weight "
+                    f"dependent: {[names[v] for v in sorted(vals)]}; the "
+                    f"structure map is not an algebra")
+            row.append(vals.pop())
+        table.append(tuple(row))
+    space = SemiCvx(names, tuple(table))  # raises if the axioms fail
+    theta = {x: names[alg.h(P)] for x, P in zip(names, diracs)}
+    return {"space": space, "theta": theta}
 
 
 def roundtrip_check(A: SemiCvx) -> dict:

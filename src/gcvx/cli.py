@@ -12,7 +12,7 @@ import functools
 import json
 import sys
 
-from .jsonio import dump_json, load_json, space_from_json, space_to_json
+from .jsonio import dump_json, load_json, space_from_json, space_to_json, witness_text
 from .kernel import CapacityError, DomainError
 from .smcc import product_space, tensor_space
 from .suites import SUITE_NAMES, explain, run_suite
@@ -79,7 +79,8 @@ def _emit(report, json_out) -> int:
           f"passed, {len(data['failures'])} failure(s)")
     for f in data["failures"]:
         tag = " [expected erratum]" if f["erratumExpected"] else ""
-        print(f"  FAIL {f['law']} @ {f['instance']}{tag}: {f['witness']}")
+        print(f"  FAIL {f['law']} @ {f['instance']}{tag}: "
+              f"{witness_text(f['witness'])}")
     return 0 if report.ok else 1
 
 

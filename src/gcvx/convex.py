@@ -67,18 +67,20 @@ def _vec_str(v) -> str:
 class SemiCvx:
     """A finite meet-semilattice viewed as a convex space.
 
-    a +_alpha b is a at alpha = 0, b at alpha = 1, and meet(a, b) for any
-    interior alpha.
+    An element is a position into `meet_table`; `elements` holds their
+    labels, read only for output.  a +_alpha b is a at alpha = 0, b at
+    alpha = 1, and meet(a, b) for any interior alpha.
     """
 
     elements: tuple[str, ...]
-    meet_table: tuple[tuple[int, ...], ...]  # indices into elements
+    meet_table: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
         n = len(self.elements)
         t = self.meet_table
         if len(t) != n or any(len(row) != n for row in t):
             raise DomainError("meet table shape mismatch")
+        _require_positions(self, (v for row in t for v in row))
         for i in range(n):
             if t[i][i] != i:
                 raise DomainError("meet must be idempotent")
@@ -89,38 +91,31 @@ class SemiCvx:
                     if t[t[i][j]][k] != t[i][t[j][k]]:
                         raise DomainError("meet must be associative")
 
-    @classmethod
-    def of(cls, elements, meet_names) -> "SemiCvx":
-        elements = tuple(elements)
-        index = {e: i for i, e in enumerate(elements)}
-        table = tuple(tuple(index[v] for v in row) for row in meet_names)
-        return cls(elements, table)
+    def meet(self, a: int, b: int) -> int:
+        return self.meet_table[a][b]
 
-    def index(self, a: str) -> int:
-        try:
-            return self.elements.index(a)
-        except ValueError:
-            raise DomainError(f"{a!r} is not an element of the carrier")
-
-    def meet(self, a: str, b: str) -> str:
-        return self.elements[self.meet_table[self.index(a)][self.index(b)]]
-
-    def meet_all(self, items) -> str:
+    def meet_all(self, items) -> int:
         items = list(items)
         if not items:
             raise DomainError("meet of an empty family")
         acc = items[0]
         for x in items[1:]:
-            acc = self.meet(acc, x)
+            acc = self.meet_table[acc][x]
         return acc
 
-    def leq(self, a: str, b: str) -> bool:
-        return self.meet(a, b) == a
+    def leq(self, a: int, b: int) -> bool:
+        return self.meet_table[a][b] == a
+
+
+def _require_positions(A: SemiCvx, points) -> None:
+    for p in points:
+        if p not in range(len(A.elements)):
+            raise DomainError(f"{p!r} is not a position of the carrier")
 
 
 def two_space() -> SemiCvx:
     """The two-element classifier: interior mixes of 0 and 1 give 0."""
-    return SemiCvx.of(("0", "1"), (("0", "0"), ("0", "1")))
+    return SemiCvx(("0", "1"), ((0, 0), (0, 1)))
 
 
 def free_convex(n: int) -> GeomCvx:
@@ -174,7 +169,7 @@ def convex_combine(A, a, b, alpha):
         A.require_member(b)
         return tuple((ONE - alpha) * x + alpha * y for x, y in zip(a, b))
     if isinstance(A, SemiCvx):
-        A.index(a), A.index(b)
+        _require_positions(A, (a, b))
         if alpha == ZERO:
             return a
         if alpha == ONE:
@@ -198,6 +193,7 @@ def combine_many(A, weights, points):
                 out[d] += w * rat(p[d])
         return tuple(out)
     if isinstance(A, SemiCvx):
+        _require_positions(A, [p for _, p in support])
         if len(support) == 1:
             return support[0][1]
         return A.meet_all(p for _, p in support)
@@ -264,38 +260,42 @@ class HalfspaceSplit:
 
 @dataclass(frozen=True)
 class SemiSubset:
-    """A subset of a semilattice carrier, as a candidate Boolean subobject."""
+    """A set of positions of a semilattice carrier, as a candidate Boolean
+    subobject."""
 
     space: SemiCvx
-    members: frozenset[str]
+    members: frozenset[int]
 
     def __post_init__(self):
-        for a in self.members:
-            self.space.index(a)
+        _require_positions(self.space, self.members)
 
     def contains(self, a) -> bool:
         return a in self.members
 
 
+def labels(A: SemiCvx, positions) -> list[str]:
+    """The labels of a set of positions of A, in carrier order."""
+    return [A.elements[i] for i in sorted(positions)]
+
+
 def is_boolean_subobject(S):
     """Check that S and its complement are closed under convex combination.
 
-    Returns (True, None) or (False, (x, y, alpha)) with a violating triple.
-    For halfspace splits both sides are convex by construction, so the
-    check only validates well-formedness.
+    Returns (True, None) or (False, (x, y, alpha)) with a violating triple,
+    x and y as labels.  For halfspace splits both sides are convex by
+    construction, so the check only validates well-formedness.
     """
     if isinstance(S, HalfspaceSplit):
         if len(S.normal) != S.space.dim:
             raise DomainError("normal dimension mismatch")
         return True, None
-    A = S.space
-    inside = sorted(S.members, key=A.index)
-    outside = [e for e in A.elements if e not in S.members]
-    half = Fraction(1, 2)
+    A, members = S.space, S.members
+    inside = sorted(members)
+    outside = [e for e in range(len(A.elements)) if e not in members]
     for side in (inside, outside):
         for x, y in itertools.combinations_with_replacement(side, 2):
-            if (A.meet(x, y) in S.members) != (x in S.members):
-                return False, (x, y, half)
+            if (A.meet(x, y) in members) != (x in members):
+                return False, (A.elements[x], A.elements[y], Fraction(1, 2))
     return True, None
 
 
@@ -306,23 +306,19 @@ def chi_is_affine(S: SemiSubset):
     filter (meet-closed and up-closed); this is strictly stronger than the
     complementary-pair condition and is reported, never assumed.
     """
-    A = S.space
-    for x, y in itertools.combinations_with_replacement(A.elements, 2):
-        lhs = ONE if A.meet(x, y) in S.members else ZERO
-        rhs = min(ONE if x in S.members else ZERO,
-                  ONE if y in S.members else ZERO)
-        if lhs != rhs:
-            return False, (x, y, Fraction(1, 2))
+    A, members = S.space, S.members
+    for x, y in itertools.combinations_with_replacement(range(len(A.elements)), 2):
+        if (A.meet(x, y) in members) != (x in members and y in members):
+            return False, (A.elements[x], A.elements[y], Fraction(1, 2))
     return True, None
 
 
-def generated_subobject(A: SemiCvx, a: str) -> frozenset[str]:
+def generated_subobject(A: SemiCvx, a: int) -> frozenset[int]:
     """All b that can carry positive weight in a decomposition of a.
 
     On a semilattice this is the principal up-set of a.
     """
-    A.index(a)
-    return frozenset(b for b in A.elements if A.meet(a, b) == a)
+    return frozenset(b for b in range(len(A.elements)) if A.meet(a, b) == a)
 
 
 def _geom_probe_points(A: GeomCvx):
@@ -345,7 +341,7 @@ def boolean_intersection_check(A, S1, S2) -> dict:
         inter = SemiSubset(A, S1.members & S2.members)
         ok, witness = is_boolean_subobject(inter)
         return {"passed": ok, "witness": witness,
-                "intersection": sorted(inter.members, key=A.index)}
+                "intersection": labels(A, inter.members)}
     # geometric: probe both-sides convexity of the intersection predicate
     def member(p):
         return S1.contains(p) and S2.contains(p)
@@ -367,18 +363,12 @@ def boolean_union_identity(A: SemiCvx, S: SemiSubset) -> dict:
     """Report whether the union of generated subobjects over S returns S.
 
     The identity is a theorem for subobjects whose indicator is affine
-    (filters); for merely complementary pairs it can fail, so the result
-    carries the affinity flag alongside the verdict.
+    (filters); for merely complementary pairs it can fail.
     """
-    union: set[str] = set()
-    for a in sorted(S.members, key=A.index):
+    union: set[int] = set()
+    for a in S.members:
         union |= generated_subobject(A, a)
-    affine, _ = chi_is_affine(S)
-    return {
-        "passed": union == set(S.members),
-        "union": sorted(union, key=A.index),
-        "chi_affine": affine,
-    }
+    return {"passed": union == S.members, "union": labels(A, union)}
 
 
 # ---------------------------------------------------------------------------
@@ -389,16 +379,20 @@ def boolean_union_identity(A: SemiCvx, S: SemiSubset) -> dict:
 class SemiToSemi:
     dom: SemiCvx
     cod: SemiCvx
-    table: tuple[str, ...]  # image of each dom element, in dom order
+    table: tuple[int, ...]  # codomain position of each dom position
 
     def __post_init__(self):
-        for x, y in itertools.combinations_with_replacement(self.dom.elements, 2):
-            if self.apply(self.dom.meet(x, y)) != \
-                    self.cod.meet(self.apply(x), self.apply(y)):
-                raise DomainError(f"map does not preserve meets at ({x}, {y})")
+        if len(self.table) != len(self.dom.elements):
+            raise DomainError("a map needs one codomain position per element")
+        _require_positions(self.cod, self.table)
+        for x, y in itertools.combinations_with_replacement(range(len(self.table)), 2):
+            if self.table[self.dom.meet(x, y)] != \
+                    self.cod.meet(self.table[x], self.table[y]):
+                raise DomainError("map does not preserve meets at "
+                                  f"({self.dom.elements[x]}, {self.dom.elements[y]})")
 
-    def apply(self, a: str) -> str:
-        return self.table[self.dom.index(a)]
+    def apply(self, a: int) -> int:
+        return self.table[a]
 
 
 @dataclass(frozen=True)
@@ -430,35 +424,29 @@ class SemiToI:
     """
 
     dom: SemiCvx
-    table: tuple[Fraction, ...]
+    table: tuple[Fraction, ...]  # value at each dom position
 
     def __post_init__(self):
         alphas = (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4))
-        for x, y in itertools.combinations(self.dom.elements, 2):
-            vx, vy = self.apply(x), self.apply(y)
-            vm = self.apply(self.dom.meet(x, y))
+        for x, y in itertools.combinations(range(len(self.dom.elements)), 2):
+            vx, vy = self.table[x], self.table[y]
+            vm = self.table[self.dom.meet(x, y)]
             for alpha in alphas:
                 if vm != (ONE - alpha) * vx + alpha * vy:
-                    raise DomainError(
-                        f"not affine at ({x}, {y}, {alpha})")
+                    raise DomainError(f"not affine at ({self.dom.elements[x]}, "
+                                      f"{self.dom.elements[y]}, {alpha})")
 
-    def apply(self, a: str) -> Fraction:
-        return self.table[self.dom.index(a)]
+    def apply(self, a: int) -> Fraction:
+        return self.table[a]
 
 
 def affine_semi_to_interval_maps(A: SemiCvx, values) -> list[SemiToI]:
     """All affine maps from A into the interval taking values in `values`.
 
-    For |A| > 1 these are exactly the constant maps; the enumeration
-    filters candidate tables through the SemiToI validator.
+    These are exactly the constant maps, and each constant table still
+    passes the SemiToI validator.
     """
-    out = []
-    values = [rat(v) for v in values]
-    if len(A.elements) == 1:
-        return [SemiToI(A, (v,)) for v in values]
-    for v in values:
-        out.append(SemiToI(A, tuple(v for _ in A.elements)))
-    return out
+    return [SemiToI(A, (rat(v),) * len(A.elements)) for v in values]
 
 
 # ---------------------------------------------------------------------------
@@ -514,9 +502,9 @@ def injectivity_check(A) -> dict:
                 return {"injective": False, "witness": (a, b)}
         return {"injective": True, "witness": None}
     fns = affine_semi_to_interval_maps(A, (ZERO, Fraction(1, 2), ONE))
-    for a, b in itertools.combinations(A.elements, 2):
+    for a, b in itertools.combinations(range(len(A.elements)), 2):
         if all(m.apply(a) == m.apply(b) for m in fns):
-            return {"injective": False, "witness": (a, b)}
+            return {"injective": False, "witness": (A.elements[a], A.elements[b])}
     return {"injective": True, "witness": None}
 
 
@@ -530,8 +518,7 @@ def all_boolean_subobjects(A: SemiCvx) -> list[SemiSubset]:
         raise CapacityError("too many subsets to scan")
     out = []
     for mask in range(1 << n):
-        members = frozenset(A.elements[i] for i in range(n) if mask >> i & 1)
-        S = SemiSubset(A, members)
+        S = SemiSubset(A, frozenset(i for i in range(n) if mask >> i & 1))
         ok, _ = is_boolean_subobject(S)
         if ok:
             out.append(S)

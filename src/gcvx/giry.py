@@ -29,7 +29,7 @@ from math import gcd, lcm
 
 from .convex import GeomCvx, SemiCvx, free_convex
 from .kernel import DomainError, ONE, ZERO, int_row, rat, rat_str
-from .measurable import FinMeasSpace, MeasFn
+from .measurable import FinMeasSpace, MeasFn, mask_of
 from .reports import LawReport
 
 DEFAULT_GRID = (ZERO, Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), ONE)
@@ -94,14 +94,17 @@ class FinDist:
         return "{" + ", ".join(parts) + "}"
 
 
-def dirac(X: FinMeasSpace, x: str) -> FinDist:
-    """Unit mass on the atom containing x."""
-    k = X.atom_index.get(x)
-    if k is None:
-        raise DomainError(f"unknown point {x!r}")
+def atom_dirac(X: FinMeasSpace, k: int) -> FinDist:
+    """Unit mass on atom k; the dirac at point i is atom_dirac(X,
+    X.point_atom[i])."""
     num = [0] * len(X.atoms)
     num[k] = 1
     return FinDist(X, num, 1)
+
+
+def dirac(X: FinMeasSpace, x: str) -> FinDist:
+    """Unit mass on the atom containing the point named x."""
+    return atom_dirac(X, X.point_atom[mask_of(X.points, (x,)).bit_length() - 1])
 
 
 def pushforward(f: MeasFn, P: FinDist) -> FinDist:
@@ -264,11 +267,7 @@ def unit_outer(P: FinDist) -> DistOverDists:
 def map_unit(P: FinDist) -> DistOverDists:
     """Push P forward along x -> dirac(x); constant on atoms, so the
     resulting support is one dirac per atom with positive mass."""
-    pairs = []
-    for a, n in zip(P.space.atoms, P.num):
-        if n:
-            rep = P.space.subset_names(a)[0]
-            pairs.append((n, dirac(P.space, rep)))
+    pairs = [(n, atom_dirac(P.space, k)) for k, n in enumerate(P.num) if n]
     return DistOverDists.of(P.space, pairs, P.den)
 
 
@@ -403,23 +402,22 @@ def wa_check(F: WAFunctional, endos, test_fns) -> dict:
 
 def measure_to_functional(P: FinDist, A: SemiCvx) -> WAFunctional:
     """phi: a measure on the generated space of A becomes the weakly
-    averaging functional evaluating indicators at support points."""
+    averaging functional evaluating indicators at support points, each
+    term at the lowest position of its atom."""
     if tuple(P.space.points) != tuple(A.elements):
         raise DomainError("measure does not live on the carrier of A")
-    terms = []
-    for a, m in zip(P.space.atoms, P.mass):
-        if m > 0:
-            terms.append((m, P.space.subset_names(a)[0]))
-    return WAFunctional(A, tuple(terms))
+    terms = tuple((m, (a & -a).bit_length() - 1)
+                  for a, m in zip(P.space.atoms, P.mass) if m > 0)
+    return WAFunctional(A, terms)
 
 
 def functional_to_measure(F: WAFunctional, space: FinMeasSpace) -> FinDist:
     """phi inverse: read the measure back off the evaluation terms."""
-    index = space.atom_index
+    atom = space.point_atom
     ws, den = F.weight_row
     num = [0] * len(space.atoms)
     for w, (_, a) in zip(ws, F.terms):
-        num[index[a]] += w
+        num[atom[a]] += w
     return FinDist(space, num, den)
 
 
@@ -496,10 +494,10 @@ def monad_law_report(X: FinMeasSpace, max_support: int = 3, mu_fn=mu,
         rep.record(lhs == rhs, "mu.associativity", inst,
                    witness=lambda: (lhs.describe(), rhs.describe()))
     for j, f in enumerate(naturality_maps):
-        for x in X.points:
+        for x, k, y in zip(X.points, X.point_atom, f.image):
             inst = f"{pre}nat-eta-f{j}-{x}"
-            lhs = pushforward(f, dirac(X, x))
-            rhs = dirac(f.cod, f(x))
+            lhs = pushforward(f, atom_dirac(X, k))
+            rhs = atom_dirac(f.cod, f.cod.point_atom[y])
             rep.record(lhs == rhs, "eta.naturality", inst,
                        witness=lambda: (lhs.describe(), rhs.describe()))
         for i, PP in enumerate(two_level):

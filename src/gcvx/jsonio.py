@@ -57,6 +57,11 @@ def json_default(obj):
     return repr(obj)
 
 
+def witness_text(witness) -> str:
+    """A witness as one line of the same JSON the report file holds."""
+    return json.dumps(witness, sort_keys=True, default=json_default)
+
+
 def dump_json(data, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(data, fh, indent=2, sort_keys=True, default=json_default)

@@ -92,17 +92,6 @@ class FinMeasSpace:
         return tuple(next(k for k, a in enumerate(self.atoms) if a >> i & 1)
                      for i in range(len(self.points)))
 
-    @cached_property
-    def atom_index(self) -> dict[str, int]:
-        """Position in atoms of the atom holding each point, by name."""
-        return dict(zip(self.points, self.point_atom))
-
-    def atom_of(self, point: str) -> int:
-        k = self.atom_index.get(point)
-        if k is None:
-            raise DomainError(f"point {point!r} not found")
-        return self.atoms[k]
-
     def subset_names(self, mask: int) -> tuple[str, ...]:
         return names_of(self.points, mask)
 
@@ -137,8 +126,12 @@ def space_from_members(points, members) -> FinMeasSpace:
 
 
 def _check_positions(mapping, n_from, n_to):
-    if len(mapping) != n_from or mapping and not 0 <= min(mapping) <= max(mapping) < n_to:
-        raise DomainError(f"a family map needs {n_from} positions in range({n_to})")
+    try:
+        bad = len(mapping) != n_from or mapping and not 0 <= min(mapping) <= max(mapping) < n_to
+    except TypeError:  # labels, say, in place of positions
+        bad = True
+    if bad:
+        raise DomainError(f"a map needs {n_from} positions in range({n_to})")
 
 
 def coinduced_sigma(points, family) -> FinMeasSpace:
@@ -190,60 +183,54 @@ def induced_sigma(points, family) -> FinMeasSpace:
 class MeasFn:
     """A measurable function between finite measurable spaces.
 
-    `mapping` lists the codomain point for each domain point, aligned with
-    dom.points; `atom_map` lists, for each atom of dom, the position of
-    the codomain atom it lands in.
+    `image` lists the codomain position of each domain point, aligned
+    with dom.points, and `mapping` is the same list as codomain labels;
+    `atom_map` lists, for each atom of dom, the position of the codomain
+    atom it lands in.
     """
 
     dom: FinMeasSpace
     cod: FinMeasSpace
-    mapping: tuple[str, ...]
+    image: tuple[int, ...]
     atom_map: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if len(self.mapping) != len(self.dom.points):
-            raise DomainError(f"mapping has {len(self.mapping)} values for "
-                              f"{len(self.dom.points)} domain points")
+        _check_positions(self.image, len(self.dom.points), len(self.cod.points))
         # measurable exactly when each domain atom lands in one codomain
         # atom; the preimage scan only runs to name a witness
-        dom_atom, cod_atom = self.dom.atom_index, self.cod.atom_index
+        cod_atom = self.cod.point_atom
         landing: dict[int, int] = {}
-        for p, q in zip(self.dom.points, self.mapping):
-            if q not in cod_atom:
-                raise DomainError(f"image {q!r} not in codomain")
-            if landing.setdefault(dom_atom[p], cod_atom[q]) != cod_atom[q]:
-                _, witness = is_measurable(dict(zip(self.dom.points, self.mapping)),
-                                           self.dom, self.cod)
+        for k, j in zip(self.dom.point_atom, self.image):
+            if landing.setdefault(k, cod_atom[j]) != cod_atom[j]:
+                _, witness = is_measurable(self.image, self.dom, self.cod)
                 names = self.cod.subset_names(witness)
                 raise DomainError(f"map is not measurable; witness set {names}")
         object.__setattr__(self, "atom_map",
                            tuple(landing[k] for k in range(len(landing))))
 
-    def __call__(self, p: str) -> str:
-        return self.mapping[self.dom.points.index(p)]
+    @property
+    def mapping(self) -> tuple[str, ...]:
+        """The codomain label of each domain point."""
+        return tuple(self.cod.points[j] for j in self.image)
 
     @classmethod
     def identity(cls, space: FinMeasSpace) -> "MeasFn":
-        return cls(space, space, space.points)
+        return cls(space, space, tuple(range(len(space.points))))
 
 
-def is_measurable(mapping, dom: FinMeasSpace, cod: FinMeasSpace):
-    """Check measurability; on failure return a witness codomain set.
+def is_measurable(image, dom: FinMeasSpace, cod: FinMeasSpace):
+    """Check measurability by preimages; on failure return a witness
+    codomain set.
 
-    `mapping` is a dict from domain point to codomain point.  Returns
+    `image` lists the codomain position of each domain point.  Returns
     (True, None) or (False, witness_mask) where the witness's preimage is
-    not in dom.sigma.
+    not in dom.sigma.  This is the definition, kept as the reference
+    oracle for the atom test in `MeasFn` and `measurable_maps`.
     """
-    cindex = {p: i for i, p in enumerate(cod.points)}
-    img = []
-    for p in dom.points:
-        q = mapping[p]
-        if q not in cindex:
-            raise DomainError(f"image {q!r} not in codomain")
-        img.append(cindex[q])
+    _check_positions(image, len(dom.points), len(cod.points))
     for u in sorted(cod.sigma):
         pre = 0
-        for i, j in enumerate(img):
+        for i, j in enumerate(image):
             if u >> j & 1:
                 pre |= 1 << i
         if pre not in dom.sigma:
@@ -276,11 +263,8 @@ def measurable_maps(X: FinMeasSpace, Y: FinMeasSpace) -> list[tuple[int, ...]]:
 
 
 def enumerate_meas_fns(X: FinMeasSpace, Y: FinMeasSpace) -> list[MeasFn]:
-    """`measurable_maps` as checked `MeasFn`s, in lexicographic mapping order."""
-    out = [MeasFn(X, Y, tuple(Y.points[j] for j in m))
-           for m in measurable_maps(X, Y)]
-    out.sort(key=lambda f: f.mapping)
-    return out
+    """`measurable_maps` as checked `MeasFn`s, in the same order."""
+    return [MeasFn(X, Y, m) for m in measurable_maps(X, Y)]
 
 
 def is_separated(X: FinMeasSpace):

@@ -88,9 +88,8 @@ def eval_map(X: FinMeasSpace, Y: FinMeasSpace, F: FnSpace) -> MeasFn:
     """(x, f) -> f(x) on the tensor of X with F = function_space(X, Y);
     MeasFn raises DomainError if it is not measurable, which would be a
     bug."""
-    mapping = tuple(Y.points[f[i]] for i in range(len(X.points))
-                    for f in F.elements)
-    return MeasFn(tensor_space(X, F.carrier), Y, mapping)
+    image = tuple(f[i] for i in range(len(X.points)) for f in F.elements)
+    return MeasFn(tensor_space(X, F.carrier), Y, image)
 
 
 def curry_positions(f: tuple[int, ...], F: FnSpace, nz: int) -> tuple:
@@ -110,10 +109,10 @@ def curry(f: MeasFn, X: FinMeasSpace, Z: FinMeasSpace, Y: FinMeasSpace) -> MeasF
     if f.dom != tensor_space(X, Z):
         raise DomainError("map is not defined on the tensor of X and Z")
     F = function_space(X, Y)
-    g = curry_positions(tuple(map(f.cod.points.index, f.mapping)), F, len(Z.points))
+    g = curry_positions(f.image, F, len(Z.points))
     if None in g:
         raise DomainError(f"section at {Z.points[g.index(None)]!r} is not measurable")
-    return MeasFn(Z, F.carrier, tuple(F.carrier.points[j] for j in g))
+    return MeasFn(Z, F.carrier, g)
 
 
 def uncurry(g: MeasFn, X: FinMeasSpace, Z: FinMeasSpace, Y: FinMeasSpace) -> MeasFn:
@@ -121,8 +120,7 @@ def uncurry(g: MeasFn, X: FinMeasSpace, Z: FinMeasSpace, Y: FinMeasSpace) -> Mea
     F = function_space(X, Y)
     if g.cod != F.carrier:
         raise DomainError("map does not land in the function space of X and Y")
-    f = uncurry_positions(tuple(map(F.carrier.points.index, g.mapping)), F)
-    return MeasFn(tensor_space(X, Z), Y, tuple(Y.points[j] for j in f))
+    return MeasFn(tensor_space(X, Z), Y, uncurry_positions(g.image, F))
 
 
 # ---------------------------------------------------------------------------

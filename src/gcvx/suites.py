@@ -15,6 +15,7 @@ from . import adjunction as adj
 from . import convex as cvx
 from . import giry, smcc
 from .adjunction import MIX_GRID
+from .jsonio import witness_text
 from .kernel import CapacityError, DomainError, ONE, ZERO, rat, rat_str, step_integrate
 from .measurable import (FinMeasSpace, enumerate_meas_fns, is_separated, mask_of,
                          measurable_maps)
@@ -105,7 +106,9 @@ def _suite_adjunction(config) -> LawReport:
         X = FinMeasSpace.discrete(_point_names(n))
         rep.merge(adj.triangle_check(X))
         dists = giry.grid_dists(X)
-        atom = X.atom_index
+        diracs = [giry.atom_dirac(X, k) for k in X.point_atom]
+        supports = [[x for x, k in enumerate(X.point_atom) if P.num[k]]
+                    for P in dists]
         for j, A in enumerate(lattices):
             sa = adj.sigma_functor(A)
             homs = enumerate_meas_fns(X, sa.space)
@@ -113,16 +116,16 @@ def _suite_adjunction(config) -> LawReport:
             for k, f in enumerate(homs):
                 g = adj.adjunct(f, A)
                 back = adj.adjunct_inverse(g, X, sa)
-                rep.record(back.mapping == f.mapping, "adjunct.roundtrip",
-                           f"X{n}-A{j}-f{k}", witness=(f.mapping, back.mapping))
-                dirac_profile = tuple(g(giry.dirac(X, x)) for x in X.points)
-                seen_diracs.add(dirac_profile)
-                for i, P in enumerate(dists):
-                    support = [x for x in X.points if P.num[atom[x]]]
-                    expect = A.meet_all(f(x) for x in support)
+                rep.record(back.image == f.image, "adjunct.roundtrip",
+                           f"X{n}-A{j}-f{k}",
+                           witness=lambda: (f.mapping, back.mapping))
+                seen_diracs.add(tuple(g(d) for d in diracs))
+                for i, (P, support) in enumerate(zip(dists, supports)):
+                    expect = A.meet_all(f.image[x] for x in support)
                     got = g(P)
                     rep.record(got == expect, "adjunct.meet-of-support",
-                               f"X{n}-A{j}-f{k}-P{i}", witness=(got, expect))
+                               f"X{n}-A{j}-f{k}-P{i}",
+                               witness=lambda: (A.elements[got], A.elements[expect]))
             rep.record(len(seen_diracs) == len(homs), "adjunct.injective",
                        f"X{n}-A{j}", witness=len(seen_diracs))
     for j, A in enumerate(lattices):
@@ -164,11 +167,8 @@ def _suite_algebra(config, h_twist) -> LawReport:
                 rep.record(False, "roundtrip.isomorphism", f"n{n}L{j}",
                            witness=str(exc))
     X = FinMeasSpace.discrete(("a", "b"))
-    free = adj.free_algebra_to_convex(X)
     for i, PP in enumerate(giry.two_level_dists(X)[:40]):
-        ok = adj.mu_matches_counit(X, PP)
-        bary = free["q"](PP)
-        rep.record(ok and bary == giry.mu(PP).mass, "roundtrip.free-barycenter",
+        rep.record(adj.mu_matches_counit(X, PP), "roundtrip.free-barycenter",
                    f"free-PP{i}", witness=PP.describe)
     return rep
 
@@ -179,8 +179,10 @@ def _suite_convex(config) -> LawReport:
     geoms = [cvx.unit_interval(), cvx.free_convex(2),
              cvx.GeomCvx.of(2, (("0", "0"), ("1", "0"), ("0", "1"), ("1", "1")))]
     for j, A in enumerate(lattices):
-        for a, b in itertools.product(A.elements, repeat=2):
-            inst = f"L{j}-{a}{b}"
+        names = A.elements
+        points = range(len(names))
+        for a, b in itertools.product(points, repeat=2):
+            inst = f"L{j}-{names[a]}{names[b]}"
             rep.record(cvx.convex_combine(A, a, b, ZERO) == a,
                        "axiom.left-unit", inst)
             rep.record(cvx.convex_combine(A, a, b, ONE) == b,
@@ -189,18 +191,18 @@ def _suite_convex(config) -> LawReport:
                 lhs = cvx.convex_combine(A, a, b, al)
                 rhs = cvx.convex_combine(A, b, a, ONE - al)
                 rep.record(lhs == rhs, "axiom.commutation", inst,
-                           witness=(lhs, rhs))
+                           witness=lambda: (names[lhs], names[rhs]))
                 rep.record(cvx.convex_combine(A, a, a, al) == a,
                            "axiom.idempotence", inst)
-            for c in A.elements:
+            for c in points:
                 for al, be in itertools.product(MIX_GRID, repeat=2):
                     lhs = cvx.convex_combine(
                         A, cvx.convex_combine(A, a, b, al), c, be)
                     w_a = (ONE - al) * (ONE - be)
                     w_b = al * (ONE - be)
                     rhs = cvx.combine_many(A, (w_a, w_b, be), (a, b, c))
-                    rep.record(lhs == rhs, "axiom.barycentric", f"{inst}{c}",
-                               witness=(lhs, rhs))
+                    rep.record(lhs == rhs, "axiom.barycentric", f"{inst}{names[c]}",
+                               witness=lambda: (names[lhs], names[rhs]))
         sep, pair = is_separated(adj.sigma_functor(A).space)
         rep.record(sep, "separation.sigma-of-A", f"L{j}", witness=pair)
     for j, G in enumerate(geoms):
@@ -231,43 +233,46 @@ def _suite_boolean(config) -> LawReport:
     rep = LawReport("boolean-subobjects")
     for j, A in enumerate(_semilattices(config.get("maxSize", 4))):
         subs = cvx.all_boolean_subobjects(A)
+        is_filter = [cvx.chi_is_affine(S)[0] for S in subs]
         for k, S in enumerate(subs):
             ok, wit = cvx.is_boolean_subobject(S)
             rep.record(ok, "boolean.verified", f"L{j}-S{k}", witness=wit,
-                       detail=sorted(S.members))
-            if cvx.chi_is_affine(S)[0]:
+                       detail=cvx.labels(A, S.members))
+            if is_filter[k]:
                 uni = cvx.boolean_union_identity(A, S)
                 rep.record(uni["passed"], "boolean.union-of-generated",
                            f"L{j}-S{k}", witness=uni["union"])
-        filters = [S for S in subs if cvx.chi_is_affine(S)[0]]
+        filters = [S for S, f in zip(subs, is_filter) if f]
         for k1, k2 in itertools.combinations(range(len(filters)), 2):
             chk = cvx.boolean_intersection_check(A, filters[k1], filters[k2])
             rep.record(chk["passed"], "boolean.filter-intersection",
                        f"L{j}-F{k1}F{k2}", witness=chk["witness"])
-        for a in A.elements:
+        for a, name in enumerate(A.elements):
             gen = cvx.generated_subobject(A, a)
-            up = frozenset(b for b in A.elements if A.leq(a, b))
-            rep.record(gen == up, "boolean.generated-is-upset", f"L{j}-{a}",
-                       witness=lambda: (sorted(gen), sorted(up)))
+            up = frozenset(b for b in range(len(A.elements)) if A.leq(a, b))
+            rep.record(gen == up, "boolean.generated-is-upset", f"L{j}-{name}",
+                       witness=lambda: (cvx.labels(A, gen), cvx.labels(A, up)))
     return rep
 
 
 def _curry_uncurry_failure(outer, inner, F, nz):
     """The first map on which curry and uncurry fail to be inverse
-    bijections between the hom-sets, with the check it fails, or None."""
-    outer_set, inner_set = set(outer), set(inner)
+    bijections between the hom-sets, with the check it fails, or None.
+
+    Only `outer` is walked: if the hom-sets have one size, and on every f
+    in `outer` curry lands in `inner` and uncurry undoes it, then curry is
+    an injection between finite sets of one size, so a bijection, and
+    uncurry is its inverse."""
+    if len(outer) != len(inner):
+        return {"check": "the hom-sets have one size",
+                "sizes": (len(outer), len(inner))}
+    inner_set = set(inner)
     for f in outer:
         g = smcc.curry_positions(f, F, nz)
         if g not in inner_set:
             return {"check": "curry lands in the hom-set", "map": f}
         if smcc.uncurry_positions(g, F) != f:
             return {"check": "uncurry after curry is the identity", "map": f}
-    for g in inner:
-        f = smcc.uncurry_positions(g, F)
-        if f not in outer_set:
-            return {"check": "uncurry lands in the hom-set", "map": g}
-        if smcc.curry_positions(f, F, nz) != g:
-            return {"check": "curry after uncurry is the identity", "map": g}
     return None
 
 
@@ -364,9 +369,9 @@ def _suite_errata(config) -> LawReport:
     two = cvx.two_space()
     maps = cvx.affine_semi_to_interval_maps(
         two, (ZERO, Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), ONE))
-    rep.record(all(m.apply("0") == m.apply("1") for m in maps),
+    rep.record(all(m.apply(0) == m.apply(1) for m in maps),
                "errata.two-affine-maps-constant", "collapse",
-               witness=lambda: [(rat_str(m.apply("0")), rat_str(m.apply("1")))
+               witness=lambda: [(rat_str(m.apply(0)), rat_str(m.apply(1)))
                                 for m in maps])
     inj = cvx.injectivity_check(two)
     rep.record(not inj["injective"], "errata.double-dual-not-injective",
@@ -434,7 +439,7 @@ def explain(report: LawReport, instance: str, law: str = None) -> str:
         lines.append("verdict: pass")
     for f in hits:
         lines.append(f"law: {f.law}")
-        lines.append(f"witness: {f.witness}")
+        lines.append(f"witness: {witness_text(f.witness)}")
         lines.append("evaluation: both sides computed; values differ at the "
                      "witness above")
         verdict = "expected failure (documented erratum)" if \

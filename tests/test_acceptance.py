@@ -230,9 +230,10 @@ def test_criterion_11_mutation_self_check():
             out = h(P)
             atoms = P.space.atoms
             if len(atoms) > 1:
-                names = P.space.subset_names(atoms[-1])
-                return names[0] if out != names[0] else \
-                    P.space.subset_names(atoms[0])[0]
+                # the lowest position in the last atom, or in the first
+                last = (atoms[-1] & -atoms[-1]).bit_length() - 1
+                return last if out != last else \
+                    (atoms[0] & -atoms[0]).bit_length() - 1
             return out
         return crooked
 

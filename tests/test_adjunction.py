@@ -19,9 +19,8 @@ QUARTER = Fraction(1, 4)
 
 
 def chain3():
-    return SemiCvx.of(
-        ("a", "b", "c"),
-        (("a", "a", "a"), ("a", "b", "b"), ("a", "b", "c")))
+    # a < b < c, at positions 0, 1 and 2
+    return SemiCvx(("a", "b", "c"), ((0, 0, 0), (0, 1, 1), (0, 1, 2)))
 
 
 def test_sigma_functor_on_the_classifier():
@@ -42,8 +41,8 @@ def test_counit_meet_of_support():
     A = chain3()
     sa = adj.sigma_functor(A)
     P = FinDist(sa.space, (ZERO, HALF, HALF))
-    assert adj.counit(A, P) == "b"
-    assert adj.counit(A, dirac(sa.space, "c")) == "c"
+    assert adj.counit(A, P) == 1  # b
+    assert adj.counit(A, dirac(sa.space, "c")) == 2
 
 
 def test_counit_barycenter():
@@ -55,12 +54,13 @@ def test_adjunct_roundtrip_and_meet_formula():
     A = chain3()
     sa = adj.sigma_functor(A)
     X = FinMeasSpace.discrete(("x", "y"))
-    f = MeasFn(X, sa.space, ("a", "c"))
+    f = MeasFn(X, sa.space, (0, 2))  # x -> a, y -> c
+    assert f.mapping == ("a", "c")
     g = adj.adjunct(f, A)
-    assert g(dirac(X, "x")) == "a"
+    assert g(dirac(X, "x")) == 0
     P = FinDist(X, (HALF, HALF))
-    assert g(P) == "a"  # meet of {a, c}
-    assert adj.adjunct_inverse(g, X, sa).mapping == f.mapping
+    assert g(P) == 0  # meet of {a, c}
+    assert adj.adjunct_inverse(g, X, sa).image == f.image
 
 
 def test_triangle_identities():
@@ -156,7 +156,7 @@ def test_algebra_to_convex_rejects_weight_dependence():
     def crooked(P):
         # picks a point by comparing mass to an interior threshold, which
         # makes the induced binary operation depend on the weight
-        return "a" if P.mass[0] >= Fraction(2, 3) else "b"
+        return 0 if P.mass[0] >= Fraction(2, 3) else 1
 
     alg = adj.GiryAlgebra(X, crooked)
     with pytest.raises(DomainError):
@@ -169,17 +169,8 @@ def test_corrupted_structure_map_fails_laws():
 
     def twisted(P):
         out = good.h(P)
-        return "c" if out == "a" else out
+        return 2 if out == 0 else out  # a goes to c
 
     rep = adj.algebra_law_report(adj.GiryAlgebra(good.space, twisted))
     assert not rep.ok
 
-
-def test_free_algebra_realizes_the_simplex():
-    X = FinMeasSpace.discrete(("a", "b"))
-    free = adj.free_algebra_to_convex(X)
-    assert free["kind"] == "geom"
-    assert free["theta"]["a"] == (ONE, ZERO)
-    for PP in two_level_dists(X)[:10]:
-        from gcvx.giry import mu
-        assert free["q"](PP) == mu(PP).mass

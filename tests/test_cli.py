@@ -26,6 +26,18 @@ def test_errata_failures_do_not_fail_the_process(capsys):
     assert "expected erratum" in out
 
 
+def test_witnesses_print_as_the_report_writes_them(capsys):
+    # stdout spells a rational witness "p/q", as the JSON report does,
+    # never as a Python repr
+    assert main(["errata"]) == 0
+    out = capsys.readouterr().out
+    assert '"1/2"' in out and "Fraction(" not in out
+    assert '@ collapse [expected erratum]: ["0", "1"]' in out
+    assert main(["explain", "--suite", "errata", "--instance", "lshape"]) == 0
+    out = capsys.readouterr().out
+    assert 'witness: [["1/1", "0/1"], ["0/1", "1/1"], "1/2"]' in out.splitlines()
+
+
 def test_json_report_written(tmp_path, capsys):
     out = tmp_path / "report.json"
     assert main(["errata", "--json", str(out)]) == 0

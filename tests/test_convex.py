@@ -15,22 +15,18 @@ def square():
 
 
 def chain2():
-    # a < b
-    return cvx.SemiCvx.of(("a", "b"), (("a", "a"), ("a", "b")))
+    # a < b, at positions 0 and 1
+    return cvx.SemiCvx(("a", "b"), ((0, 0), (0, 1)))
 
 
 def chain3():
     # a < b < c
-    return cvx.SemiCvx.of(
-        ("a", "b", "c"),
-        (("a", "a", "a"), ("a", "b", "b"), ("a", "b", "c")))
+    return cvx.SemiCvx(("a", "b", "c"), ((0, 0, 0), (0, 1, 1), (0, 1, 2)))
 
 
 def vee():
     # p = r meet s, r and s incomparable
-    return cvx.SemiCvx.of(
-        ("p", "r", "s"),
-        (("p", "p", "p"), ("p", "r", "p"), ("p", "p", "s")))
+    return cvx.SemiCvx(("p", "r", "s"), ((0, 0, 0), (0, 1, 0), (0, 0, 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -39,23 +35,28 @@ def vee():
 
 def test_semicvx_rejects_non_semilattices():
     with pytest.raises(DomainError):
-        cvx.SemiCvx.of(("a", "b"), (("b", "a"), ("a", "b")))  # not idempotent
+        cvx.SemiCvx(("a", "b"), ((1, 0), (0, 1)))  # not idempotent
     with pytest.raises(DomainError):
-        cvx.SemiCvx.of(("a", "b"), (("a", "a"), ("b", "b")))  # not commutative
+        cvx.SemiCvx(("a", "b"), ((0, 0), (1, 1)))  # not commutative
+    for entry in (2, -1, "a"):  # not a position of the carrier
+        with pytest.raises(DomainError):
+            cvx.SemiCvx(("a", "b"), ((0, entry), (entry, 1)))
 
 
 def test_two_space_interior_mixes_hit_zero():
     two = cvx.two_space()
     for alpha in (Fraction(1, 4), HALF, Fraction(3, 4)):
-        assert cvx.convex_combine(two, "0", "1", alpha) == "0"
-    assert cvx.convex_combine(two, "0", "1", ZERO) == "0"
-    assert cvx.convex_combine(two, "0", "1", ONE) == "1"
+        assert cvx.convex_combine(two, 0, 1, alpha) == 0
+    assert cvx.convex_combine(two, 0, 1, ZERO) == 0
+    assert cvx.convex_combine(two, 0, 1, ONE) == 1
+    with pytest.raises(DomainError):
+        cvx.convex_combine(two, 0, 2, HALF)  # not a position
 
 
 def test_leq_and_meet_all():
     A = chain3()
-    assert A.leq("a", "c") and not A.leq("c", "a")
-    assert A.meet_all(("c", "b", "c")) == "b"
+    assert A.leq(0, 2) and not A.leq(2, 0)
+    assert A.meet_all((2, 1, 2)) == 1
     with pytest.raises(DomainError):
         A.meet_all(())
 
@@ -119,9 +120,12 @@ def test_geometric_combine_matches_coordinates(alpha):
 def test_combine_semilattice_weight_independent():
     A = vee()
     for alpha in (Fraction(1, 8), HALF, Fraction(7, 8)):
-        assert cvx.convex_combine(A, "r", "s", alpha) == "p"
-    assert cvx.combine_many(A, (HALF, HALF, ZERO), ("r", "s", "p")) == "p"
-    assert cvx.combine_many(A, (ONE, ZERO, ZERO), ("r", "s", "p")) == "r"
+        assert cvx.convex_combine(A, 1, 2, alpha) == 0
+    assert cvx.combine_many(A, (HALF, HALF, ZERO), (1, 2, 0)) == 0
+    assert cvx.combine_many(A, (ONE, ZERO, ZERO), (1, 2, 0)) == 1
+    for bad in (-1, 3):  # a negative position must not wrap around
+        with pytest.raises(DomainError):
+            cvx.combine_many(A, (HALF, HALF), (1, bad))
 
 
 # ---------------------------------------------------------------------------
@@ -156,14 +160,15 @@ def test_halfspace_boolean_and_contains():
 
 def test_chain_singleton_bottom_is_boolean_but_not_filter():
     A = chain2()
-    S = cvx.SemiSubset(A, frozenset({"a"}))
+    S = cvx.SemiSubset(A, frozenset({0}))
+    with pytest.raises(DomainError):
+        cvx.SemiSubset(A, frozenset({2}))  # not a position of A
     assert cvx.is_boolean_subobject(S)[0]
     ok, witness = cvx.chi_is_affine(S)
     assert not ok and witness is not None
     uni = cvx.boolean_union_identity(A, S)
     assert not uni["passed"]  # generated subobjects overshoot: up(a) = {a,b}
     assert uni["union"] == ["a", "b"]
-    assert uni["chi_affine"] is False
 
 
 def test_filters_satisfy_union_identity():
@@ -175,14 +180,14 @@ def test_filters_satisfy_union_identity():
 
 def test_generated_subobject_is_up_set():
     A = chain3()
-    assert cvx.generated_subobject(A, "b") == frozenset({"b", "c"})
-    assert cvx.generated_subobject(A, "a") == frozenset({"a", "b", "c"})
+    assert cvx.generated_subobject(A, 1) == frozenset({1, 2})
+    assert cvx.generated_subobject(A, 0) == frozenset({0, 1, 2})
 
 
 def test_semilattice_intersection_can_fail():
     A = vee()
-    S1 = cvx.SemiSubset(A, frozenset({"p", "r"}))
-    S2 = cvx.SemiSubset(A, frozenset({"p", "s"}))
+    S1 = cvx.SemiSubset(A, frozenset({0, 1}))  # {p, r}
+    S2 = cvx.SemiSubset(A, frozenset({0, 2}))  # {p, s}
     assert cvx.is_boolean_subobject(S1)[0]
     assert cvx.is_boolean_subobject(S2)[0]
     chk = cvx.boolean_intersection_check(A, S1, S2)
@@ -211,17 +216,20 @@ def test_semi_to_interval_maps_are_constant():
     maps = cvx.affine_semi_to_interval_maps(A, (ZERO, HALF, ONE))
     assert len(maps) == 3
     for m in maps:
-        assert m.apply("a") == m.apply("b")
+        assert m.apply(0) == m.apply(1)
     with pytest.raises(DomainError):
         cvx.SemiToI(A, (ZERO, ONE))  # non-constant cannot be affine
 
 
 def test_semi_to_semi_preserves_meets():
     A, B = chain2(), chain3()
-    f = cvx.SemiToSemi(A, B, ("a", "c"))
-    assert f.apply("a") == "a"
+    f = cvx.SemiToSemi(A, B, (0, 2))  # a -> a, b -> c
+    assert f.apply(0) == 0
     with pytest.raises(DomainError):
-        cvx.SemiToSemi(vee(), chain3(), ("c", "a", "b"))
+        cvx.SemiToSemi(vee(), chain3(), (2, 0, 1))
+    for bad in ((0,), (0, 3), (0, -1)):  # one position of B per element
+        with pytest.raises(DomainError):
+            cvx.SemiToSemi(A, B, bad)
 
 
 def test_geom_functionals_and_separation():
@@ -238,9 +246,9 @@ def test_two_space_double_dual_collapses():
     two = cvx.two_space()
     res = cvx.injectivity_check(two)
     assert not res["injective"]
-    assert res["witness"] == ("0", "1")
+    assert res["witness"] == ("0", "1")  # labels
     for m in cvx.affine_semi_to_interval_maps(two, (ZERO, HALF, ONE)):
-        assert m.apply("0") == m.apply("1")
+        assert m.apply(0) == m.apply(1)
 
 
 # ---------------------------------------------------------------------------

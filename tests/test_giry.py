@@ -109,11 +109,14 @@ def test_measure_of_sets_and_non_measurable_rejection():
 def test_dirac_and_pushforward():
     X = disc(3)
     Y = disc(2)
-    f = MeasFn(X, Y, ("a", "a", "b"))
+    f = MeasFn(X, Y, (0, 0, 1))  # a, b -> a and c -> b
     P = FinDist(X, (HALF, QUARTER, QUARTER))
     Q = pushforward(f, P)
     assert Q.mass == (Fraction(3, 4), QUARTER)
     assert pushforward(f, dirac(X, "b")) == dirac(Y, "a")
+    assert dirac(X, "c") == giry.atom_dirac(X, 2)
+    with pytest.raises(DomainError):
+        dirac(X, "z")
 
 
 def small_spaces():
@@ -131,8 +134,8 @@ def test_pushforward_matches_preimage_definition():
                     Q = pushforward(f, P)
                     for V in Y.sigma:
                         pre = 0
-                        for i, q in enumerate(f.mapping):
-                            if V >> Y.points.index(q) & 1:
+                        for i, j in enumerate(f.image):
+                            if V >> j & 1:
                                 pre |= 1 << i
                         assert Q.measure(V) == P.measure(pre)
                         checked += 1
@@ -226,7 +229,7 @@ def test_unit_laws_by_hand():
 
 def test_monad_law_report_all_green():
     X = disc(2)
-    f = MeasFn(X, X, ("b", "a"))
+    f = MeasFn(X, X, (1, 0))  # the swap
     rep = monad_law_report(X, naturality_maps=[f])
     assert rep.ok
     assert rep.instances > 100
@@ -262,9 +265,9 @@ def test_mix_dists_is_coordinatewise(alpha):
 
 def test_wa_functional_constants_and_equivariance():
     two = two_space()
-    F = giry.WAFunctional(two, ((HALF, "0"), (HALF, "1")))
+    F = giry.WAFunctional(two, ((HALF, 0), (HALF, 1)))
     endos = [EndoI.of(HALF, QUARTER), EndoI.of(-HALF, Fraction(3, 4))]
-    fns = [lambda a: ONE if a == "1" else ZERO]
+    fns = [lambda a: ONE if a == 1 else ZERO]
     chk = wa_check(F, endos, fns)
     assert chk["passed"]
 
@@ -274,17 +277,18 @@ def test_wa_check_detects_unnormalized_weights():
     # the constructor rejects these weights, so bypass it
     bad = object.__new__(giry.WAFunctional)
     object.__setattr__(bad, "base", two)
-    object.__setattr__(bad, "terms", ((HALF, "0"), (QUARTER, "1")))
+    object.__setattr__(bad, "terms", ((HALF, 0), (QUARTER, 1)))
     chk = wa_check(bad, [], [])
     assert not chk["passed"]
 
 
 def test_measure_functional_roundtrip():
-    A = SemiCvx.of(("a", "b"), (("a", "a"), ("a", "b")))
+    A = SemiCvx(("a", "b"), ((0, 0), (0, 1)))
     space = FinMeasSpace.discrete(("a", "b"))
     P = FinDist(space, (QUARTER, Fraction(3, 4)))
     F = measure_to_functional(P, A)
+    assert F.terms == ((QUARTER, 0), (Fraction(3, 4), 1))
     assert functional_to_measure(F, space) == P
     # the functional evaluates indicators to the measure of the set
-    chi_b = lambda x: ONE if x == "b" else ZERO
+    chi_b = lambda x: ONE if x == 1 else ZERO
     assert F.apply(chi_b) == Fraction(3, 4)

@@ -81,8 +81,7 @@ def test_atoms_are_the_partition_blocks():
     # stored ordered by lowest point: equal algebras are equal values
     Y = FinMeasSpace(PTS3, [0b110, 0b001])
     assert Y == X and hash(Y) == hash(X) and Y.atoms == X.atoms
-    assert X.atom_of("a") == 0b001
-    assert X.atom_of("b") == 0b110
+    assert X.point_atom == (0, 1, 1)
     assert FinMeasSpace.discrete(PTS3).atoms == (0b001, 0b010, 0b100)
     assert FinMeasSpace.trivial(PTS3).atoms == (0b111,)
 
@@ -129,15 +128,15 @@ def test_generate_sigma_capacity_guard():
 def test_measurability_definition_and_witness():
     X = FinMeasSpace(PTS3, (0b011, 0b100))
     Y = FinMeasSpace.discrete(("0", "1"))
-    ok, wit = is_measurable({"a": "0", "b": "0", "c": "1"}, X, Y)
+    ok, wit = is_measurable((0, 0, 1), X, Y)  # a, b -> 0 and c -> 1
     assert ok and wit is None
-    ok, wit = is_measurable({"a": "0", "b": "1", "c": "1"}, X, Y)
+    image = (0, 1, 1)
+    ok, wit = is_measurable(image, X, Y)
     assert not ok
     # the witness set really does have a non-measurable preimage
     pre = 0
-    mapping = {"a": "0", "b": "1", "c": "1"}
-    for i, p in enumerate(X.points):
-        if wit >> Y.points.index(mapping[p]) & 1:
+    for i, j in enumerate(image):
+        if wit >> j & 1:
             pre |= 1 << i
     assert pre not in X.sigma
 
@@ -145,9 +144,10 @@ def test_measurability_definition_and_witness():
 def test_measfn_composition_and_identity():
     X = FinMeasSpace.discrete(("a", "b"))
     Y = FinMeasSpace.discrete(("0", "1"))
-    f = MeasFn(X, Y, ("0", "1"))
-    assert MeasFn(Y, Y, ("1", "0"))("0") == "1"
-    assert MeasFn.identity(X)("a") == "a"
+    f = MeasFn(X, Y, (0, 1))
+    swap = MeasFn(Y, Y, (1, 0))
+    assert swap.image[0] == 1 and swap.mapping == ("1", "0")
+    assert MeasFn.identity(X).mapping == X.points
     assert f.atom_map == (0, 1)
 
 
@@ -176,14 +176,14 @@ def test_enumerate_meas_fns_agrees_with_preimage_definition():
     spaces = [X for n in (1, 2, 3) for X in all_sigma_spaces(PTS3[:n])]
     candidates = 0
     for X, Y in itertools.product(spaces, spaces):
-        fast = {f.mapping for f in enumerate_meas_fns(X, Y)}
+        fast = {f.image for f in enumerate_meas_fns(X, Y)}
         slow = set()
-        for combo in itertools.product(Y.points, repeat=len(X.points)):
+        for combo in itertools.product(range(len(Y.points)), repeat=len(X.points)):
             candidates += 1
-            ok, wit = is_measurable(dict(zip(X.points, combo)), X, Y)
+            ok, wit = is_measurable(combo, X, Y)
             if ok:
                 slow.add(combo)
-                assert MeasFn(X, Y, combo).mapping == combo
+                assert MeasFn(X, Y, combo).image == combo
             else:
                 # rejected with the preimage scan's own witness
                 with pytest.raises(DomainError) as exc:
@@ -192,9 +192,11 @@ def test_enumerate_meas_fns_agrees_with_preimage_definition():
                     f"map is not measurable; witness set "
                     f"{Y.subset_names(wit)}")
         assert fast == slow
-        # the position enumerator, read as names, is the same list
-        assert [tuple(Y.points[j] for j in m) for m in measurable_maps(X, Y)] \
-            == [f.mapping for f in enumerate_meas_fns(X, Y)]
+        # the position enumerator is the same list, and `mapping` its labels
+        fns = enumerate_meas_fns(X, Y)
+        assert measurable_maps(X, Y) == [f.image for f in fns]
+        assert [tuple(Y.points[j] for j in f.image) for f in fns] \
+            == [f.mapping for f in fns]
     assert candidates == 888
 
 
@@ -208,10 +210,9 @@ def test_points_must_be_distinct():
 def test_measfn_mapping_length_must_match_domain():
     X = FinMeasSpace.discrete(("a", "b"))
     Y = FinMeasSpace.discrete(("0", "1"))
-    with pytest.raises(DomainError):
-        MeasFn(X, Y, ("0",))
-    with pytest.raises(DomainError):
-        MeasFn(X, Y, ("0", "1", "1"))
+    for bad in ((0,), (0, 1, 1), (0, 2), (-1, 0), ("0", "1")):  # labels too
+        with pytest.raises(DomainError):
+            MeasFn(X, Y, bad)
 
 
 def coinduced_by_definition(carrier, family):

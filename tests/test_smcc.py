@@ -70,15 +70,19 @@ def test_eval_map_is_measurable():
     ev = smcc.eval_map(X, Y, smcc.function_space(X, Y))
     # spot check: ev at (a, f) where f maps a -> 1; the map's label "1,0"
     # holds a comma, so it is quoted inside the pair's label
-    assert ev('(a,"1,0")') == "1"
-    assert ev('(b,"1,0")') == "0"
+    by_label = dict(zip(ev.dom.points, ev.mapping))
+    assert by_label['(a,"1,0")'] == "1"
+    assert by_label['(b,"1,0")'] == "0"
     for X in (two_discrete(), comma_discrete()):
         F = smcc.function_space(X, Y)
         ev = smcc.eval_map(X, Y, F)
-        for f in F.elements:
-            mapping = tuple(Y.points[j] for j in f)
-            for x, y in zip(X.points, mapping):
-                assert ev(smcc.pair_name(x, ",".join(mapping))) == y
+        nf = len(F.elements)
+        for k, f in enumerate(F.elements):
+            # (x_i, f_k) is point i*|F| + k of the tensor, and f(x_i) = f[i]
+            for i, j in enumerate(f):
+                assert ev.image[i * nf + k] == j
+                pair = smcc.pair_name(X.points[i], F.carrier.points[k])
+                assert ev.dom.points[i * nf + k] == pair
 
 
 def test_curry_uncurry_roundtrip_exhaustive():
@@ -90,16 +94,18 @@ def test_curry_uncurry_roundtrip_exhaustive():
         outer = enumerate_meas_fns(T, Y)
         inner = enumerate_meas_fns(Z, F.carrier)
         assert len(outer) == len(inner) == 16
+        nz = len(Z.points)
         for f in outer:
             g = smcc.curry(f, X, Z, Y)
-            assert smcc.uncurry(g, X, Z, Y).mapping == f.mapping
-            # the section at each z is f restricted to the pairs (x, z)
-            for z in Z.points:
-                section = tuple(f(smcc.pair_name(x, z)) for x in X.points)
-                assert g(z) == ",".join(section)
+            assert smcc.uncurry(g, X, Z, Y).image == f.image
+            # the section at each z is f restricted to the pairs (x, z),
+            # points i*|Z| + k of the tensor
+            for k in range(nz):
+                assert F.elements[g.image[k]] == f.image[k::nz]
+                assert g.mapping[k] == ",".join(f.mapping[k::nz])
         for g in inner:
             f = smcc.uncurry(g, X, Z, Y)
-            assert smcc.curry(f, X, Z, Y).mapping == g.mapping
+            assert smcc.curry(f, X, Z, Y).image == g.image
 
 
 def test_curry_rejects_a_map_off_the_tensor():
@@ -107,7 +113,7 @@ def test_curry_rejects_a_map_off_the_tensor():
     Y = FinMeasSpace.discrete(("0", "1"))
     W = FinMeasSpace.discrete(("p", "q", "r", "s"))
     with pytest.raises(DomainError):
-        smcc.curry(MeasFn(W, Y, ("0", "1", "0", "1")), X, Z, Y)
+        smcc.curry(MeasFn(W, Y, (0, 1, 0, 1)), X, Z, Y)
 
 
 def test_labels_stay_distinct_when_names_hold_delimiters():

@@ -150,12 +150,12 @@ def test_boolean_subobjects_mutation_self_check(monkeypatch, capsys):
 
 
 def first_point_counit(real):
-    """A counit that returns the first point carrying mass instead of the
-    meet of the support."""
+    """A counit that returns the position of the first point carrying
+    mass instead of the meet of the support."""
     def crooked(A, P):
         if isinstance(A, cvx.SemiCvx):
             first = next(a for a, n in zip(P.space.atoms, P.num) if n)
-            return P.space.subset_names(first)[0]
+            return (first & -first).bit_length() - 1
         return real(A, P)
     return crooked
 

@@ -1,9 +1,13 @@
-"""Every public top-level function and class of the library has a user.
+"""Guards on the shape of the library's source.
 
-A name counts as used when another part of `src/gcvx` refers to it, when
-the benchmark in `perfbench/` names it, when `gcvx.__all__` exports it,
-or when `README.md` documents it in backticks.  A name that only its own
-unit tests call is dead surface: delete it, or document it.
+Every public top-level function and class has a user: a name counts as
+used when another part of `src/gcvx` refers to it, when the benchmark in
+`perfbench/` names it, when `gcvx.__all__` exports it, or when
+`README.md` documents it in backticks.  A name that only its own unit
+tests call is dead surface: delete it, or document it.
+
+A point is its position, and its name is only a label: no library code
+looks a point up by name.
 """
 
 import ast
@@ -51,3 +55,25 @@ def test_every_public_name_has_a_user():
             continue
         unused.append(f"{module}.{name}")
     assert unused == []
+
+
+def _name_lookups(tree) -> list[str]:
+    """Every `<...points>.index` or `<...elements>.index`, called or passed
+    on, and every use of `atom_index` or `atom_of`, as "line: source"."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr == "index":
+            owner = node.value
+            owner = owner.id if isinstance(owner, ast.Name) else getattr(owner, "attr", "")
+            if owner.endswith(("points", "elements")):
+                found.append(node)
+        elif getattr(node, "id", getattr(node, "attr", None)) in ("atom_index", "atom_of"):
+            found.append(node)
+    return [f"{n.lineno}: {ast.unparse(n)}" for n in found]
+
+
+def test_points_are_not_looked_up_by_name():
+    # `mask_of` is where a name from the user becomes a position
+    lookups = {path.name: found for path in sorted(SRC.glob("*.py"))
+               if (found := _name_lookups(ast.parse(path.read_text())))}
+    assert lookups == {}
