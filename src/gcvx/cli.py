@@ -111,7 +111,7 @@ def main(argv=None) -> int:
             return 0
         report = run_suite(args.command, _suite_config(args))
         return _emit(report, args.json_out)
-    except (CapacityError, DomainError, KeyError, OSError, ValueError) as exc:
+    except (CapacityError, DomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_EXIT
 

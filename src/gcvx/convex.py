@@ -331,17 +331,15 @@ def _geom_probe_points(A: GeomCvx):
     return pts
 
 
-def boolean_intersection_check(A, S1, S2) -> dict:
-    """Report whether the intersection of two Boolean subobjects is Boolean.
+def boolean_intersection_check(A, S1, S2):
+    """Whether the intersection of two Boolean subobjects is Boolean:
+    (True, None) or (False, (x, y, alpha)) with a violating triple.
 
     This is a report, not an assertion: complement convexity of the
     intersection can genuinely fail (see the two-dimensional L-shape).
     """
     if isinstance(A, SemiCvx):
-        inter = SemiSubset(A, S1.members & S2.members)
-        ok, witness = is_boolean_subobject(inter)
-        return {"passed": ok, "witness": witness,
-                "intersection": labels(A, inter.members)}
+        return is_boolean_subobject(SemiSubset(A, S1.members & S2.members))
     # geometric: probe both-sides convexity of the intersection predicate
     def member(p):
         return S1.contains(p) and S2.contains(p)
@@ -355,12 +353,13 @@ def boolean_intersection_check(A, S1, S2) -> dict:
             z = tuple((ONE - a_) * u + a_ * v
                       for u, v, a_ in zip(x, y, [alpha] * len(x)))
             if member(z) != side:
-                return {"passed": False, "witness": (x, y, alpha)}
-    return {"passed": True, "witness": None}
+                return False, (x, y, alpha)
+    return True, None
 
 
-def boolean_union_identity(A: SemiCvx, S: SemiSubset) -> dict:
-    """Report whether the union of generated subobjects over S returns S.
+def boolean_union_identity(A: SemiCvx, S: SemiSubset):
+    """Whether the union of generated subobjects over S returns S:
+    (True, None) or (False, the union as labels).
 
     The identity is a theorem for subobjects whose indicator is affine
     (filters); for merely complementary pairs it can fail.
@@ -368,7 +367,7 @@ def boolean_union_identity(A: SemiCvx, S: SemiSubset) -> dict:
     union: set[int] = set()
     for a in S.members:
         union |= generated_subobject(A, a)
-    return {"passed": union == S.members, "union": labels(A, union)}
+    return (True, None) if union == S.members else (False, labels(A, union))
 
 
 # ---------------------------------------------------------------------------
@@ -487,8 +486,9 @@ def geom_spanning_functionals(A: GeomCvx) -> list[GeomToI]:
     return fns
 
 
-def injectivity_check(A) -> dict:
-    """Search for distinct points with equal evaluation functionals.
+def injectivity_check(A):
+    """Search for distinct points with equal evaluation functionals:
+    (True, None) when evaluation is injective, else (False, the pair).
 
     Geometric carriers are separated by rescaled coordinate functionals;
     on semilattices every affine map into the interval is constant, so
@@ -499,13 +499,13 @@ def injectivity_check(A) -> dict:
         fns = geom_spanning_functionals(A)
         for a, b in itertools.combinations(A.generators, 2):
             if all(m.apply(a) == m.apply(b) for m in fns):
-                return {"injective": False, "witness": (a, b)}
-        return {"injective": True, "witness": None}
+                return False, (a, b)
+        return True, None
     fns = affine_semi_to_interval_maps(A, (ZERO, Fraction(1, 2), ONE))
     for a, b in itertools.combinations(range(len(A.elements)), 2):
         if all(m.apply(a) == m.apply(b) for m in fns):
-            return {"injective": False, "witness": (A.elements[a], A.elements[b])}
-    return {"injective": True, "witness": None}
+            return False, (A.elements[a], A.elements[b])
+    return True, None
 
 
 # ---------------------------------------------------------------------------

@@ -34,6 +34,8 @@ def _names(value) -> list:
 def space_from_json(data) -> FinMeasSpace:
     if not isinstance(data, dict):
         raise DomainError("a space must be a JSON object")
+    if "points" not in data:
+        raise DomainError("a space must list its points")
     points = tuple(_names(data["points"]))
     for key, build in (("generators", generate_sigma), ("sigma", space_from_members)):
         if key in data:
@@ -43,9 +45,14 @@ def space_from_json(data) -> FinMeasSpace:
     return FinMeasSpace.discrete(points)
 
 
-def load_json(path: str) -> dict:
+def load_json(path: str):
+    """The JSON value in a file; text that is not UTF-8 JSON is a
+    DomainError."""
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
+            raise DomainError(f"{path} does not hold JSON: {exc}") from None
 
 
 def json_default(obj):

@@ -2,8 +2,8 @@
 
 Tensor and product sigma-algebras on cartesian products, function spaces
 with the evaluation-induced sigma-algebra, currying, and the
-lower-indicator map on the unit interval together with the section
-property of Lebesgue integration on step functions.
+lower-indicator map on the unit interval, whose step-function integral
+is its level (the section property the `lebesgue` suite checks).
 
 A measurable map is the tuple of its codomain positions
 (`measurable_maps`), so hom-sets are lists of position tuples.  The pair
@@ -23,7 +23,7 @@ import itertools
 import json
 from dataclasses import dataclass, field
 
-from .kernel import CapacityError, DomainError, ONE, ZERO, StepFn, rat, rat_str, step_integrate
+from .kernel import CapacityError, DomainError, ONE, ZERO, StepFn, rat
 from .measurable import FinMeasSpace, MeasFn, coinduced_sigma, induced_sigma, measurable_maps
 
 TENSOR_POINT_GUARD = 16
@@ -142,21 +142,3 @@ def down_map(u) -> StepFn:
     if u == ZERO:
         return StepFn.constant(ZERO)
     return StepFn.of((ZERO, u, ONE), (ONE, ZERO), ZERO)
-
-
-def lebesgue_section_check(samples, integrator=step_integrate) -> dict:
-    """Verify that integrating the lower indicator returns its level.
-
-    `samples` are levels u.  Failures are report entries, never
-    exceptions.
-    """
-    entries = []
-    for v in samples:
-        v = rat(v)
-        got = integrator(down_map(v))
-        entries.append({
-            "level": rat_str(v),
-            "integral": rat_str(got),
-            "passed": got == v,
-        })
-    return {"passed": all(e["passed"] for e in entries), "entries": entries}

@@ -140,10 +140,9 @@ def _suite_adjunction(config) -> LawReport:
             back = giry.functional_to_measure(F, sa.space)
             rep.record(back == P, "phi.roundtrip", f"A{j}-P{i}",
                        witness=lambda: (back.describe(), P.describe()))
-            chk = giry.wa_check(F, endos, fns)
-            rep.record(chk["passed"], "phi.weakly-averaging", f"A{j}-P{i}",
-                       witness=lambda: [e for e in chk["entries"]
-                                        if not e["passed"]])
+            ok, failures = giry.wa_check(F, endos, fns)
+            rep.record(ok, "phi.weakly-averaging", f"A{j}-P{i}",
+                       witness=failures)
     return rep
 
 
@@ -160,9 +159,9 @@ def _suite_algebra(config, h_twist) -> LawReport:
                 f.instance = f"n{n}L{j}-{f.instance}"
             rep.merge(sub)
             try:
-                rt = adj.roundtrip_check(A)
-                rep.record(rt["passed"], "roundtrip.isomorphism", f"n{n}L{j}",
-                           witness=rt["theta"])
+                ok, theta = adj.roundtrip_check(A)
+                rep.record(ok, "roundtrip.isomorphism", f"n{n}L{j}",
+                           witness=theta)
             except DomainError as exc:
                 rep.record(False, "roundtrip.isomorphism", f"n{n}L{j}",
                            witness=str(exc))
@@ -239,14 +238,14 @@ def _suite_boolean(config) -> LawReport:
             rep.record(ok, "boolean.verified", f"L{j}-S{k}", witness=wit,
                        detail=cvx.labels(A, S.members))
             if is_filter[k]:
-                uni = cvx.boolean_union_identity(A, S)
-                rep.record(uni["passed"], "boolean.union-of-generated",
-                           f"L{j}-S{k}", witness=uni["union"])
+                ok, union = cvx.boolean_union_identity(A, S)
+                rep.record(ok, "boolean.union-of-generated",
+                           f"L{j}-S{k}", witness=union)
         filters = [S for S, f in zip(subs, is_filter) if f]
         for k1, k2 in itertools.combinations(range(len(filters)), 2):
-            chk = cvx.boolean_intersection_check(A, filters[k1], filters[k2])
-            rep.record(chk["passed"], "boolean.filter-intersection",
-                       f"L{j}-F{k1}F{k2}", witness=chk["witness"])
+            ok, wit = cvx.boolean_intersection_check(A, filters[k1], filters[k2])
+            rep.record(ok, "boolean.filter-intersection",
+                       f"L{j}-F{k1}F{k2}", witness=wit)
         for a, name in enumerate(A.elements):
             gen = cvx.generated_subobject(A, a)
             up = frozenset(b for b in range(len(A.elements)) if A.leq(a, b))
@@ -337,11 +336,12 @@ def _suite_lebesgue(config, integrator) -> LawReport:
     for _ in range(samples):
         den = rng.randrange(1, 1000)
         levels.append(Fraction(rng.randrange(0, den + 1), den))
-    chk = smcc.lebesgue_section_check(levels,
-                                      integrator=integrator or step_integrate)
-    for i, e in enumerate(chk["entries"]):
-        rep.record(e["passed"], "lebesgue.section", f"u{i}",
-                   witness=(e["level"], e["integral"]), detail=e["level"])
+    integrator = integrator or step_integrate
+    for i, u in enumerate(levels):
+        got = integrator(smcc.down_map(u))
+        rep.record(got == u, "lebesgue.section", f"u{i}",
+                   witness=lambda: (rat_str(u), rat_str(got)),
+                   detail=rat_str(u))
     return rep
 
 
@@ -361,9 +361,9 @@ def _suite_errata(config) -> LawReport:
     for S, k in ((S1, 1), (S2, 2)):
         ok, wit = cvx.is_boolean_subobject(S)
         rep.record(ok, "errata.halfspace-boolean", f"S{k}", witness=wit)
-    chk = cvx.boolean_intersection_check(square, S1, S2)
-    rep.record(chk["passed"], "errata.pi-system-closure", "lshape",
-               witness=chk["witness"], erratum_expected=True,
+    ok, wit = cvx.boolean_intersection_check(square, S1, S2)
+    rep.record(ok, "errata.pi-system-closure", "lshape",
+               witness=wit, erratum_expected=True,
                detail={"S1": "x>=1/2", "S2": "y>=1/2",
                        "claim": "intersection of Boolean subobjects is Boolean"})
     two = cvx.two_space()
@@ -373,11 +373,11 @@ def _suite_errata(config) -> LawReport:
                "errata.two-affine-maps-constant", "collapse",
                witness=lambda: [(rat_str(m.apply(0)), rat_str(m.apply(1)))
                                 for m in maps])
-    inj = cvx.injectivity_check(two)
-    rep.record(not inj["injective"], "errata.double-dual-not-injective",
-               "collapse", witness=inj["witness"])
-    rep.record(inj["injective"], "errata.double-dual-injective-claim",
-               "collapse", witness=inj["witness"], erratum_expected=True,
+    injective, pair = cvx.injectivity_check(two)
+    rep.record(not injective, "errata.double-dual-not-injective",
+               "collapse", witness=pair)
+    rep.record(injective, "errata.double-dual-injective-claim",
+               "collapse", witness=pair, erratum_expected=True,
                detail={"space": "two-point classifier",
                        "claim": "evaluation into the double dual is injective"})
     return rep
@@ -433,7 +433,7 @@ def explain(report: LawReport, instance: str, law: str = None) -> str:
         raise DomainError(f"unknown instance reference {instance!r}")
     lines = [f"suite: {report.suite}", f"instance: {instance}"]
     if instance in report.instance_index:
-        lines.append(f"input: {report.instance_index[instance]}")
+        lines.append(f"input: {witness_text(report.instance_index[instance])}")
     if not hits:
         lines.append("evaluation: both sides computed; exact equality holds")
         lines.append("verdict: pass")

@@ -145,9 +145,11 @@ def test_convex_to_algebra_laws_and_roundtrip():
     A = chain3()
     alg = adj.convex_to_algebra(A)
     assert adj.algebra_law_report(alg).ok
-    rt = adj.roundtrip_check(A)
-    assert rt["passed"]
-    assert rt["recovered"].meet_table == A.meet_table
+    ok, theta = adj.roundtrip_check(A)
+    assert ok
+    back, theta_again = adj.algebra_to_convex(alg)
+    assert back.meet_table == A.meet_table
+    assert theta == theta_again == {x: x for x in A.elements}
 
 
 def test_algebra_to_convex_rejects_weight_dependence():

@@ -35,7 +35,10 @@ def test_witnesses_print_as_the_report_writes_them(capsys):
     assert '@ collapse [expected erratum]: ["0", "1"]' in out
     assert main(["explain", "--suite", "errata", "--instance", "lshape"]) == 0
     out = capsys.readouterr().out
-    assert 'witness: [["1/1", "0/1"], ["0/1", "1/1"], "1/2"]' in out.splitlines()
+    lines = out.splitlines()
+    assert 'witness: [["1/1", "0/1"], ["0/1", "1/1"], "1/2"]' in lines
+    assert ('input: {"S1": "x>=1/2", "S2": "y>=1/2", "claim": '
+            '"intersection of Boolean subobjects is Boolean"}') in lines
 
 
 def test_json_report_written(tmp_path, capsys):
@@ -82,12 +85,28 @@ def test_malformed_space_file_is_usage_error(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     for text in ('["a", "b"]', '{"points": [["a"], "b"]}',
                  '{"points": ["a"], "sigma": [5]}',
-                 '{"points": ["a"], "generators": "a"}'):
+                 '{"points": ["a"], "generators": "a"}',
+                 '{"pts": ["a"]}', 'not json'):
         bad.write_text(text)
         assert main(["tensor", "--left", str(bad), "--right", str(good)]) == 2
         assert main(["tensor", "--left", str(good), "--right", str(bad)]) == 2
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 8 and all(line.startswith("error: ") for line in err)
+    assert len(err) == 12 and all(line.startswith("error: ") for line in err)
+
+
+def test_library_bug_is_not_a_usage_error(tmp_path, monkeypatch, capsys):
+    # exit 2 means bad input; an exception from a bug in the library must
+    # surface as itself, not as "error: 'boom'" with exit 2
+    space = tmp_path / "space.json"
+    space.write_text('{"points": ["a"]}')
+
+    def broken(X, Y):
+        raise KeyError("boom")
+
+    monkeypatch.setattr("gcvx.cli.tensor_space", broken)
+    with pytest.raises(KeyError, match="boom"):
+        main(["tensor", "--left", str(space), "--right", str(space)])
+    assert capsys.readouterr().err == ""
 
 
 def test_mutation_hooks_are_not_config_keys(tmp_path, capsys):

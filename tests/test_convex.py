@@ -166,16 +166,16 @@ def test_chain_singleton_bottom_is_boolean_but_not_filter():
     assert cvx.is_boolean_subobject(S)[0]
     ok, witness = cvx.chi_is_affine(S)
     assert not ok and witness is not None
-    uni = cvx.boolean_union_identity(A, S)
-    assert not uni["passed"]  # generated subobjects overshoot: up(a) = {a,b}
-    assert uni["union"] == ["a", "b"]
+    ok, union = cvx.boolean_union_identity(A, S)
+    assert not ok  # generated subobjects overshoot: up(a) = {a,b}
+    assert union == ["a", "b"]
 
 
 def test_filters_satisfy_union_identity():
     for A in (chain3(), vee()):
         for S in cvx.all_boolean_subobjects(A):
             if cvx.chi_is_affine(S)[0]:
-                assert cvx.boolean_union_identity(A, S)["passed"]
+                assert cvx.boolean_union_identity(A, S) == (True, None)
 
 
 def test_generated_subobject_is_up_set():
@@ -190,18 +190,18 @@ def test_semilattice_intersection_can_fail():
     S2 = cvx.SemiSubset(A, frozenset({0, 2}))  # {p, s}
     assert cvx.is_boolean_subobject(S1)[0]
     assert cvx.is_boolean_subobject(S2)[0]
-    chk = cvx.boolean_intersection_check(A, S1, S2)
-    assert not chk["passed"]
-    assert chk["intersection"] == ["p"]
+    ok, witness = cvx.boolean_intersection_check(A, S1, S2)
+    assert not ok
+    # the intersection {p} is not Boolean: its complement {r, s} meets to p
+    assert witness == ("r", "s", HALF)
 
 
 def test_lshape_intersection_fails_in_dimension_two():
     sq = square()
     S1 = cvx.HalfspaceSplit(sq, (ONE, ZERO), HALF, upper_closed=True)
     S2 = cvx.HalfspaceSplit(sq, (ZERO, ONE), HALF, upper_closed=True)
-    chk = cvx.boolean_intersection_check(sq, S1, S2)
-    assert not chk["passed"]
-    x, y, alpha = chk["witness"]
+    ok, (x, y, alpha) = cvx.boolean_intersection_check(sq, S1, S2)
+    assert not ok
     mid = tuple((ONE - alpha) * u + alpha * v for u, v in zip(x, y))
     inside = lambda p: S1.contains(p) and S2.contains(p)
     assert inside(x) == inside(y) != inside(mid)
@@ -239,14 +239,14 @@ def test_geom_functionals_and_separation():
     fns = cvx.geom_spanning_functionals(sq)
     for a, b in itertools.combinations(sq.generators, 2):
         assert any(m.apply(a) != m.apply(b) for m in fns)
-    assert cvx.injectivity_check(sq)["injective"]
+    assert cvx.injectivity_check(sq) == (True, None)
 
 
 def test_two_space_double_dual_collapses():
     two = cvx.two_space()
-    res = cvx.injectivity_check(two)
-    assert not res["injective"]
-    assert res["witness"] == ("0", "1")  # labels
+    injective, pair = cvx.injectivity_check(two)
+    assert not injective
+    assert pair == ("0", "1")  # labels
     for m in cvx.affine_semi_to_interval_maps(two, (ZERO, HALF, ONE)):
         assert m.apply(0) == m.apply(1)
 

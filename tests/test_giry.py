@@ -268,8 +268,7 @@ def test_wa_functional_constants_and_equivariance():
     F = giry.WAFunctional(two, ((HALF, 0), (HALF, 1)))
     endos = [EndoI.of(HALF, QUARTER), EndoI.of(-HALF, Fraction(3, 4))]
     fns = [lambda a: ONE if a == 1 else ZERO]
-    chk = wa_check(F, endos, fns)
-    assert chk["passed"]
+    assert wa_check(F, endos, fns) == (True, None)
 
 
 def test_wa_check_detects_unnormalized_weights():
@@ -278,8 +277,13 @@ def test_wa_check_detects_unnormalized_weights():
     bad = object.__new__(giry.WAFunctional)
     object.__setattr__(bad, "base", two)
     object.__setattr__(bad, "terms", ((HALF, 0), (QUARTER, 1)))
-    chk = wa_check(bad, [], [])
-    assert not chk["passed"]
+    ok, failures = wa_check(bad, [], [])
+    assert not ok
+    # weights summing to 3/4 scale every nonzero constant by 3/4
+    assert failures == [
+        {"law": "constant", "value": "1/2", "passed": False, "got": "3/8"},
+        {"law": "constant", "value": "1/1", "passed": False, "got": "3/4"},
+    ]
 
 
 def test_measure_functional_roundtrip():

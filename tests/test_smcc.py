@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from gcvx import smcc
-from gcvx.kernel import CapacityError, DomainError, ONE, ZERO, step_integrate
+from gcvx.kernel import CapacityError, DomainError, ONE, ZERO, rat, rat_str, step_integrate
 from gcvx.measurable import FinMeasSpace, MeasFn, enumerate_meas_fns, generate_sigma
-from gcvx.suites import all_sigma_spaces
+from gcvx.suites import all_sigma_spaces, run_suite
 
 HALF = Fraction(1, 2)
 
@@ -159,12 +159,18 @@ def test_integral_of_down_map_recovers_level(u):
 
 
 def test_lebesgue_section_report():
-    chk = smcc.lebesgue_section_check([ZERO, Fraction(1, 3), ONE])
-    assert chk["passed"]
-    assert len(chk["entries"]) == 3
+    rep = run_suite("lebesgue", {"samples": 3})
+    assert rep.ok and rep.instances == 3
+    # one instance per sampled level, its detail the level as "p/q"
+    assert sorted(rep.instance_index) == ["u0", "u1", "u2"]
+    assert all(ZERO <= rat(u) <= ONE for u in rep.instance_index.values())
 
 
 def test_lebesgue_detects_broken_integrator():
     bad = lambda f: step_integrate(f) + Fraction(1, 100)
-    chk = smcc.lebesgue_section_check([HALF], integrator=bad)
-    assert not chk["passed"]
+    rep = run_suite("lebesgue", {"samples": 1}, integrator=bad)
+    assert not rep.ok
+    [failure] = rep.failures
+    level = rep.instance_index["u0"]
+    assert failure.law == "lebesgue.section"
+    assert failure.witness == (level, rat_str(rat(level) + Fraction(1, 100)))

@@ -8,6 +8,10 @@ tests call is dead surface: delete it, or document it.
 
 A point is its position, and its name is only a label: no library code
 looks a point up by name.
+
+A law check returns `(ok, witness)`, with `(True, None)` for a pass: no
+library code puts a verdict into a dict, apart from the few dicts whose
+format is fixed from outside (`VERDICT_DICTS_KEPT`).
 """
 
 import ast
@@ -77,3 +81,44 @@ def test_points_are_not_looked_up_by_name():
     lookups = {path.name: found for path in sorted(SRC.glob("*.py"))
                if (found := _name_lookups(ast.parse(path.read_text())))}
     assert lookups == {}
+
+
+VERDICT_KEYS = {"passed", "injective", "entries"}
+
+# (function, keys) of the dicts that keep a verdict key, each for a reason
+VERDICT_DICTS_KEPT = {
+    # the benchmark's polytope workload reads both keys
+    ("eval_hull_identity", frozenset({"passed", "point"})),
+    # the failure entries in wa_check's witness, whose text reports print
+    ("wa_check", frozenset({"law", "value", "passed", "got"})),
+    ("wa_check", frozenset({"law", "endo", "fn", "passed"})),
+    # the report file, where "passed" counts the passing instances
+    ("to_json", frozenset({"suite", "instances", "passed", "failures",
+                           "instanceIndex"})),
+}
+
+
+def _verdict_dicts(tree) -> list[str]:
+    """Every dict display holding a verdict key that VERDICT_DICTS_KEPT
+    does not name, as "function:line"."""
+    found = []
+
+    def visit(node, function):
+        if isinstance(node, ast.FunctionDef):
+            function = node.name
+        elif isinstance(node, ast.Dict):
+            keys = frozenset(k.value for k in node.keys
+                             if isinstance(k, ast.Constant))
+            if keys & VERDICT_KEYS and (function, keys) not in VERDICT_DICTS_KEPT:
+                found.append(f"{function}:{node.lineno}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(tree, None)
+    return found
+
+
+def test_law_checks_return_ok_and_witness():
+    sites = {path.stem: found for path in sorted(SRC.glob("*.py"))
+             if (found := _verdict_dicts(ast.parse(path.read_text())))}
+    assert sites == {}
