@@ -1,11 +1,15 @@
+import hashlib
 import itertools
+import json
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 from gcvx import convex as cvx
-from gcvx.kernel import DomainError, ONE, ZERO
+from gcvx.adjunction import eval_hull_identity
+from gcvx.kernel import DomainError, ONE, ZERO, rat_str
 
 HALF = Fraction(1, 2)
 
@@ -249,6 +253,69 @@ def test_two_space_double_dual_collapses():
     assert pair == ("0", "1")  # labels
     for m in cvx.affine_semi_to_interval_maps(two, (ZERO, HALF, ONE)):
         assert m.apply(0) == m.apply(1)
+
+
+# ---------------------------------------------------------------------------
+# seeded geometric corpus: a behaviour gate for functionals and separation
+
+GEOM_CORPUS_SIZE = 400
+GEOM_CORPUS_DIGEST = "a903d4ad1817c0861c3828d09aa15450331621ca8646f335affc244d0035a779"
+
+
+def _coord(rng):
+    if rng.random() < 0.2:
+        return Fraction(0)
+    return Fraction(rng.randint(-6, 9), rng.choice((1, 2, 3, 4, 5, 7, 8, 9, 16)))
+
+
+def geom_corpus():
+    """Seeded polytopes in dimension 1-4 over mixed denominators.
+
+    Some generator lists repeat a generator, some add a point on the line
+    through two others; each polytope comes with a convex combination of
+    generators and a pair of distinct generators to separate."""
+    rng = random.Random("geom-corpus")
+    corpus = []
+    for _ in range(GEOM_CORPUS_SIZE):
+        dim = rng.randint(1, 4)
+        gens = [tuple(_coord(rng) for _ in range(dim))
+                for _ in range(rng.randint(1, 7))]
+        if rng.random() < 0.3:
+            gens.append(rng.choice(gens))
+        if len(gens) > 1 and rng.random() < 0.3:
+            g, h = rng.sample(gens, 2)
+            a = Fraction(rng.randint(-2, 5), rng.choice((2, 3, 4)))
+            gens.append(tuple((1 - a) * x + a * y for x, y in zip(g, h)))
+        A = cvx.GeomCvx(dim, tuple(gens))
+        k = rng.randint(1, 4)
+        raw = [rng.randint(1, 9) for _ in range(k)]
+        weights = [Fraction(r, sum(raw)) for r in raw]
+        points = [rng.choice(gens) for _ in range(k)]
+        distinct = list(dict.fromkeys(gens))
+        pair = tuple(rng.sample(distinct, 2)) if len(distinct) > 1 else None
+        corpus.append((A, weights, points, pair))
+    return corpus
+
+
+def _vec(v):
+    return [rat_str(Fraction(x)) for x in v]
+
+
+def test_geom_corpus_outputs_are_pinned():
+    results = []
+    for A, weights, points, pair in geom_corpus():
+        fns = cvx.geom_spanning_functionals(A)
+        identity = eval_hull_identity(A, weights, points, fns)
+        assert identity["passed"]
+        entry = {"fns": [[_vec(m.c), rat_str(m.t)] for m in fns],
+                 "point": list(identity["point"])}
+        if pair is not None:
+            S = cvx.separate_points(A, *pair)
+            entry["split"] = [_vec(S.normal), rat_str(S.threshold)]
+        results.append(entry)
+    assert sum("split" in e for e in results) >= GEOM_CORPUS_SIZE // 2
+    blob = json.dumps(results, sort_keys=True)
+    assert hashlib.sha256(blob.encode()).hexdigest() == GEOM_CORPUS_DIGEST
 
 
 # ---------------------------------------------------------------------------
