@@ -10,11 +10,12 @@ plays the role of the classifier for Boolean subobjects.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
 from . import exactlp
-from .kernel import CapacityError, DomainError, ONE, ZERO, rat, rat_str
+from .kernel import CapacityError, DomainError, ONE, ZERO, int_row, rat, rat_str
 
 Point = tuple[Fraction, ...]
 
@@ -28,16 +29,30 @@ class GeomCvx:
     """The convex hull of finitely many rational points in Q^dim.
 
     The generator list may be empty (the empty convex space); duplicates
-    are removed by `of`.
+    are removed by `of`, which also parses "p/q" strings.  Coordinates
+    are ints or Fractions, cached as integer numerators over one common
+    denominator: generator_rows[i] / generator_den is generator i.
     """
 
     dim: int
     generators: tuple[Point, ...]
+    generator_rows: tuple[tuple[int, ...], ...] = field(
+        init=False, repr=False, compare=False)
+    generator_den: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for g in self.generators:
             if len(g) != self.dim:
                 raise DomainError("generator dimension mismatch")
+            for x in g:
+                if not isinstance(x, (int, Fraction)):
+                    raise DomainError(f"coordinate {x!r} is not an int or a "
+                                      f"Fraction")
+        den = lcm(*(x.denominator for g in self.generators for x in g))
+        object.__setattr__(self, "generator_rows", tuple(
+            tuple(x.numerator * (den // x.denominator) for x in g)
+            for g in self.generators))
+        object.__setattr__(self, "generator_den", den)
 
     @classmethod
     def of(cls, dim, generators) -> "GeomCvx":
@@ -61,6 +76,25 @@ class GeomCvx:
 
 def _vec_str(v) -> str:
     return "(" + ", ".join(rat_str(x) for x in v) + ")"
+
+
+def _sparse_row(c, t) -> tuple[tuple[tuple[int, int], ...], int, int]:
+    """The affine form (c, t) as integer numerators over one denominator:
+    the (index, numerator) of each nonzero entry of c, the numerator of t,
+    and the denominator."""
+    nums, den = int_row((*c, t))
+    return tuple((i, n) for i, n in enumerate(nums[:-1]) if n), nums[-1], den
+
+
+def _sparse_dot(terms, p, dim: int) -> tuple[int, int]:
+    """sum(n * p[i] for (i, n) in terms) as (numerator, denominator) for
+    a point p of Q^dim; only the coordinates under terms are multiplied."""
+    p = tuple(rat(x) for x in p)
+    if len(p) != dim:
+        raise DomainError("point dimension mismatch")
+    q = lcm(*(p[i].denominator for i, _ in terms))
+    return sum(n * p[i].numerator * (q // p[i].denominator)
+               for i, n in terms), q
 
 
 @dataclass(frozen=True)
@@ -252,10 +286,19 @@ class HalfspaceSplit:
     normal: tuple[Fraction, ...]
     threshold: Fraction
     upper_closed: bool = True
+    row: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if len(self.normal) != self.space.dim:
+            raise DomainError("normal dimension mismatch")
+        object.__setattr__(self, "row",
+                           _sparse_row(self.normal, self.threshold))
 
     def contains(self, p) -> bool:
-        v = sum(c * rat(x) for c, x in zip(self.normal, p))
-        return v >= self.threshold if self.upper_closed else v > self.threshold
+        # normal.p - threshold = (v - t_num q) / (den q) with den, q > 0
+        terms, t_num, _ = self.row
+        v, q = _sparse_dot(terms, p, self.space.dim)
+        return v >= t_num * q if self.upper_closed else v > t_num * q
 
 
 @dataclass(frozen=True)
@@ -286,8 +329,6 @@ def is_boolean_subobject(S):
     construction, so the check only validates well-formedness.
     """
     if isinstance(S, HalfspaceSplit):
-        if len(S.normal) != S.space.dim:
-            raise DomainError("normal dimension mismatch")
         return True, None
     A, members = S.space, S.members
     inside = sorted(members)
@@ -396,21 +437,32 @@ class SemiToSemi:
 
 @dataclass(frozen=True)
 class GeomToI:
-    """The affine functional p -> c.p + t into the unit interval."""
+    """The affine functional p -> c.p + t into the unit interval.
+
+    (c, t) is cached as one integer row (see _sparse_row), so validation
+    and evaluation multiply integers and only apply builds a Fraction."""
 
     dom: GeomCvx
     c: tuple[Fraction, ...]
     t: Fraction
+    row: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for g in self.dom.generators:
-            v = self.apply(g)
-            if not (ZERO <= v <= ONE):
+        if len(self.c) != self.dom.dim:
+            raise DomainError("functional dimension mismatch")
+        terms, t_num, den = row = _sparse_row(self.c, self.t)
+        object.__setattr__(self, "row", row)
+        # for g = G / D: c.g + t = (C.G + t_num D) / (den D) lies in [0, 1]
+        D = self.dom.generator_den
+        lo, hi = -t_num * D, (den - t_num) * D
+        for g, G in zip(self.dom.generators, self.dom.generator_rows):
+            if not lo <= sum(n * G[i] for i, n in terms) <= hi:
                 raise DomainError(f"functional leaves [0,1] on generator {g}")
 
     def apply(self, p) -> Fraction:
-        p = tuple(rat(x) for x in p)
-        return sum(ci * x for ci, x in zip(self.c, p)) + self.t
+        terms, t_num, den = self.row
+        v, q = _sparse_dot(terms, p, self.dom.dim)
+        return Fraction(v + t_num * q, den * q)
 
 
 @dataclass(frozen=True)
@@ -471,18 +523,19 @@ def geom_spanning_functionals(A: GeomCvx) -> list[GeomToI]:
     Equality of two affine functionals on this family implies equality on
     the whole hull.
     """
-    fns = [GeomToI(A, tuple(ZERO for _ in range(A.dim)), ZERO),
-           GeomToI(A, tuple(ZERO for _ in range(A.dim)), ONE)]
+    zero = (ZERO,) * A.dim
+    fns = [GeomToI(A, zero, ZERO), GeomToI(A, zero, ONE)]
+    if not A.generators:
+        return fns
+    D = A.generator_den
     for d in range(A.dim):
-        vals = [g[d] for g in A.generators]
-        if not vals:
-            continue
-        lo, hi = min(vals), max(vals)
+        # x_d -> (x_d - lo / D) / ((hi - lo) / D) on integer numerators
+        lo = min(G[d] for G in A.generator_rows)
+        hi = max(G[d] for G in A.generator_rows)
         if lo == hi:
             continue
-        scale = ONE / (hi - lo)
-        c = tuple(scale if j == d else ZERO for j in range(A.dim))
-        fns.append(GeomToI(A, c, -lo * scale))
+        c = zero[:d] + (Fraction(D, hi - lo),) + zero[d + 1:]
+        fns.append(GeomToI(A, c, Fraction(-lo, hi - lo)))
     return fns
 
 

@@ -246,6 +246,67 @@ def test_geom_functionals_and_separation():
     assert cvx.injectivity_check(sq) == (True, None)
 
 
+WRONG_DIMENSIONS = {
+    "apply-too-long": lambda sq: cvx.GeomToI(sq, (HALF, HALF), ZERO).apply((1, 1, 1)),
+    "apply-too-short": lambda sq: cvx.GeomToI(sq, (HALF, HALF), ZERO).apply((1,)),
+    "contains-too-short":
+        lambda sq: cvx.separate_points(sq, (0, 0), (1, 0)).contains((1,)),
+    "functional-too-short": lambda sq: cvx.GeomToI(sq, (HALF,), ZERO),
+    "normal-too-short": lambda sq: cvx.HalfspaceSplit(sq, (ONE,), HALF),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WRONG_DIMENSIONS))
+def test_wrong_dimensions_raise_instead_of_truncating(case):
+    with pytest.raises(DomainError, match="dimension mismatch"):
+        WRONG_DIMENSIONS[case](square())
+
+
+@pytest.mark.parametrize("coord", ["1/2", 0.5])
+def test_geomcvx_rejects_coordinates_that_are_not_rationals(coord):
+    with pytest.raises(DomainError):
+        cvx.GeomCvx(1, ((coord,), (1,)))
+    assert cvx.GeomCvx.of(1, (("1/2",), (1,))).generators == ((HALF,), (ONE,))
+
+
+_coords = st.fractions(min_value=-2, max_value=2, max_denominator=9)
+
+
+@st.composite
+def affine_forms(draw):
+    """A polytope, an affine form (c, t) on it and a point, over mixed
+    denominators; t is shifted so that the form often fits in [0, 1]."""
+    dim = draw(st.integers(1, 3))
+    vec = st.tuples(*[_coords] * dim)
+    gens = draw(st.lists(vec, max_size=5))
+    c = draw(vec)
+    lowest = min((sum((ci * gi for ci, gi in zip(c, g)), ZERO) for g in gens),
+                 default=ZERO)
+    shift = draw(st.fractions(min_value=Fraction(-1, 2),
+                              max_value=Fraction(3, 2), max_denominator=9))
+    return gens, c, shift - lowest, draw(vec), draw(st.booleans())
+
+
+@given(affine_forms())
+def test_affine_forms_match_a_fraction_oracle(case):
+    gens, c, t, p, upper_closed = case
+    A = cvx.GeomCvx(len(c), tuple(gens))
+
+    def oracle(q):
+        return sum((ci * qi for ci, qi in zip(c, q)), ZERO) + t
+
+    S = cvx.HalfspaceSplit(A, c, -t, upper_closed)
+    assert S.contains(p) == (oracle(p) >= 0 if upper_closed else oracle(p) > 0)
+    if not all(ZERO <= oracle(g) <= ONE for g in gens):
+        with pytest.raises(DomainError):
+            cvx.GeomToI(A, c, t)
+        return
+    m = cvx.GeomToI(A, c, t)
+    for q in (p, *gens):
+        got = m.apply(q)
+        assert type(got) is Fraction and got == oracle(q)
+
+
 def test_two_space_double_dual_collapses():
     two = cvx.two_space()
     injective, pair = cvx.injectivity_check(two)
