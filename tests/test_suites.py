@@ -200,3 +200,23 @@ def test_failure_witnesses_are_pinned(monkeypatch):
     rep = run_suite("adjunction", {"maxPoints": 2, "maxSize": 3})
     assert (len(rep.failures), report_digest(rep)) == \
         FAILURE_DIGESTS["adjunction"]
+
+
+# The mutated multiplication at three points and support two: unlike
+# maxPoints 2, it fails every law whose sides run through a shared
+# flattening (`mu.naturality`, `mu.associativity`, `mu.flatten-oracle`),
+# so the pin covers each place the report reuses a value
+MUTATED_GIRY_3_2 = (
+    {"mu.naturality": 6412, "mu.associativity": 3732,
+     "mu.flatten-oracle": 404, "mu.unit-right": 18},
+    "a0bb599ae5afa570ee8817e1793492f504b6d1a1be2cd201c5314893af27e0dd",
+)
+
+
+def test_mutated_giry_monad_at_three_points_is_pinned():
+    rep = run_suite("giry-monad", {"maxPoints": 3, "maxSupport": 2},
+                    mu_fn=swapped_mu)
+    counts: dict[str, int] = {}
+    for f in rep.failures:
+        counts[f.law] = counts.get(f.law, 0) + 1
+    assert (counts, report_digest(rep)) == MUTATED_GIRY_3_2
