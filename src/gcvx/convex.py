@@ -457,7 +457,8 @@ class GeomToI:
         lo, hi = -t_num * D, (den - t_num) * D
         for g, G in zip(self.dom.generators, self.dom.generator_rows):
             if not lo <= sum(n * G[i] for i, n in terms) <= hi:
-                raise DomainError(f"functional leaves [0,1] on generator {g}")
+                raise DomainError("functional leaves [0,1] on generator "
+                                  f"{_vec_str(g)}")
 
     def apply(self, p) -> Fraction:
         terms, t_num, den = self.row

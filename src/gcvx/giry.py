@@ -15,8 +15,16 @@ distributions carry their finite support explicitly with a powerset
 sigma-algebra, which is all the multiplication ever reads, and hold
 their weights in the same integer form (`wnum` over `wden`, `weights`
 the Fraction view); `flatten_oracle` alone reads the Fraction views, so
-it stays an independent route to the multiplication.  The monad-law
-report builds a counterexample witness only when its check fails.
+it stays an independent route to the multiplication.  A measure caches
+its hash, as its space does, because supports, merges and pushforward
+tables key on measures.
+
+The monad-law report computes each instance-independent value once: the
+flattening of each two-level measure serves the flatten oracle, the
+inner multiplications of associativity and the right side of
+multiplication naturality, and each support measure is pushed forward
+once per naturality map.  Every law still multiplies its own constructed
+side, and a witness is built only when its check fails.
 """
 
 from __future__ import annotations
@@ -71,9 +79,16 @@ class FinDist:
         if g > 1:
             num = tuple(n // g for n in num)
             den //= g
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+        # frozen: the fields go into the instance dict in one step
+        self.__dict__.update(space=space, num=num, den=den)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        """The hash of (space, num, den), computed once."""
+        return hash((self.space, self.num, self.den))
 
     @cached_property
     def mass(self) -> tuple[Fraction, ...]:
@@ -189,15 +204,15 @@ class DistOverDists:
         if sum(weights) != den:
             raise DomainError("weights must sum to 1")
         for q in support:
-            if q.space != base:
+            # the support usually shares the base object itself, and the
+            # identity test skips the field-by-field comparison
+            if q.space is not base and q.space != base:
                 raise DomainError("mixed base spaces in support")
         if g > 1:
             weights = tuple(w // g for w in weights)
             den //= g
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "support", support)
-        object.__setattr__(self, "wnum", weights)
-        object.__setattr__(self, "wden", den)
+        self.__dict__.update(base=base, support=support, wnum=weights,
+                             wden=den)
 
     @cached_property
     def weights(self) -> tuple[Fraction, ...]:
@@ -228,6 +243,8 @@ class DistOverDists:
 def _by_mass(measures) -> tuple[FinDist, ...]:
     """Measures in the order of their `mass` tuples: numerators scaled to
     one common denominator compare exactly as the Fractions do."""
+    if len(measures) == 1:
+        return tuple(measures)
     den = lcm(*(q.den for q in measures))
     return tuple(sorted(measures,
                         key=lambda q: [n * (den // q.den) for n in q.num]))
@@ -273,12 +290,23 @@ def map_unit(P: FinDist) -> DistOverDists:
 
 def push_outer(f: MeasFn, PP: DistOverDists) -> DistOverDists:
     """Apply the monad's functor action to a distribution of measures."""
+    return _push_outer(f.cod, lambda q: pushforward(f, q), PP)
+
+
+def _push_outer(cod: FinMeasSpace, image, PP: DistOverDists) -> DistOverDists:
+    """P(f)(PP), with `image(q)` the pushforward of the support measure q:
+    each weight moves to its measure's image, and equal images merge."""
     return DistOverDists.of(
-        f.cod, [(w, pushforward(f, q)) for q, w in zip(PP.support, PP.wnum)],
-        PP.wden)
+        cod, [(w, image(q)) for q, w in zip(PP.support, PP.wnum)], PP.wden)
 
 
 ThreeLevel = tuple[tuple[Fraction, DistOverDists], ...]
+
+
+def _three_level_base(PPP: ThreeLevel) -> FinMeasSpace:
+    if not PPP:
+        raise DomainError("a three-level measure needs a nonempty support")
+    return PPP[0][1].base
 
 
 def flatten_outer(PPP: ThreeLevel) -> DistOverDists:
@@ -286,12 +314,15 @@ def flatten_outer(PPP: ThreeLevel) -> DistOverDists:
     measure (the support stays at the middle level).  With the outer
     weights as a_j over A and D the lcm of the middle denominators, the
     measure q gets a_j * v * D / wden_j from each middle weight v over
-    wden_j, all over A * D."""
-    base = PPP[0][1].base
+    wden_j, all over A * D.  A term of outer weight zero drops, as in
+    `DistOverDists.of` and so in `map_mu`."""
+    base = _three_level_base(PPP)
     outer, A = int_row([rat(w) for w, _ in PPP])
     D = lcm(*(PP.wden for _, PP in PPP))
     acc: dict[FinDist, int] = {}
     for a, (_, PP) in zip(outer, PPP):
+        if not a:
+            continue
         scale = a * (D // PP.wden)
         for q, v in zip(PP.support, PP.wnum):
             acc[q] = acc.get(q, 0) + scale * v
@@ -301,7 +332,7 @@ def flatten_outer(PPP: ThreeLevel) -> DistOverDists:
 
 def map_mu(PPP: ThreeLevel, mu_fn=mu) -> DistOverDists:
     """Push a three-level measure down along the multiplication."""
-    base = PPP[0][1].base
+    base = _three_level_base(PPP)
     return DistOverDists.of(base, [(w, mu_fn(PP)) for w, PP in PPP])
 
 
@@ -462,6 +493,15 @@ def monad_law_report(X: FinMeasSpace, max_support: int = 3, mu_fn=mu,
     multiplication naturality.  `mu_fn` exists so harness self-tests can
     inject a corrupted multiplication.  Witnesses are thunks, formatted
     only for a failing instance.
+
+    Work that does not depend on the instance is done once.  Each
+    two-level measure is flattened by `mu_fn` once, and that flattening
+    is the left side of the flatten oracle, the inner multiplication of
+    `map_mu` in associativity and, pushed forward, the right side of
+    multiplication naturality.  Each support measure is pushed forward
+    once per naturality map, and P(f) is built from those images.  So
+    `mu_fn` must be a pure function: equal inputs, equal results.  Every
+    law still applies `mu_fn` to the side it constructs.
     """
     rep = LawReport("giry-monad")
     pre = instance_prefix
@@ -474,25 +514,30 @@ def monad_law_report(X: FinMeasSpace, max_support: int = 3, mu_fn=mu,
         got = mu_fn(map_unit(P))
         rep.record(got == P, "mu.unit-right", inst, witness=got.describe)
     two_level = two_level_dists(X, max_support)
-    for i, PP in enumerate(two_level):
+    flat = [mu_fn(PP) for PP in two_level]
+    for i, (PP, lhs) in enumerate(zip(two_level, flat)):
         inst = f"{pre}PP{i}"
-        lhs = mu_fn(PP)
         rhs = flatten_oracle(PP)
         rep.record(lhs == rhs, "mu.flatten-oracle", inst,
                    witness=lambda: (lhs.describe(), rhs.describe()),
                    detail=PP.describe())
     prefix = two_level[:25]
-    triples = [((ONE, PP),) for PP in prefix]
+    flat_of = dict(zip(prefix, flat))
     pair_weights = grid_weightings(2)
-    for PPa, PPb in itertools.combinations(prefix, 2):
-        for w in pair_weights:
-            triples.append(((w[0], PPa), (w[1], PPb)))
+    # made one at a time: the flattenings above stay alive to the end, and
+    # a list of all triples would sit beside them
+    triples = itertools.chain(
+        (((ONE, PP),) for PP in prefix),
+        (((w[0], PPa), (w[1], PPb))
+         for PPa, PPb in itertools.combinations(prefix, 2)
+         for w in pair_weights))
     for i, PPP in enumerate(triples):
         inst = f"{pre}PPP{i}"
         lhs = mu_fn(flatten_outer(PPP))
-        rhs = mu_fn(map_mu(PPP, mu_fn=mu_fn))
+        rhs = mu_fn(map_mu(PPP, mu_fn=flat_of.__getitem__))
         rep.record(lhs == rhs, "mu.associativity", inst,
                    witness=lambda: (lhs.describe(), rhs.describe()))
+    supports = dict.fromkeys(q for PP in two_level for q in PP.support)
     for j, f in enumerate(naturality_maps):
         for x, k, y in zip(X.points, X.point_atom, f.image):
             inst = f"{pre}nat-eta-f{j}-{x}"
@@ -500,10 +545,11 @@ def monad_law_report(X: FinMeasSpace, max_support: int = 3, mu_fn=mu,
             rhs = atom_dirac(f.cod, f.cod.point_atom[y])
             rep.record(lhs == rhs, "eta.naturality", inst,
                        witness=lambda: (lhs.describe(), rhs.describe()))
-        for i, PP in enumerate(two_level):
+        image = {q: pushforward(f, q) for q in supports}
+        for i, (PP, P) in enumerate(zip(two_level, flat)):
             inst = f"{pre}nat-mu-f{j}-PP{i}"
-            lhs = mu_fn(push_outer(f, PP))
-            rhs = pushforward(f, mu_fn(PP))
+            lhs = mu_fn(_push_outer(f.cod, image.__getitem__, PP))
+            rhs = pushforward(f, P)
             rep.record(lhs == rhs, "mu.naturality", inst,
                        witness=lambda: (lhs.describe(), rhs.describe()))
     return rep

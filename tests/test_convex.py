@@ -262,6 +262,13 @@ def test_wrong_dimensions_raise_instead_of_truncating(case):
         WRONG_DIMENSIONS[case](square())
 
 
+def test_functional_error_names_the_generator_as_rationals():
+    # the same p/q form as a point outside the hull, not a Fraction repr
+    with pytest.raises(DomainError) as err:
+        cvx.GeomToI(square(), (1, 1), 0)
+    assert str(err.value) == "functional leaves [0,1] on generator (1/1, 1/1)"
+
+
 @pytest.mark.parametrize("coord", ["1/2", 0.5])
 def test_geomcvx_rejects_coordinates_that_are_not_rationals(coord):
     with pytest.raises(DomainError):

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -15,11 +16,13 @@ from gcvx.giry import (
     flatten_outer,
     grid_dists,
     integrate,
+    map_mu,
     map_unit,
     measure_to_functional,
     mix_dists,
     monad_law_report,
     mu,
+    push_outer,
     pushforward,
     two_level_dists,
     unit_outer,
@@ -78,6 +81,48 @@ def random_measure(rng, X):
     return FinDist(X, (first, second, den - first - second), den)
 
 
+def test_cached_hash_agrees_across_constructions():
+    # rational masses, integer numerators and a mu / pushforward result
+    X = disc(3)
+    by_mass = FinDist(X, (QUARTER, HALF, QUARTER))
+    by_ints = FinDist(X, (2, 4, 2), 8)
+    by_mu = mu(DistOverDists.of(X, [(QUARTER, dirac(X, "a")),
+                                    (HALF, dirac(X, "b")),
+                                    (QUARTER, dirac(X, "c"))]))
+    by_push = pushforward(MeasFn(X, X, (1, 0, 2)),
+                          FinDist(X, (HALF, QUARTER, QUARTER)))
+    ways = [by_mass, by_ints, by_mu, by_push]
+    assert len({hash(P) for P in ways}) == 1
+    for P in ways:
+        table = {Q: i for i, Q in enumerate(ways) if Q is not P}
+        assert P in table and len(table) == 1
+    # the cache is not a field: equality, fields and repr are as before
+    assert [f.name for f in dataclasses.fields(FinDist)] == \
+        ["space", "num", "den"]
+    assert repr(by_mu) == repr(FinDist(X, (1, 2, 1), 4))
+    assert "_hash" not in repr(by_mu)
+
+
+def test_empty_three_level_measure_is_a_domain_error_for_flatten_outer():
+    with pytest.raises(DomainError, match="nonempty"):
+        flatten_outer(())
+
+
+def test_empty_three_level_measure_is_a_domain_error_for_map_mu():
+    with pytest.raises(DomainError, match="nonempty"):
+        map_mu(())
+
+
+def test_zero_outer_weight_drops_on_both_sides_of_associativity():
+    X = disc(2)
+    PPa = DistOverDists.of(X, [(HALF, dirac(X, "a")), (HALF, dirac(X, "b"))])
+    PPb = unit_outer(FinDist(X, (QUARTER, 1 - QUARTER)))  # not in PPa
+    PPP = ((ONE, PPa), (ZERO, PPb))
+    assert flatten_outer(PPP) == PPa
+    assert map_mu(PPP) == unit_outer(mu(PPa))
+    assert mu(flatten_outer(PPP)) == mu(map_mu(PPP))
+
+
 def test_support_order_is_that_of_the_fraction_tuples():
     def fraction_tuple(q):
         return tuple(Fraction(n, q.den) for n in q.num)
@@ -95,6 +140,17 @@ def test_support_order_is_that_of_the_fraction_tuples():
         outer = flatten_outer(((HALF, PP), (HALF, other)))
         assert list(outer.support) == \
             sorted(set(qs) | set(other.support), key=fraction_tuple)
+
+
+def test_push_outer_moves_each_weight_to_its_image_and_merges():
+    X, Y = disc(3), disc(2)
+    f = MeasFn(X, Y, (0, 0, 1))  # a, b -> a and c -> b
+    PP = DistOverDists.of(X, [(QUARTER, dirac(X, "a")),
+                              (QUARTER, dirac(X, "b")),
+                              (HALF, FinDist(X, (ZERO, HALF, HALF)))])
+    assert push_outer(f, PP) == DistOverDists.of(
+        Y, [(HALF, dirac(Y, "a")), (HALF, FinDist(Y, (HALF, HALF)))])
+    assert mu(push_outer(f, PP)) == pushforward(f, mu(PP))
 
 
 def test_measure_of_sets_and_non_measurable_rejection():
