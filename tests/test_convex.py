@@ -387,6 +387,97 @@ def test_geom_corpus_outputs_are_pinned():
 
 
 # ---------------------------------------------------------------------------
+# seeded hull-membership corpus: a behaviour gate for hull_member
+
+HULL_CORPUS_SIZE = 840
+HULL_CORPUS_DIGEST = "9fdf805cde97ecec40e7469618dc8a2fb80a7e6f27e083225b634bf55736498e"
+
+
+def _hull_generators(rng, dim, count, shape):
+    """`count` generators in Q^dim: scattered, on one line, or on one
+    plane through a random base point."""
+    if shape == "scattered":
+        return [tuple(_coord(rng) for _ in range(dim)) for _ in range(count)]
+    base = [_coord(rng) for _ in range(dim)]
+    dirs = [[Fraction(rng.randint(-2, 2)) for _ in range(dim)]
+            for _ in range(1 if shape == "collinear" else 2)]
+    gens = []
+    for _ in range(count):
+        steps = [Fraction(rng.randint(-4, 4), rng.choice((1, 2, 3, 5)))
+                 for _ in dirs]
+        gens.append(tuple(x + sum((s * d[i] for s, d in zip(steps, dirs)),
+                                  Fraction(0))
+                          for i, x in enumerate(base)))
+    return gens
+
+
+def _dot(u, v):
+    return sum((a * b for a, b in zip(u, v)), ZERO)
+
+
+def _mix_with(weights, gens, dim):
+    return tuple(_dot(weights, [g[i] for g in gens]) for i in range(dim))
+
+
+def _mix(rng, gens, dim):
+    raw = [rng.randint(1, 9) for _ in gens]
+    return _mix_with([Fraction(r, sum(raw)) for r in raw], gens, dim)
+
+
+def hull_corpus():
+    """Seeded (hull, point) pairs in dimension 0-6 with 0-16 generators.
+
+    Generators are scattered over mixed denominators, collinear or
+    coplanar.  Each hull is asked about a mix of all its generators, a
+    mix of the generators that maximize a random small functional c (a
+    point on that face), the same point pushed a little along c (outside)
+    and a random point."""
+    rng = random.Random("hull-member-corpus")
+    corpus = []
+    for k in range(HULL_CORPUS_SIZE // 4):
+        dim = k % 7
+        count = 0 if k % 10 == 0 else rng.randint(1, 16)
+        shape = ("scattered", "collinear", "coplanar")[(k // 7) % 3]
+        A = cvx.GeomCvx.of(dim, _hull_generators(rng, dim, count, shape))
+        gens = A.generators
+        c = [Fraction(rng.randint(-1, 2)) for _ in range(dim)]
+        if dim and not any(c):
+            c[rng.randrange(dim)] = Fraction(1)
+        push = Fraction(1, rng.choice((1, 3, 7, 64)))
+        if gens:
+            top = max(_dot(c, g) for g in gens)
+            face = [g for g in gens if _dot(c, g) == top]
+            on_face = _mix(rng, face, dim)
+            inside = _mix(rng, gens, dim)
+        else:
+            on_face = inside = tuple(_coord(rng) for _ in range(dim))
+        outside = tuple(x + push * a for x, a in zip(on_face, c))
+        loose = tuple(_coord(rng) for _ in range(dim))
+        corpus.extend((A, p) for p in (inside, on_face, outside, loose))
+    return corpus
+
+
+def test_hull_corpus_answers_are_pinned():
+    results, inside, outside = [], 0, 0
+    for A, p in hull_corpus():
+        ok, answer = cvx.hull_member(A, p)
+        if ok:
+            inside += 1
+            assert sum(answer, ZERO) == ONE and min(answer) >= 0
+            assert p == _mix_with(answer, A.generators, A.dim)
+            results.append(["in", _vec(answer)])
+        else:
+            outside += 1
+            c, t = answer
+            assert all(_dot(c, g) <= t for g in A.generators)
+            assert _dot(c, p) > t
+            results.append(["out", _vec(c), rat_str(t)])
+    assert min(inside, outside) >= HULL_CORPUS_SIZE // 5, (inside, outside)
+    blob = json.dumps(results, sort_keys=True)
+    assert hashlib.sha256(blob.encode()).hexdigest() == HULL_CORPUS_DIGEST
+
+
+# ---------------------------------------------------------------------------
 # enumeration
 
 
