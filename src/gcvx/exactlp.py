@@ -5,24 +5,38 @@ membership and related feasibility questions.  Problems have the standard
 form {x >= 0, A x = b}; infeasibility comes with a Farkas certificate
 y such that y.A <= 0 componentwise and y.b > 0.
 
-The tableau holds Python ints only.  Each row, the reduced-cost row
-included, is a list of integer numerators over one positive integer
-denominator, and every elimination cancels the row by the gcd of its
-denominator and all its numerators.  Signs are read off numerators, and
-the ratio test compares rhs_r / a_r with rhs_s / a_s as rhs_r * a_s
-against rhs_s * a_r, which is exact because both entries a are positive
-and each row's denominator cancels in its own ratio.  Every comparison
-agrees with rational arithmetic, so the pivot sequence is that of a
-Fraction tableau; solutions, values and certificates are returned as
-Fractions.
+The tableau is fraction free (Edmonds; Bareiss).  The start matrix M
+has the integer columns [A | I | b] described below, and the tableau is
+one integer matrix T over one positive denominator D = |det B| for the
+current basis B of M, so that T / D = B^-1 M.  Every row, the
+reduced-cost row included, shares D.  A pivot at (p, c) turns each other
+row r into (T[p][c] * T[r] - T[r][c] * T[p]) // D and then sets
+D = T[p][c].  The division is exact because each entry of T is, up to
+sign, a minor of M (Sylvester's identity), and |T[p][c]| is |det| of the
+new basis.  A simplex pivot has T[p][c] > 0; only the
+drive-out of a degenerate artificial may pivot on a negative entry, and
+then the whole tableau is negated to keep D positive.
+
+The start negates each row whose b_i is negative, scales every row by
+the lcm L of the row denominators and gives the artificials identity
+columns, so D = 1.  That is the unscaled
+problem with each artificial multiplied by L: the basic x and the
+reduced costs of the artificials (and so the Farkas y) keep their values,
+the structural reduced costs of phase 1 are multiplied by L > 0, and
+every ratio of a ratio test by one positive factor.  Since D > 0, signs
+are read off numerators, and the ratio test compares T[r][-1] / T[r][c]
+with T[s][-1] / T[s][c] as T[r][-1] * T[s][c] against T[s][-1] * T[r][c],
+where D cancels.  Every sign and comparison is therefore that of the
+Fraction tableau of the unscaled problem, so Bland's rule picks the same
+pivots; solutions, values and certificates are returned as Fractions.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import lcm
 
-from .kernel import DomainError, ONE, ZERO, int_row
+from .kernel import DomainError, ZERO, int_row, rat
 
 FEASIBLE = "feasible"
 INFEASIBLE = "infeasible"
@@ -30,92 +44,81 @@ OPTIMAL = "optimal"
 UNBOUNDED = "unbounded"
 
 
-def _eliminate(u, du, v, dv, col):
-    """u/du - (u[col]/du) * v/dv, for a pivot row with v[col] == dv."""
-    f = u[col]
-    row = [a * dv - f * b for a, b in zip(u, v)]
-    den = du * dv
-    g = gcd(den, *row)
-    if g > 1:
-        row = [a // g for a in row]
-        den //= g
-    return row, den
+def _pivot(tab, basis, den, p, c):
+    """Pivot on tab[p][c] over the denominator `den`; every other row, the
+    reduced-cost row last included, is updated.  Returns the new
+    denominator."""
+    piv = tab[p]
+    a = piv[c]
+    for r, row in enumerate(tab):
+        if r == p:
+            continue
+        f = row[c]
+        if f:
+            tab[r] = [(a * u - f * v) // den for u, v in zip(row, piv)]
+        elif a != den:
+            tab[r] = [a * u // den for u in row]
+    basis[p] = c
+    if a < 0:
+        tab[:] = [[-v for v in row] for row in tab]
+        return -a
+    return a
 
 
-def _pivot(tab, basis, row, col):
-    nums = tab[row][0]
-    if nums[col] < 0:
-        nums = [-v for v in nums]
-    g = gcd(*nums)
-    if g > 1:
-        nums = [v // g for v in nums]
-    piv = nums[col]
-    tab[row] = (nums, piv)
-    for r in range(len(tab)):
-        if r != row and tab[r][0][col] != 0:
-            tab[r] = _eliminate(*tab[r], nums, piv, col)
-    basis[row] = col
+def _simplex(tab, basis, den, ncols):
+    """Maximize over the tableau by Bland's rule; the first `ncols`
+    columns may enter.
 
-
-def _simplex(tab, basis, cost, allowed):
-    """Maximize cost over the tableau; Bland's rule guarantees termination.
-
-    `cost` is the full cost vector (one entry per column); `allowed` marks
-    columns permitted to enter the basis.  Returns (status, red), status
-    "optimal" or "unbounded", where red = (numerators, denominator) holds
-    the reduced costs c_j - c_B . B^-1 A_j and, last, minus the objective
-    value.
+    The last row of `tab` holds den times the reduced costs
+    c_j - c_B . B^-1 A_j, scaled by a positive constant, and last the
+    same multiple of minus the objective value.  Returns (status, den),
+    status "optimal" or "unbounded".
     """
-    ncols = len(allowed)
-    red = int_row(list(cost) + [ZERO])
-    # price out the basis; every basic column is a unit column, so row r
-    # is the pivot row of column basis[r]
-    for r in range(len(tab)):
-        if red[0][basis[r]] != 0:
-            red = _eliminate(*red, *tab[r], basis[r])
+    red = tab[-1]
     while True:
-        rnums = red[0]
         enter = -1
         for j in range(ncols):
-            if allowed[j] and rnums[j] > 0:
+            if red[j] > 0:
                 enter = j
                 break
         if enter < 0:
-            return OPTIMAL, red
+            return OPTIMAL, den
         leave = -1
-        for r, (nums, _den) in enumerate(tab):
-            a = nums[enter]
+        for r in range(len(basis)):
+            row = tab[r]
+            a = row[enter]
             if a > 0:
                 if leave < 0:
-                    leave, a_best, rhs_best = r, a, nums[-1]
+                    leave, a_best, rhs_best = r, a, row[-1]
                     continue
-                lhs, rhs = nums[-1] * a_best, rhs_best * a
+                lhs, rhs = row[-1] * a_best, rhs_best * a
                 if lhs < rhs or (lhs == rhs and basis[r] < basis[leave]):
-                    leave, a_best, rhs_best = r, a, nums[-1]
+                    leave, a_best, rhs_best = r, a, row[-1]
         if leave < 0:
-            return UNBOUNDED, red
-        _pivot(tab, basis, leave, enter)
-        red = _eliminate(*red, *tab[leave], enter)
+            return UNBOUNDED, den
+        den = _pivot(tab, basis, den, leave, enter)
+        red = tab[-1]
 
 
-def _basic_solution(tab, basis, n):
+def _basic_solution(tab, basis, den, n):
     x = [ZERO] * n
-    for r, (nums, den) in enumerate(tab):
-        if basis[r] < n:
-            x[basis[r]] = Fraction(nums[-1], den)
+    for r, k in enumerate(basis):
+        if k < n:
+            x[k] = Fraction(tab[r][-1], den)
     return x
 
 
 def solve_eq_nonneg(A, b, objective=None):
     """Solve {x >= 0, A x = b}, optionally maximizing `objective`.x.
 
+    Entries are ints, Fractions or "p/q" strings (read by `kernel.rat`).
     Returns a dict with keys:
       status  -- "feasible" / "optimal" / "infeasible" / "unbounded"
       x       -- a solution (feasible statuses)
       value   -- objective value (status "optimal")
       farkas  -- certificate y with y.A <= 0, y.b > 0 (status "infeasible")
     Raises DomainError unless A is m x n, b has m entries and
-    `objective` n.
+    `objective` n, or if an entry is not a rational.
     """
     m = len(A)
     n = len(A[0]) if m else 0
@@ -123,27 +126,37 @@ def solve_eq_nonneg(A, b, objective=None):
             or objective is not None and len(objective) != n):
         raise DomainError(f"A must be {m} x {n}, with {m} entries in b and "
                           f"{n} in the objective")
-    # tableau columns: n structural + m artificial + rhs
-    tab = []
-    flipped = []
+    rows, flipped = [], []
     for i in range(m):
-        row = [Fraction(v) for v in A[i]] + [Fraction(b[i])]
-        flipped.append(row[-1] < 0)
-        if flipped[-1]:
-            row = [-v for v in row]
-        nums, den = int_row(row)
-        art = [den if j == i else 0 for j in range(m)]
-        tab.append((nums[:n] + art + nums[n:], den))
+        nums, den = int_row([rat(v) for v in A[i]] + [rat(b[i])])
+        flipped.append(nums[-1] < 0)
+        rows.append(([-v for v in nums] if flipped[-1] else nums, den))
+    if objective is not None:
+        cost, cost_den = int_row([rat(v) for v in objective])
+
+    # tableau columns: n structural + m artificial + rhs; D = 1
+    scale = lcm(*(den for _, den in rows))
+    tab = []
+    for i, (nums, den) in enumerate(rows):
+        k = scale // den
+        tab.append([v * k for v in nums[:n]] + [int(j == i) for j in range(m)]
+                   + [nums[n] * k])
     basis = [n + i for i in range(m)]
 
-    phase1_cost = [ZERO] * n + [-ONE] * m
-    status, (red, rden) = _simplex(tab, basis, phase1_cost, [True] * (n + m))
+    # phase 1 maximizes minus the sum of the artificials; with the
+    # artificials basic, its reduced costs are the column sums, and zero
+    # on the artificials
+    red = [sum(col) for col in zip(*tab)] if m else [0]
+    red[n:n + m] = [0] * m
+    tab.append(red)
+    status, den = _simplex(tab, basis, 1, n + m)
     assert status == OPTIMAL
+    red = tab[-1]
     if red[-1] > 0:
         # infeasible: recover y from the reduced costs of the artificials
         # (reduced cost of artificial i is -1 - y_i in the maximize form),
         # flipped to the y.A <= 0, y.b > 0 convention
-        y = [Fraction(red[n + i] + rden, rden) for i in range(m)]
+        y = [Fraction(red[n + i] + den, den) for i in range(m)]
         y = [(-v if fl else v) for v, fl in zip(y, flipped)]
         return {"status": INFEASIBLE, "farkas": y}
 
@@ -151,17 +164,23 @@ def solve_eq_nonneg(A, b, objective=None):
     for r in range(m):
         if basis[r] >= n:
             for j in range(n):
-                if tab[r][0][j] != 0:
-                    _pivot(tab, basis, r, j)
+                if tab[r][j] != 0:
+                    den = _pivot(tab, basis, den, r, j)
                     break
     # artificials that could not be driven out sit on all-zero redundant
     # rows and can never re-enter; they are simply left in place
     if objective is None:
-        return {"status": FEASIBLE, "x": _basic_solution(tab, basis, n)}
+        return {"status": FEASIBLE, "x": _basic_solution(tab, basis, den, n)}
 
-    cost = [Fraction(c) for c in objective] + [ZERO] * m
-    status, (red, rden) = _simplex(tab, basis, cost, [True] * n + [False] * m)
+    # phase 2: den * cost - sum of cost[basis[r]] * tab[r], over
+    # den * cost_den; basic artificials cost nothing
+    red = [den * v for v in cost] + [0] * (m + 1)
+    for r, k in enumerate(basis):
+        if k < n and cost[k]:
+            red = [u - cost[k] * v for u, v in zip(red, tab[r])]
+    tab[-1] = red
+    status, den = _simplex(tab, basis, den, n)
     if status == UNBOUNDED:
         return {"status": UNBOUNDED}
-    return {"status": OPTIMAL, "x": _basic_solution(tab, basis, n),
-            "value": Fraction(-red[-1], rden)}
+    return {"status": OPTIMAL, "x": _basic_solution(tab, basis, den, n),
+            "value": Fraction(-tab[-1][-1], den * cost_den)}

@@ -124,7 +124,7 @@ def dirac(X: FinMeasSpace, x: str) -> FinDist:
 
 def pushforward(f: MeasFn, P: FinDist) -> FinDist:
     """The image measure: (f_* P)(V) = P(f^-1(V))."""
-    if P.space != f.dom:
+    if P.space is not f.dom and P.space != f.dom:
         raise DomainError("measure does not live on the map's domain")
     num = [0] * len(f.cod.atoms)
     for k, n in zip(f.atom_map, P.num):
@@ -349,7 +349,7 @@ def mix_dists(P: FinDist, Q: FinDist, alpha) -> FinDist:
     """(1 - alpha) P + alpha Q, over alpha's denominator times the lcm of
     the two measures' denominators."""
     alpha = rat(alpha)
-    if P.space != Q.space:
+    if P.space is not Q.space and P.space != Q.space:
         raise DomainError("cannot mix measures on different spaces")
     a, b = alpha.numerator, alpha.denominator
     den = lcm(P.den, Q.den)

@@ -27,13 +27,17 @@ class CapacityError(RuntimeError):
 
 
 def rat(value) -> Fraction:
-    """Parse a rational from an int, a Fraction, or a "p/q" string."""
+    """Parse a rational from an int, a Fraction, or a "p/q" string;
+    anything else, "abc" and "1/0" included, is a DomainError."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            pass
     raise DomainError(f"cannot interpret {value!r} as a rational")
 
 

@@ -88,6 +88,23 @@ def test_shapes_must_agree():
             exactlp.solve_eq_nonneg(A, b, objective)
 
 
+@pytest.mark.parametrize("bad", (0.5, "abc", None, "1/0"))
+def test_entries_must_be_rationals(bad):
+    # a float was read as a binary fraction, "abc" raised ValueError and
+    # None TypeError; every entry is an int, a Fraction or a "p/q" string
+    for A, b, objective in (([[bad]], [1], None),
+                            ([[1]], [bad], None),
+                            ([[1]], [1], [bad])):
+        with pytest.raises(DomainError):
+            exactlp.solve_eq_nonneg(A, b, objective)
+
+
+def test_entries_may_be_p_over_q_strings():
+    res = exactlp.solve_eq_nonneg([["1/3", 1]], ["2/3"], objective=["3", 0])
+    assert res == {"status": exactlp.OPTIMAL, "x": [F(2), F(0)],
+                   "value": F(6)}
+
+
 # ---------------------------------------------------------------------------
 # seeded corpus: a behaviour gate and a self-contained answer check
 

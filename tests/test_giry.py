@@ -175,6 +175,20 @@ def test_dirac_and_pushforward():
         dirac(X, "z")
 
 
+def test_space_checks_accept_equal_copies_and_reject_other_spaces():
+    X, X_copy, Y = disc(3), disc(3), disc(2)
+    assert X_copy is not X and X_copy == X
+    f = MeasFn(X, Y, (0, 0, 1))
+    P = FinDist(X_copy, (HALF, QUARTER, QUARTER))
+    assert pushforward(f, P) == FinDist(Y, (Fraction(3, 4), QUARTER))
+    assert mix_dists(dirac(X, "a"), dirac(X_copy, "c"), HALF) == \
+        FinDist(X, (HALF, ZERO, HALF))
+    with pytest.raises(DomainError):
+        pushforward(f, dirac(Y, "a"))
+    with pytest.raises(DomainError):
+        mix_dists(dirac(X, "a"), dirac(Y, "a"), HALF)
+
+
 def small_spaces():
     return [X for n in (1, 2, 3) for X in all_sigma_spaces(("a", "b", "c")[:n])]
 
