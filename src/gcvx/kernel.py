@@ -28,10 +28,10 @@ class CapacityError(RuntimeError):
 
 def rat(value) -> Fraction:
     """Parse a rational from an int, a Fraction, or a "p/q" string;
-    anything else, "abc" and "1/0" included, is a DomainError."""
+    anything else, "abc", "1/0" and the bools included, is a DomainError."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
         try:

@@ -276,6 +276,12 @@ def test_geomcvx_rejects_coordinates_that_are_not_rationals(coord):
     assert cvx.GeomCvx.of(1, (("1/2",), (1,))).generators == ((HALF,), (ONE,))
 
 
+def test_geomcvx_of_rejects_bool_coordinates():
+    # True and False read as 1 and 0 built the unit interval
+    with pytest.raises(DomainError):
+        cvx.GeomCvx.of(1, [(True,), (False,)])
+
+
 _coords = st.fractions(min_value=-2, max_value=2, max_denominator=9)
 
 

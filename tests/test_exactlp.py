@@ -99,6 +99,13 @@ def test_entries_must_be_rationals(bad):
             exactlp.solve_eq_nonneg(A, b, objective)
 
 
+def test_bools_are_not_rationals():
+    # a bool is an int to Python, so True and False read as 1 and 0 and
+    # this system came back feasible with x = [1, 0]
+    with pytest.raises(DomainError):
+        exactlp.solve_eq_nonneg([[True, False]], [True])
+
+
 def test_entries_may_be_p_over_q_strings():
     res = exactlp.solve_eq_nonneg([["1/3", 1]], ["2/3"], objective=["3", 0])
     assert res == {"status": exactlp.OPTIMAL, "x": [F(2), F(0)],

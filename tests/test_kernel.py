@@ -22,7 +22,7 @@ def test_rat_parses_ints_fractions_and_strings():
     assert rat(3) == Fraction(3)
     assert rat(Fraction(2, 4)) == Fraction(1, 2)
     assert rat("5/10") == Fraction(1, 2)
-    for bad in (0.5, None, "abc", "1/0"):
+    for bad in (0.5, None, "abc", "1/0", True, False):
         with pytest.raises(DomainError):
             rat(bad)
 
