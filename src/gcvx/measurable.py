@@ -48,8 +48,6 @@ class FinMeasSpace:
         if len(set(self.points)) != len(self.points):
             raise DomainError("point names must be distinct")
         atoms = tuple(sorted(self.atoms, key=lambda m: m & -m))
-        if len(atoms) > MAX_ATOMS:
-            raise CapacityError("sigma-algebra exceeds capacity")
         covered = 0
         for a in atoms:
             if a <= 0 or a & covered:
@@ -80,7 +78,10 @@ class FinMeasSpace:
 
     @cached_property
     def sigma(self) -> frozenset[int]:
-        """Every measurable set: all unions of the atoms."""
+        """Every measurable set: all unions of the atoms, 2^|atoms| of
+        them, so more than MAX_ATOMS atoms is a CapacityError."""
+        if len(self.atoms) > MAX_ATOMS:
+            raise CapacityError("sigma-algebra exceeds capacity")
         members = [0]
         for a in self.atoms:
             members += [u | a for u in members]

@@ -1,9 +1,12 @@
 """Monoidal structure of finite measurable spaces.
 
-Tensor and product sigma-algebras on cartesian products, function spaces
-with the evaluation-induced sigma-algebra, currying, and the
-lower-indicator map on the unit interval, whose step-function integral
-is its level (the section property the `lebesgue` suite checks).
+The monoidal product X (x) Y is `product_space`, whose atoms are the
+rectangles of atoms; on finite spaces it equals the tensor sigma-algebra,
+which `tensor_space` builds by its definition and the `smcc` suite checks
+against the product.  Also function spaces with the evaluation-induced
+sigma-algebra, currying, and the lower-indicator map on the unit
+interval, whose step-function integral is its level (the section
+property the `lebesgue` suite checks).
 
 A measurable map is the tuple of its codomain positions
 (`measurable_maps`), so hom-sets are lists of position tuples.  The pair
@@ -48,15 +51,15 @@ class FnSpace:
     position: dict[tuple[int, ...], int] = field(repr=False, compare=False)  # k by element
 
 
-def _check_tensor_guard(X, Y):
-    if len(X.points) * len(Y.points) > TENSOR_POINT_GUARD:
-        raise CapacityError("product carrier exceeds the tensor guard")
-
-
 def tensor_space(X: FinMeasSpace, Y: FinMeasSpace) -> FinMeasSpace:
     """The largest sigma-algebra on X x Y making the graph of every
-    measurable cross map, in both directions, measurable."""
-    _check_tensor_guard(X, Y)
+    measurable cross map, in both directions, measurable.
+
+    This is the definition, kept to be checked against `product_space`,
+    which it equals; it enumerates every measurable map in both
+    directions, so the carrier is bounded by TENSOR_POINT_GUARD."""
+    if len(X.points) * len(Y.points) > TENSOR_POINT_GUARD:
+        raise CapacityError("product carrier exceeds the tensor guard")
     ny = len(Y.points)
     family = [(X, tuple(i * ny + j for i, j in enumerate(f)))
               for f in measurable_maps(X, Y)]
@@ -67,8 +70,16 @@ def tensor_space(X: FinMeasSpace, Y: FinMeasSpace) -> FinMeasSpace:
 
 def product_space(X: FinMeasSpace, Y: FinMeasSpace) -> FinMeasSpace:
     """The sigma-algebra generated by measurable rectangles; its atoms
-    are the rectangles u x v of atoms."""
-    _check_tensor_guard(X, Y)
+    are the rectangles u x v of atoms.  It is the tensor X (x) Y.
+
+    Proof on finite spaces.  The graph x -> (x, f(x)) of a measurable
+    f: X -> Y pulls a rectangle u x v back to u & f^-1(v), which is
+    measurable, and likewise for maps Y -> X, so every rectangle is in
+    the tensor.  Conversely, the graphs of the constant maps pull a
+    tensor-measurable S back to its sections, which are therefore
+    measurable.  If (x, y) is in S and x', y' share an atom with x, y,
+    then the section of S at y holds x, so x', and the section at x'
+    holds y, so y': S is a union of atom rectangles."""
     ny = len(Y.points)
     atoms = [sum(v << i * ny for i in range(len(X.points)) if u >> i & 1)
              for u in X.atoms for v in Y.atoms]
@@ -89,7 +100,7 @@ def eval_map(X: FinMeasSpace, Y: FinMeasSpace, F: FnSpace) -> MeasFn:
     MeasFn raises DomainError if it is not measurable, which would be a
     bug."""
     image = tuple(f[i] for i in range(len(X.points)) for f in F.elements)
-    return MeasFn(tensor_space(X, F.carrier), Y, image)
+    return MeasFn(product_space(X, F.carrier), Y, image)
 
 
 def curry_positions(f: tuple[int, ...], F: FnSpace, nz: int) -> tuple:
@@ -106,7 +117,7 @@ def uncurry_positions(g: tuple[int, ...], F: FnSpace) -> tuple[int, ...]:
 
 def curry(f: MeasFn, X: FinMeasSpace, Z: FinMeasSpace, Y: FinMeasSpace) -> MeasFn:
     """Transpose a map on the tensor of X and Z into a map Z -> Y^X."""
-    if f.dom != tensor_space(X, Z):
+    if f.dom != product_space(X, Z):
         raise DomainError("map is not defined on the tensor of X and Z")
     F = function_space(X, Y)
     g = curry_positions(f.image, F, len(Z.points))
@@ -120,7 +131,7 @@ def uncurry(g: MeasFn, X: FinMeasSpace, Z: FinMeasSpace, Y: FinMeasSpace) -> Mea
     F = function_space(X, Y)
     if g.cod != F.carrier:
         raise DomainError("map does not land in the function space of X and Y")
-    return MeasFn(tensor_space(X, Z), Y, uncurry_positions(g.image, F))
+    return MeasFn(product_space(X, Z), Y, uncurry_positions(g.image, F))
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from . import convex as cvx
 from . import giry, smcc
 from .adjunction import MIX_GRID
 from .jsonio import witness_text
-from .kernel import CapacityError, DomainError, ONE, ZERO, rat, rat_str, step_integrate
+from .kernel import DomainError, ONE, ZERO, rat, rat_str, step_integrate
 from .measurable import (FinMeasSpace, enumerate_meas_fns, is_separated, mask_of,
                          measurable_maps)
 from .reports import LawReport
@@ -275,50 +275,30 @@ def _curry_uncurry_failure(outer, inner, F, nz):
     return None
 
 
-def _or_none(build, *args):
-    """build(*args), or None past a capacity guard."""
-    try:
-        return build(*args)
-    except CapacityError:
-        return None
-
-
 def _suite_smcc(config) -> LawReport:
     rep = LawReport("smcc")
     max_points = config.get("maxPoints", 2)
     spaces = _suite_spaces(max_points)
-    # one tensor per pair of spaces, for the product check of (X, Y) and
+    # one product per pair of spaces, for the tensor check of (X, Y) and
     # the outer hom-sets of every (X, Z)
-    tensors = {(ta, tb): _or_none(smcc.tensor_space, X, Y)
-               for (ta, X), (tb, Y) in itertools.product(spaces, spaces)}
+    products = {(ta, tb): smcc.product_space(X, Y)
+                for (ta, X), (tb, Y) in itertools.product(spaces, spaces)}
     for (ta, X), (tb, Y) in itertools.product(spaces, spaces):
         inst = f"{ta}x{tb}"
-        T = tensors[ta, tb]
-        Pr = None if T is None else _or_none(smcc.product_space, X, Y)
-        if Pr is None:
-            rep.record(True, "smcc.skipped-guard", inst, detail="capacity")
-            continue
-        rep.record(Pr.sigma <= T.sigma, "smcc.product-in-tensor",
-                   inst, witness=len(Pr.sigma) - len(T.sigma))
-        F = _or_none(smcc.function_space, X, Y)
+        T, Pr = smcc.tensor_space(X, Y), products[ta, tb]
+        rep.record(T.atoms == Pr.atoms, "smcc.tensor-is-product", inst,
+                   witness=lambda: ([T.subset_names(a) for a in T.atoms],
+                                    [Pr.subset_names(a) for a in Pr.atoms]))
+        F = smcc.function_space(X, Y)
         try:
-            if F is None or _or_none(smcc.eval_map, X, Y, F) is None:
-                rep.record(True, "smcc.skipped-guard", f"{inst}-eval",
-                           detail="capacity")
-            else:
-                rep.record(True, "smcc.eval-measurable", inst)
+            smcc.eval_map(X, Y, F)
+            rep.record(True, "smcc.eval-measurable", inst)
         except DomainError as exc:
             rep.record(False, "smcc.eval-measurable", inst, witness=str(exc))
         for tc, Z in spaces:
             cinst = f"{inst}-{tc}"
-            XZ = None if F is None else tensors[ta, tc]
-            outer = None if XZ is None else _or_none(measurable_maps, XZ, Y)
-            inner = None if outer is None else \
-                _or_none(measurable_maps, Z, F.carrier)
-            if inner is None:
-                rep.record(True, "smcc.skipped-guard", cinst,
-                           detail="capacity")
-                continue
+            outer = measurable_maps(products[ta, tc], Y)
+            inner = measurable_maps(Z, F.carrier)
             rep.record(len(outer) == len(inner), "smcc.hom-count", cinst,
                        witness=(len(outer), len(inner)))
             failure = _curry_uncurry_failure(outer, inner, F, len(Z.points))

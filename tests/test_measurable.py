@@ -119,10 +119,14 @@ def test_generate_sigma_matches_brute_force_on_random_families():
 
 
 def test_generate_sigma_capacity_guard():
+    # 24 atoms: the space is its partition and is built; only the 2^24
+    # member set is over capacity
     points = tuple(f"p{i}" for i in range(24))
     gens = [(p,) for p in points]
+    X = generate_sigma(points, [mask_of(points, g) for g in gens])
+    assert len(X.atoms) == 24
     with pytest.raises(CapacityError):
-        generate_sigma(points, [mask_of(points, g) for g in gens])
+        X.sigma
 
 
 def test_measurability_definition_and_witness():
@@ -160,10 +164,10 @@ def test_map_capacity_counts_measurable_maps():
     # atoms of 10 and 11 points: 2 * 2 measurable maps
     halves = FinMeasSpace(pts21, ((1 << 10) - 1, ((1 << 21) - 1) ^ ((1 << 10) - 1)))
     assert len(measurable_maps(halves, two)) == 4
-    # discrete on 21 points exceeds the atom capacity itself; on 20 points
-    # into 3 there are 3^20 measurable maps
+    # discrete on 21 points exceeds the atom capacity of its member set;
+    # on 20 points into 3 there are 3^20 measurable maps
     with pytest.raises(CapacityError):
-        FinMeasSpace.discrete(pts21)
+        FinMeasSpace.discrete(pts21).sigma
     X = FinMeasSpace.discrete(pts21[:20])
     with pytest.raises(CapacityError):
         measurable_maps(X, FinMeasSpace.discrete(("0", "1", "2")))

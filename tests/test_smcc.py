@@ -26,12 +26,16 @@ def test_tensor_of_discrete_spaces_is_discrete():
     assert T.points == ("(a,x)", "(a,y)", "(b,x)", "(b,y)")
 
 
-def test_product_contained_in_tensor():
-    X = two_discrete()
-    Y = two_trivial()
-    T = smcc.tensor_space(X, Y)
-    P = smcc.product_space(X, Y)
-    assert P.sigma <= T.sigma
+def test_tensor_is_product_on_small_spaces():
+    # the coinduced tensor has exactly the rectangles of atoms as atoms,
+    # on every pair of spaces on at most 4 points
+    spaces = [X for n in (1, 2, 3, 4) for X in all_sigma_spaces(tuple("abcd"[:n]))]
+    assert len(spaces) ** 2 == 529
+    for X in spaces:
+        for Y in spaces:
+            T, P = smcc.tensor_space(X, Y), smcc.product_space(X, Y)
+            assert T.atoms == P.atoms
+            assert T == P
 
 
 def test_product_space_is_generated_by_rectangles():
@@ -49,6 +53,35 @@ def test_tensor_guard():
     big = FinMeasSpace.trivial(tuple(f"p{i}" for i in range(5)))
     with pytest.raises(CapacityError):
         smcc.tensor_space(big, FinMeasSpace.trivial(("x", "y", "z", "w")))
+
+
+def test_product_has_no_tensor_guard():
+    # the product and the maps built on it run past the 16 points that
+    # bound the coinduced tensor
+    X, Y = FinMeasSpace.discrete(("a", "b", "c")), FinMeasSpace.discrete(("0", "1"))
+    Z = FinMeasSpace.discrete(tuple("uvwxyz"))
+    F = smcc.function_space(X, Y)
+    assert len(smcc.product_space(X, Z).points) == 18
+    with pytest.raises(CapacityError):
+        smcc.tensor_space(X, Z)
+    ev = smcc.eval_map(X, Y, F)
+    assert len(ev.dom.points) == 24 and len(ev.dom.atoms) == 24
+    with pytest.raises(CapacityError):
+        smcc.tensor_space(X, F.carrier)
+    f = MeasFn(smcc.product_space(X, Z), Y, tuple(i % 2 for i in range(18)))
+    g = smcc.curry(f, X, Z, Y)
+    assert [F.elements[k] for k in g.image] == [f.image[k::6] for k in range(6)]
+    assert smcc.uncurry(g, X, Z, Y).image == f.image
+
+
+def test_function_space_past_the_atom_capacity():
+    # 27 maps between discrete 3-point spaces, separated by evaluation:
+    # the space is built, and only its 2^27 member set is over capacity
+    X = FinMeasSpace.discrete(("a", "b", "c"))
+    F = smcc.function_space(X, X)
+    assert len(F.carrier.atoms) == 27
+    with pytest.raises(CapacityError):
+        F.carrier.sigma
 
 
 def test_function_space_elements_and_sigma():

@@ -4,10 +4,11 @@ import json
 import pytest
 
 from gcvx import adjunction as adj
-from gcvx import cli, giry, smcc
+from gcvx import cli, giry, smcc, suites
 from gcvx import convex as cvx
 from gcvx import jsonio
-from gcvx.kernel import DomainError, ZERO, rat
+from gcvx.kernel import CapacityError, DomainError, ZERO, rat
+from gcvx.measurable import FinMeasSpace
 from gcvx.suites import all_sigma_spaces, explain, run_suite
 
 # config and the SHA-256 of the canonical report; a refactor that keeps
@@ -130,6 +131,34 @@ def test_smcc_mutation_self_check(monkeypatch, capsys):
     out, err = capsys.readouterr()
     assert "FAIL smcc.curry-uncurry-inverse" in out
     assert "Traceback" not in err
+
+
+def test_smcc_tensor_mutation_self_check(monkeypatch, capsys):
+    # a tensor that is the discrete space on the product carrier must
+    # make the tensor-is-product law fail, and nothing else
+    monkeypatch.setattr(smcc, "tensor_space",
+                        lambda X, Y: FinMeasSpace.discrete(smcc.product_points(X, Y)))
+    rep = run_suite("smcc", {"maxPoints": 2})
+    assert not rep.ok
+    assert {f.law for f in rep.failures} == {"smcc.tensor-is-product"}
+    assert cli.main(["smcc", "--max-points", "2"]) == 1
+    out, err = capsys.readouterr()
+    assert "FAIL smcc.tensor-is-product" in out
+    assert "Traceback" not in err
+
+
+def test_smcc_capacity_error_is_usage_error(monkeypatch, capsys):
+    # a hom-set past the capacity ends the run with exit 2; it is never
+    # recorded as a passing instance
+    def over_capacity(X, Y):
+        raise CapacityError("function enumeration exceeds capacity")
+
+    monkeypatch.setattr(suites, "measurable_maps", over_capacity)
+    with pytest.raises(CapacityError):
+        run_suite("smcc", {"maxPoints": 2})
+    assert cli.main(["smcc", "--max-points", "2"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ")
 
 
 def test_boolean_subobjects_mutation_self_check(monkeypatch, capsys):
