@@ -15,10 +15,6 @@ def two_discrete():
     return FinMeasSpace.discrete(("a", "b"))
 
 
-def two_trivial():
-    return FinMeasSpace.trivial(("x", "y"))
-
-
 def test_tensor_of_discrete_spaces_is_discrete():
     X, Y = two_discrete(), FinMeasSpace.discrete(("x", "y"))
     T = smcc.tensor_space(X, Y)
@@ -74,22 +70,19 @@ def test_product_has_no_tensor_guard():
     assert smcc.uncurry(g, X, Z, Y).image == f.image
 
 
-def test_function_space_past_the_atom_capacity():
-    # 27 maps between discrete 3-point spaces, separated by evaluation:
-    # the space is built, and only its 2^27 member set is over capacity
-    X = FinMeasSpace.discrete(("a", "b", "c"))
-    F = smcc.function_space(X, X)
-    assert len(F.carrier.atoms) == 27
-    with pytest.raises(CapacityError):
-        F.carrier.sigma
-
-
 def test_function_space_elements_and_sigma():
     X = two_discrete()
     Y = FinMeasSpace.discrete(("0", "1"))
     F = smcc.function_space(X, Y)
     assert len(F.elements) == 4
     assert len(F.carrier.sigma) == 16  # evaluations separate all four maps
+    # 27 maps between discrete 3-point spaces: the space is built, and
+    # only its 2^27 member set is over capacity
+    X = FinMeasSpace.discrete(("a", "b", "c"))
+    F = smcc.function_space(X, X)
+    assert len(F.elements) == len(F.carrier.atoms) == 27
+    with pytest.raises(CapacityError):
+        F.carrier.sigma
 
 
 def comma_discrete():
