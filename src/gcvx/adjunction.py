@@ -17,6 +17,7 @@ from math import lcm
 from typing import Callable
 
 from .convex import (
+    MIX_GRID,
     GeomCvx,
     SemiCvx,
     all_boolean_subobjects,
@@ -36,8 +37,6 @@ from .giry import (
 from .kernel import DomainError, ONE, ZERO, rat, rat_str
 from .measurable import FinMeasSpace, MeasFn, generate_sigma
 from .reports import LawReport
-
-MIX_GRID = (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4))
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,9 @@ from .kernel import CapacityError, DomainError, ONE, ZERO, int_row, rat, rat_str
 
 Point = tuple[Fraction, ...]
 
+# the interior weights at which convex combinations are probed
+MIX_GRID = (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4))
+
 
 # ---------------------------------------------------------------------------
 # carriers
@@ -325,11 +328,12 @@ def is_boolean_subobject(S):
     """Check that S and its complement are closed under convex combination.
 
     Returns (True, None) or (False, (x, y, alpha)) with a violating triple,
-    x and y as labels.  For halfspace splits both sides are convex by
-    construction, so the check only validates well-formedness.
+    x and y as labels on a semilattice and points on a polytope.  A
+    halfspace split is probed as `boolean_intersection_check` probes an
+    intersection.
     """
     if isinstance(S, HalfspaceSplit):
-        return True, None
+        return _probe_both_sides(S.space, S.contains)
     A, members = S.space, S.members
     inside = sorted(members)
     outside = [e for e in range(len(A.elements)) if e not in members]
@@ -362,14 +366,24 @@ def generated_subobject(A: SemiCvx, a: int) -> frozenset[int]:
     return frozenset(b for b in range(len(A.elements)) if A.meet(a, b) == a)
 
 
-def _geom_probe_points(A: GeomCvx):
-    pts = list(A.generators)
-    mixes = (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4))
+def _probe_both_sides(A: GeomCvx, member):
+    """Whether `member` and its complement are closed under combination,
+    probed on A's generators and their mixtures: (True, None) or (False,
+    (x, y, alpha)) with x, y on one side and their mixture on the other."""
+    probes = list(A.generators)
     for g, h in itertools.combinations(A.generators, 2):
-        for alpha in mixes:
-            pts.append(tuple((ONE - alpha) * x + alpha * y
-                             for x, y in zip(g, h)))
-    return pts
+        for alpha in MIX_GRID:
+            probes.append(tuple((ONE - alpha) * x + alpha * y
+                                for x, y in zip(g, h)))
+    for x, y in itertools.combinations(probes, 2):
+        side = member(x)
+        if member(y) != side:
+            continue
+        for alpha in MIX_GRID:
+            z = tuple((ONE - alpha) * u + alpha * v for u, v in zip(x, y))
+            if member(z) != side:
+                return False, (x, y, alpha)
+    return True, None
 
 
 def boolean_intersection_check(A, S1, S2):
@@ -381,21 +395,7 @@ def boolean_intersection_check(A, S1, S2):
     """
     if isinstance(A, SemiCvx):
         return is_boolean_subobject(SemiSubset(A, S1.members & S2.members))
-    # geometric: probe both-sides convexity of the intersection predicate
-    def member(p):
-        return S1.contains(p) and S2.contains(p)
-    probes = _geom_probe_points(A)
-    mixes = (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4))
-    for x, y in itertools.combinations(probes, 2):
-        if member(x) != member(y):
-            continue
-        side = member(x)
-        for alpha in mixes:
-            z = tuple((ONE - a_) * u + a_ * v
-                      for u, v, a_ in zip(x, y, [alpha] * len(x)))
-            if member(z) != side:
-                return False, (x, y, alpha)
-    return True, None
+    return _probe_both_sides(A, lambda p: S1.contains(p) and S2.contains(p))
 
 
 def boolean_union_identity(A: SemiCvx, S: SemiSubset):
@@ -479,11 +479,10 @@ class SemiToI:
     table: tuple[Fraction, ...]  # value at each dom position
 
     def __post_init__(self):
-        alphas = (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4))
         for x, y in itertools.combinations(range(len(self.dom.elements)), 2):
             vx, vy = self.table[x], self.table[y]
             vm = self.table[self.dom.meet(x, y)]
-            for alpha in alphas:
+            for alpha in MIX_GRID:
                 if vm != (ONE - alpha) * vx + alpha * vy:
                     raise DomainError(f"not affine at ({self.dom.elements[x]}, "
                                       f"{self.dom.elements[y]}, {alpha})")
@@ -493,12 +492,17 @@ class SemiToI:
 
 
 def affine_semi_to_interval_maps(A: SemiCvx, values) -> list[SemiToI]:
-    """All affine maps from A into the interval taking values in `values`.
-
-    These are exactly the constant maps, and each constant table still
-    passes the SemiToI validator.
-    """
-    return [SemiToI(A, (rat(v),) * len(A.elements)) for v in values]
+    """All affine maps from A into the interval taking values in `values`:
+    every table over `values` that `SemiToI` accepts, in lexicographic
+    order.  On a semilattice these are exactly the constant maps."""
+    values = [rat(v) for v in values]
+    maps = []
+    for table in itertools.product(values, repeat=len(A.elements)):
+        try:
+            maps.append(SemiToI(A, table))
+        except DomainError:
+            pass
+    return maps
 
 
 # ---------------------------------------------------------------------------
@@ -547,7 +551,7 @@ def injectivity_check(A):
     Geometric carriers are separated by rescaled coordinate functionals;
     on semilattices every affine map into the interval is constant, so
     evaluations collapse and the check reports the witnessing pair.  The
-    semilattice maps are the constants 0, 1/2 and 1.
+    semilattice maps are the affine maps with values 0, 1/2 and 1.
     """
     if isinstance(A, GeomCvx):
         fns = geom_spanning_functionals(A)

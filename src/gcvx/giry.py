@@ -35,12 +35,12 @@ from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 
-from .convex import GeomCvx, SemiCvx, free_convex
+from .convex import MIX_GRID, GeomCvx, SemiCvx, free_convex
 from .kernel import DomainError, ONE, ZERO, int_row, rat, rat_str
 from .measurable import FinMeasSpace, MeasFn, mask_of
 from .reports import LawReport
 
-DEFAULT_GRID = (ZERO, Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), ONE)
+DEFAULT_GRID = (ZERO, *MIX_GRID, ONE)
 
 
 class MeasurabilityError(DomainError):
@@ -133,14 +133,15 @@ def pushforward(f: MeasFn, P: FinDist) -> FinDist:
 
 
 def _atom_values(P: FinDist, f) -> list[Fraction]:
-    """Resolve an integrand to one value per atom, checking measurability."""
-    atoms = P.space.atoms
+    """Resolve an integrand to one value per atom, checking that every
+    point has a value and that the values are constant on each atom."""
     if callable(f):
         f = {p: f(p) for p in P.space.points}
-    if all(isinstance(k, int) for k in f):
-        return [rat(f[a]) for a in atoms]
+    missing = [p for p in P.space.points if p not in f]
+    if missing:
+        raise DomainError(f"integrand has no value at {missing}")
     vals = []
-    for a in atoms:
+    for a in P.space.atoms:
         pts = P.space.subset_names(a)
         got = {rat(f[p]) for p in pts}
         if len(got) != 1:
@@ -151,11 +152,8 @@ def _atom_values(P: FinDist, f) -> list[Fraction]:
 
 
 def integrate(P: FinDist, f) -> Fraction:
-    """Exact integral of an atom-constant function with values in [0,1].
-
-    `f` may be keyed by atom mask or by point (checked for atom
-    constancy), or be a callable on points.
-    """
+    """Exact integral of an atom-constant function with values in [0,1],
+    keyed by point (checked for atom constancy) or a callable on points."""
     vals = _atom_values(P, f)
     for v in vals:
         if not (ZERO <= v <= ONE):
@@ -482,7 +480,7 @@ def two_level_dists(X: FinMeasSpace, max_support: int = 3) -> list[DistOverDists
     return out
 
 
-def monad_law_report(X: FinMeasSpace, max_support: int = 3, mu_fn=mu,
+def monad_law_report(X: FinMeasSpace, max_support: int = 3,
                      naturality_maps=(), instance_prefix: str = "") -> LawReport:
     """Check the monad laws with exact equality on grid-valued measures.
 
@@ -490,31 +488,30 @@ def monad_law_report(X: FinMeasSpace, max_support: int = 3, mu_fn=mu,
     measure; associativity runs over three-level measures with outer
     support up to two drawn from the first 25 of the two-level family.
     `naturality_maps` is a list of MeasFn out of X checked for unit and
-    multiplication naturality.  `mu_fn` exists so harness self-tests can
-    inject a corrupted multiplication.  Witnesses are thunks, formatted
-    only for a failing instance.
+    multiplication naturality.  Witnesses are thunks, formatted only for
+    a failing instance.
 
     Work that does not depend on the instance is done once.  Each
-    two-level measure is flattened by `mu_fn` once, and that flattening
-    is the left side of the flatten oracle, the inner multiplication of
+    two-level measure is flattened by `mu` once, and that flattening is
+    the left side of the flatten oracle, the inner multiplication of
     `map_mu` in associativity and, pushed forward, the right side of
     multiplication naturality.  Each support measure is pushed forward
-    once per naturality map, and P(f) is built from those images.  So
-    `mu_fn` must be a pure function: equal inputs, equal results.  Every
-    law still applies `mu_fn` to the side it constructs.
+    once per naturality map, and P(f) is built from those images.  Every
+    law still applies `mu` to the side it constructs.  A `mu` patched in
+    by a self-check must be pure: equal inputs, equal results.
     """
     rep = LawReport("giry-monad")
     pre = instance_prefix
     dists = grid_dists(X)
     for i, P in enumerate(dists):
         inst = f"{pre}P{i}"
-        got = mu_fn(unit_outer(P))
+        got = mu(unit_outer(P))
         rep.record(got == P, "mu.unit-left", inst, witness=got.describe,
                    detail=P.describe())
-        got = mu_fn(map_unit(P))
+        got = mu(map_unit(P))
         rep.record(got == P, "mu.unit-right", inst, witness=got.describe)
     two_level = two_level_dists(X, max_support)
-    flat = [mu_fn(PP) for PP in two_level]
+    flat = [mu(PP) for PP in two_level]
     for i, (PP, lhs) in enumerate(zip(two_level, flat)):
         inst = f"{pre}PP{i}"
         rhs = flatten_oracle(PP)
@@ -533,8 +530,8 @@ def monad_law_report(X: FinMeasSpace, max_support: int = 3, mu_fn=mu,
          for w in pair_weights))
     for i, PPP in enumerate(triples):
         inst = f"{pre}PPP{i}"
-        lhs = mu_fn(flatten_outer(PPP))
-        rhs = mu_fn(map_mu(PPP, mu_fn=flat_of.__getitem__))
+        lhs = mu(flatten_outer(PPP))
+        rhs = mu(map_mu(PPP, mu_fn=flat_of.__getitem__))
         rep.record(lhs == rhs, "mu.associativity", inst,
                    witness=lambda: (lhs.describe(), rhs.describe()))
     supports = dict.fromkeys(q for PP in two_level for q in PP.support)
@@ -548,7 +545,7 @@ def monad_law_report(X: FinMeasSpace, max_support: int = 3, mu_fn=mu,
         image = {q: pushforward(f, q) for q in supports}
         for i, (PP, P) in enumerate(zip(two_level, flat)):
             inst = f"{pre}nat-mu-f{j}-PP{i}"
-            lhs = mu_fn(_push_outer(f.cod, image.__getitem__, PP))
+            lhs = mu(_push_outer(f.cod, image.__getitem__, PP))
             rhs = pushforward(f, P)
             rep.record(lhs == rhs, "mu.naturality", inst,
                        witness=lambda: (lhs.describe(), rhs.describe()))

@@ -197,17 +197,23 @@ class MeasFn:
 
     def __post_init__(self):
         _check_positions(self.image, len(self.dom.points), len(self.cod.points))
-        # measurable exactly when each domain atom lands in one codomain
-        # atom; the preimage scan only runs to name a witness
+        # measurable exactly when each domain atom lands in one codomain atom
         cod_atom = self.cod.point_atom
         landing: dict[int, int] = {}
         for k, j in zip(self.dom.point_atom, self.image):
             if landing.setdefault(k, cod_atom[j]) != cod_atom[j]:
-                _, witness = is_measurable(self.image, self.dom, self.cod)
-                names = self.cod.subset_names(witness)
+                names = self.cod.subset_names(self._split_witness())
                 raise DomainError(f"map is not measurable; witness set {names}")
         object.__setattr__(self, "atom_map",
                            tuple(landing[k] for k in range(len(landing))))
+
+    def _split_witness(self) -> int:
+        """The least codomain atom (as a mask) whose preimage splits a domain
+        atom: `is_measurable`'s witness, found without the member sets."""
+        hit: dict[int, set[int]] = {}
+        for k, j in zip(self.dom.point_atom, self.image):
+            hit.setdefault(k, set()).add(self.cod.atoms[self.cod.point_atom[j]])
+        return min(b for atoms in hit.values() if len(atoms) > 1 for b in atoms)
 
     @property
     def mapping(self) -> tuple[str, ...]:
@@ -226,7 +232,7 @@ def is_measurable(image, dom: FinMeasSpace, cod: FinMeasSpace):
     `image` lists the codomain position of each domain point.  Returns
     (True, None) or (False, witness_mask) where the witness's preimage is
     not in dom.sigma.  This is the definition, kept as the reference
-    oracle for the atom test in `MeasFn` and `measurable_maps`.
+    oracle for `MeasFn` (test and witness) and `measurable_maps`.
     """
     _check_positions(image, len(dom.points), len(cod.points))
     for u in sorted(cod.sigma):

@@ -14,7 +14,7 @@ from fractions import Fraction
 from . import adjunction as adj
 from . import convex as cvx
 from . import giry, smcc
-from .adjunction import MIX_GRID
+from .convex import MIX_GRID
 from .jsonio import witness_text
 from .kernel import DomainError, ONE, ZERO, rat, rat_str, step_integrate
 from .measurable import (FinMeasSpace, enumerate_meas_fns, is_separated, mask_of,
@@ -75,16 +75,14 @@ def _semilattices(max_size: int) -> list[cvx.SemiCvx]:
 # individual suites
 
 
-def _suite_giry(config, mu_fn) -> LawReport:
+def _suite_giry(config) -> LawReport:
     rep = LawReport("giry-monad")
     max_points = config.get("maxPoints", 2)
     max_support = config.get("maxSupport", 3)
-    mu_fn = mu_fn or giry.mu
     for tag, X in _suite_spaces(max_points):
         nats = list(enumerate_meas_fns(X, X))
-        rep.merge(giry.monad_law_report(
-            X, max_support=max_support, mu_fn=mu_fn,
-            naturality_maps=nats, instance_prefix=f"{tag}-"))
+        rep.merge(giry.monad_law_report(X, max_support, naturality_maps=nats,
+                                        instance_prefix=f"{tag}-"))
     return rep
 
 
@@ -146,15 +144,12 @@ def _suite_adjunction(config) -> LawReport:
     return rep
 
 
-def _suite_algebra(config, h_twist) -> LawReport:
+def _suite_algebra(config) -> LawReport:
     rep = LawReport("algebra-roundtrip")
     max_elems = config.get("maxSize", 4)
     for n in range(1, max_elems + 1):
         for j, A in enumerate(cvx.enumerate_semilattices(n)):
-            alg = adj.convex_to_algebra(A)
-            if h_twist is not None:
-                alg = adj.GiryAlgebra(alg.space, h_twist(alg.h))
-            sub = adj.algebra_law_report(alg)
+            sub = adj.algebra_law_report(adj.convex_to_algebra(A))
             for f in sub.failures:
                 f.instance = f"n{n}L{j}-{f.instance}"
             rep.merge(sub)
@@ -223,7 +218,7 @@ def _suite_convex(config) -> LawReport:
             inst = f"endo-{rat_str(rat(s1))},{rat_str(rat(t1))}-{rat_str(rat(s2))},{rat_str(rat(t2))}"
             ok = all(cvx.endo_apply(comp, al) ==
                      cvx.endo_apply(e1, cvx.endo_apply(e2, al))
-                     for al in (ZERO, *MIX_GRID, ONE))
+                     for al in giry.DEFAULT_GRID)
             rep.record(ok, "endo.composition", inst)
     return rep
 
@@ -307,7 +302,7 @@ def _suite_smcc(config) -> LawReport:
     return rep
 
 
-def _suite_lebesgue(config, integrator) -> LawReport:
+def _suite_lebesgue(config) -> LawReport:
     rep = LawReport("lebesgue")
     samples = config.get("samples", 100)
     seed = config.get("seed", 0)
@@ -316,9 +311,8 @@ def _suite_lebesgue(config, integrator) -> LawReport:
     for _ in range(samples):
         den = rng.randrange(1, 1000)
         levels.append(Fraction(rng.randrange(0, den + 1), den))
-    integrator = integrator or step_integrate
     for i, u in enumerate(levels):
-        got = integrator(smcc.down_map(u))
+        got = step_integrate(smcc.down_map(u))
         rep.record(got == u, "lebesgue.section", f"u{i}",
                    witness=lambda: (rat_str(u), rat_str(got)),
                    detail=rat_str(u))
@@ -347,8 +341,7 @@ def _suite_errata(config) -> LawReport:
                detail={"S1": "x>=1/2", "S2": "y>=1/2",
                        "claim": "intersection of Boolean subobjects is Boolean"})
     two = cvx.two_space()
-    maps = cvx.affine_semi_to_interval_maps(
-        two, (ZERO, Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), ONE))
+    maps = cvx.affine_semi_to_interval_maps(two, giry.DEFAULT_GRID)
     rep.record(all(m.apply(0) == m.apply(1) for m in maps),
                "errata.two-affine-maps-constant", "collapse",
                witness=lambda: [(rat_str(m.apply(0)), rat_str(m.apply(1)))
@@ -375,11 +368,8 @@ _RUNNERS = {
 }
 
 
-def run_suite(name: str, config=None, *, mu_fn=None, integrator=None,
-              structure_map_twist=None) -> LawReport:
-    """Run one suite on its JSON `config`.  The keyword arguments are
-    mutation hooks, None for the library's own: `mu_fn` in giry-monad,
-    `integrator` in lebesgue, `structure_map_twist` in algebra-roundtrip."""
+def run_suite(name: str, config=None) -> LawReport:
+    """Run one suite on its JSON `config`."""
     if name not in _RUNNERS:
         raise DomainError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
     config = dict(config or {})
@@ -395,9 +385,7 @@ def run_suite(name: str, config=None, *, mu_fn=None, integrator=None,
     if low:
         raise DomainError(f"config value(s) of {low} must be at least 1; "
                           f"a bound below 1 leaves laws with no instances")
-    hooks = {"giry-monad": (mu_fn,), "lebesgue": (integrator,),
-             "algebra-roundtrip": (structure_map_twist,)}
-    rep = _RUNNERS[name](config, *hooks.get(name, ()))
+    rep = _RUNNERS[name](config)
     if rep.instances == 0:
         raise DomainError(f"suite {name!r} checked no instances; a run that "
                           f"checks nothing is not a pass")

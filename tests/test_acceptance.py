@@ -8,12 +8,13 @@ from fractions import Fraction
 from gcvx import adjunction as adj
 from gcvx import convex as cvx
 from gcvx.cli import main as cli_main
-from gcvx.giry import FinDist, mu
+from gcvx import giry, suites
 from gcvx.kernel import ONE, ZERO, step_integrate
 from gcvx.measurable import generate_sigma, is_separated
 from gcvx.smcc import down_map
 from gcvx.suites import all_sigma_spaces, explain, run_suite
-from test_suites import report_digest
+from test_suites import (report_digest, shifted_integral, swapped_mu,
+                         twisted_structure_map)
 
 # SHA-256 of the canonical report at each suite's acceptance config, as in
 # test_suites.SMALL: a refactor that keeps them keeps the reports
@@ -208,36 +209,20 @@ def test_criterion_10_errata_reproduced_without_failing_the_process(capsys):
             "flagged as expected errata, exit code 0")
 
 
-def test_criterion_11_mutation_self_check():
-    def bad_mu(PP):
-        good = mu(PP)
-        if len(PP.support) > 1:
-            m = list(good.mass)
-            m[0], m[-1] = m[-1], m[0]
-            return FinDist(good.space, tuple(m))
-        return good
+def test_criterion_11_mutation_self_check(monkeypatch):
+    with monkeypatch.context() as patch:
+        patch.setattr(giry, "mu", swapped_mu(giry.mu))
+        giry_detects = not run_suite("giry-monad", {"maxPoints": 2}).ok
 
-    giry_detects = not run_suite(
-        "giry-monad", {"maxPoints": 2}, mu_fn=bad_mu).ok
+    with monkeypatch.context() as patch:
+        patch.setattr(suites, "step_integrate",
+                      shifted_integral(suites.step_integrate))
+        lebesgue_detects = not run_suite("lebesgue", {"samples": 10}).ok
 
-    bad_int = lambda f: step_integrate(f) + Fraction(1, 7)
-    lebesgue_detects = not run_suite(
-        "lebesgue", {"samples": 10}, integrator=bad_int).ok
-
-    def twist(h):
-        def crooked(P):
-            out = h(P)
-            atoms = P.space.atoms
-            if len(atoms) > 1:
-                # the lowest position in the last atom, or in the first
-                last = (atoms[-1] & -atoms[-1]).bit_length() - 1
-                return last if out != last else \
-                    (atoms[0] & -atoms[0]).bit_length() - 1
-            return out
-        return crooked
-
-    algebra_detects = not run_suite(
-        "algebra-roundtrip", {"maxSize": 2}, structure_map_twist=twist).ok
+    with monkeypatch.context() as patch:
+        patch.setattr(adj, "convex_to_algebra",
+                      twisted_structure_map(adj.convex_to_algebra))
+        algebra_detects = not run_suite("algebra-roundtrip", {"maxSize": 2}).ok
 
     verdict(11, giry_detects and lebesgue_detects and algebra_detects,
             "corrupted multiplication, integrator and structure map are "

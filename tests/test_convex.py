@@ -211,6 +211,19 @@ def test_lshape_intersection_fails_in_dimension_two():
     assert inside(x) == inside(y) != inside(mid)
 
 
+def test_halfspace_split_is_probed_like_an_intersection(monkeypatch):
+    # a split is Boolean because both its sides are convex, and the check
+    # probes that: with the upper quadrant as its side, the split fails
+    # at the L-shape's witness
+    sq = square()
+    S = cvx.HalfspaceSplit(sq, (ONE, ZERO), HALF, upper_closed=True)
+    assert cvx.is_boolean_subobject(S) == (True, None)
+    monkeypatch.setattr(cvx.HalfspaceSplit, "contains",
+                        lambda self, p: p[0] >= HALF and p[1] >= HALF)
+    assert cvx.is_boolean_subobject(S) == \
+        (False, ((ONE, ZERO), (ZERO, ONE), HALF))
+
+
 # ---------------------------------------------------------------------------
 # affine maps and double duals
 

@@ -32,6 +32,7 @@ from gcvx.giry import (
 from gcvx.kernel import DomainError, ONE, ZERO
 from gcvx.measurable import FinMeasSpace, MeasFn, enumerate_meas_fns
 from gcvx.suites import all_sigma_spaces
+from test_suites import swapped_mu
 
 HALF = Fraction(1, 2)
 QUARTER = Fraction(1, 4)
@@ -232,6 +233,15 @@ def test_integrate_checks_atom_constancy():
         integrate(P, lambda p: Fraction(2))
 
 
+def test_integrate_names_a_point_with_no_value():
+    X = FinMeasSpace.discrete(("a", "b"))
+    P = FinDist(X, (HALF, HALF))
+    with pytest.raises(DomainError, match=r"no value at \['a', 'b'\]"):
+        integrate(P, {})
+    with pytest.raises(DomainError, match=r"no value at \['b'\]"):
+        integrate(P, {"a": ONE})
+
+
 def test_dist_over_dists_merges_and_sorts():
     X = disc(2)
     P = dirac(X, "a")
@@ -305,18 +315,10 @@ def test_monad_law_report_all_green():
     assert rep.instances > 100
 
 
-def test_monad_law_report_catches_corrupted_mu():
+def test_monad_law_report_catches_corrupted_mu(monkeypatch):
     X = disc(2)
-
-    def bad_mu(PP):
-        good = mu(PP)
-        if len(PP.support) > 1:
-            m = list(good.mass)
-            m[0], m[-1] = m[-1], m[0]
-            return FinDist(good.space, tuple(m))
-        return good
-
-    rep = monad_law_report(X, mu_fn=bad_mu)
+    monkeypatch.setattr(giry, "mu", swapped_mu(giry.mu))
+    rep = monad_law_report(X)
     assert not rep.ok
     assert any(f.law == "mu.flatten-oracle" for f in rep.unexpected_failures)
 

@@ -204,6 +204,19 @@ def test_enumerate_meas_fns_agrees_with_preimage_definition():
     assert candidates == 888
 
 
+def test_non_measurable_map_past_the_atom_capacity_names_its_witness():
+    # 21 atoms: the member set is out of reach, and the witness is read
+    # from the atoms, so the error is the non-measurable map, not capacity
+    pts = tuple(str(i) for i in range(22))
+    X = FinMeasSpace(pts, (0b11, *(1 << i for i in range(2, 22))))
+    with pytest.raises(CapacityError):
+        X.sigma
+    with pytest.raises(DomainError) as exc:
+        MeasFn(X, FinMeasSpace.discrete(("0", "1")), (0, 1) + (0,) * 20)
+    assert not isinstance(exc.value, CapacityError)
+    assert str(exc.value) == "map is not measurable; witness set ('0',)"
+
+
 def test_points_must_be_distinct():
     with pytest.raises(DomainError):
         FinMeasSpace(("a", "a"), (0b01, 0b10))

@@ -9,7 +9,7 @@ from gcvx import convex as cvx
 from gcvx import jsonio
 from gcvx.kernel import CapacityError, DomainError, ZERO, rat
 from gcvx.measurable import FinMeasSpace
-from gcvx.suites import all_sigma_spaces, explain, run_suite
+from gcvx.suites import SUITE_NAMES, all_sigma_spaces, explain, run_suite
 
 # config and the SHA-256 of the canonical report; a refactor that keeps
 # the digests keeps every report byte-identical
@@ -93,33 +93,138 @@ def test_lebesgue_seed_changes_samples_not_verdict():
     assert a["instanceIndex"] != b["instanceIndex"]
 
 
-def test_convex_axioms_mutation_self_check(monkeypatch):
-    # a hull test that wrongly rejects every point with a quarter
-    # coordinate must make the closure axiom fail
-    real = cvx.hull_member
+# Each corruption below takes the original library function and returns
+# a broken one; a self-check patches it in where its suite looks it up.
 
+
+def swapped_mu(real):
+    """A multiplication that swaps the first and last atom masses whenever
+    the support has more than one measure (criterion 11's mutation)."""
+    def crooked(PP):
+        good = real(PP)
+        if len(PP.support) > 1:
+            m = list(good.mass)
+            m[0], m[-1] = m[-1], m[0]
+            return giry.FinDist(good.space, tuple(m))
+        return good
+    return crooked
+
+
+def first_point_counit(real):
+    """A counit that returns the position of the first point carrying
+    mass instead of the meet of the support."""
+    def crooked(A, P):
+        if isinstance(A, cvx.SemiCvx):
+            first = next(a for a, n in zip(P.space.atoms, P.num) if n)
+            return (first & -first).bit_length() - 1
+        return real(A, P)
+    return crooked
+
+
+def twisted_structure_map(real):
+    """The algebra of a semilattice with a structure map that sends every
+    measure on two or more atoms to the last atom, or to the first when
+    the true value is already in the last."""
+    def crooked_algebra(A):
+        alg = real(A)
+
+        def h(P):
+            out = alg.h(P)
+            atoms = P.space.atoms
+            if len(atoms) > 1:
+                last = (atoms[-1] & -atoms[-1]).bit_length() - 1
+                return last if out != last else \
+                    (atoms[0] & -atoms[0]).bit_length() - 1
+            return out
+        return adj.GiryAlgebra(alg.space, h)
+    return crooked_algebra
+
+
+def quarter_rejecting_hull(real):
+    """A hull test that wrongly rejects every point with a quarter
+    coordinate."""
     def crooked(A, p):
         ok, cert = real(A, p)
         if ok and any(rat(x).denominator == 4 for x in p):
             return False, (tuple(ZERO for _ in p), ZERO)
         return ok, cert
+    return crooked
 
-    monkeypatch.setattr(cvx, "hull_member", crooked)
-    rep = run_suite("convex-axioms", {"maxSize": 3})
-    assert not rep.ok
-    assert {f.law for f in rep.failures} == {"axiom.closure"}
+
+def generator_dropping_subobject(real):
+    """A generated subobject that drops its own generator."""
+    return lambda A, a: real(A, a) - {a}
+
+
+def section_swapping_curry(real):
+    """A curry that swaps the first two sections."""
+    def crooked(f, F, nz):
+        g = real(f, F, nz)
+        return g[1::-1] + g[2:] if nz > 1 else g
+    return crooked
+
+
+def shifted_integral(real):
+    """A step-function integral that is 1/7 too large."""
+    return lambda f: real(f) + rat("1/7")
+
+
+def accept_every_table(real):
+    """A `SemiToI` check that accepts every table, affine or not."""
+    return lambda self: None
+
+
+# per suite: the owner and name of the library function its run looks
+# up, the corruption, a small config, and the exact set of laws that must
+# fail unexpectedly; a suite with no entry fails the test below
+SELF_CHECKS = {
+    "giry-monad": (giry, "mu", swapped_mu, {"maxPoints": 2},
+                   {"mu.flatten-oracle", "mu.associativity",
+                    "mu.unit-right"}),
+    "adjunction": (adj, "counit", first_point_counit,
+                   {"maxPoints": 2, "maxSize": 3},
+                   {"adjunct.meet-of-support"}),
+    "algebra-roundtrip": (adj, "convex_to_algebra", twisted_structure_map,
+                          {"maxSize": 2},
+                          {"algebra.unit", "algebra.multiplication",
+                           "roundtrip.isomorphism"}),
+    "convex-axioms": (cvx, "hull_member", quarter_rejecting_hull,
+                      {"maxSize": 3}, {"axiom.closure"}),
+    "boolean-subobjects": (cvx, "generated_subobject",
+                           generator_dropping_subobject, {"maxSize": 3},
+                           {"boolean.generated-is-upset",
+                            "boolean.union-of-generated"}),
+    "smcc": (smcc, "curry_positions", section_swapping_curry,
+             {"maxPoints": 2}, {"smcc.curry-uncurry-inverse"}),
+    "lebesgue": (suites, "step_integrate", shifted_integral,
+                 {"samples": 10}, {"lebesgue.section"}),
+    "errata": (cvx.SemiToI, "__post_init__", accept_every_table, {},
+               {"errata.two-affine-maps-constant",
+                "errata.double-dual-not-injective"}),
+}
+
+
+@pytest.mark.parametrize("name", SUITE_NAMES)
+def test_every_suite_has_a_self_check(name, monkeypatch, tmp_path, capsys):
+    # the corrupted suite fails exactly its laws, and the CLI reports each
+    # as a recorded failure with exit 1 and no traceback
+    owner, attr, corrupt, config, laws = SELF_CHECKS[name]
+    monkeypatch.setattr(owner, attr, corrupt(getattr(owner, attr)))
+    rep = run_suite(name, config)
+    assert {f.law for f in rep.unexpected_failures} == laws
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert cli.main([name, "--config", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert all(f"FAIL {law} @" in out for law in laws)
+    assert "Traceback" not in err
 
 
 def test_smcc_mutation_self_check(monkeypatch, capsys):
     # a curry that swaps the first two sections must make the inverse
     # law fail, as a recorded failure with exit 1 and no traceback
-    real = smcc.curry_positions
-
-    def crooked(f, F, nz):
-        g = real(f, F, nz)
-        return g[1::-1] + g[2:] if nz > 1 else g
-
-    monkeypatch.setattr(smcc, "curry_positions", crooked)
+    monkeypatch.setattr(smcc, "curry_positions",
+                        section_swapping_curry(smcc.curry_positions))
     rep = run_suite("smcc", {"maxPoints": 2})
     assert not rep.ok
     assert {f.law for f in rep.failures} == {"smcc.curry-uncurry-inverse"}
@@ -164,9 +269,8 @@ def test_smcc_capacity_error_is_usage_error(monkeypatch, capsys):
 def test_boolean_subobjects_mutation_self_check(monkeypatch, capsys):
     # a generated subobject that drops its own generator must make the
     # up-set law and the union identity over filters fail
-    real = cvx.generated_subobject
     monkeypatch.setattr(cvx, "generated_subobject",
-                        lambda A, a: real(A, a) - {a})
+                        generator_dropping_subobject(cvx.generated_subobject))
     rep = run_suite("boolean-subobjects", {"maxSize": 3})
     assert (rep.instances, len(rep.failures)) == (213, 64)
     laws = [f.law for f in rep.failures]
@@ -175,40 +279,6 @@ def test_boolean_subobjects_mutation_self_check(monkeypatch, capsys):
     assert cli.main(["boolean-subobjects", "--max-size", "3"]) == 1
     out, err = capsys.readouterr()
     assert "FAIL boolean.generated-is-upset" in out
-    assert "Traceback" not in err
-
-
-def first_point_counit(real):
-    """A counit that returns the position of the first point carrying
-    mass instead of the meet of the support."""
-    def crooked(A, P):
-        if isinstance(A, cvx.SemiCvx):
-            first = next(a for a, n in zip(P.space.atoms, P.num) if n)
-            return (first & -first).bit_length() - 1
-        return real(A, P)
-    return crooked
-
-
-def swapped_mu(PP):
-    """A multiplication that swaps the first and last atom masses whenever
-    the support has more than one measure (criterion 11's mutation)."""
-    good = giry.mu(PP)
-    if len(PP.support) > 1:
-        m = list(good.mass)
-        m[0], m[-1] = m[-1], m[0]
-        return giry.FinDist(good.space, tuple(m))
-    return good
-
-
-def test_adjunction_mutation_self_check(monkeypatch, capsys):
-    # the first-point counit must make the meet-of-support law fail
-    monkeypatch.setattr(adj, "counit", first_point_counit(adj.counit))
-    rep = run_suite("adjunction", {"maxPoints": 2, "maxSize": 3})
-    assert not rep.ok
-    assert {f.law for f in rep.failures} == {"adjunct.meet-of-support"}
-    assert cli.main(["adjunction", "--max-points", "2", "--max-size", "3"]) == 1
-    out, err = capsys.readouterr()
-    assert "FAIL adjunct.meet-of-support" in out
     assert "Traceback" not in err
 
 
@@ -222,7 +292,9 @@ FAILURE_DIGESTS = {
 
 
 def test_failure_witnesses_are_pinned(monkeypatch):
-    rep = run_suite("giry-monad", {"maxPoints": 2}, mu_fn=swapped_mu)
+    with monkeypatch.context() as patch:
+        patch.setattr(giry, "mu", swapped_mu(giry.mu))
+        rep = run_suite("giry-monad", {"maxPoints": 2})
     assert (len(rep.failures), report_digest(rep)) == \
         FAILURE_DIGESTS["giry-monad"]
     monkeypatch.setattr(adj, "counit", first_point_counit(adj.counit))
@@ -242,9 +314,9 @@ MUTATED_GIRY_3_2 = (
 )
 
 
-def test_mutated_giry_monad_at_three_points_is_pinned():
-    rep = run_suite("giry-monad", {"maxPoints": 3, "maxSupport": 2},
-                    mu_fn=swapped_mu)
+def test_mutated_giry_monad_at_three_points_is_pinned(monkeypatch):
+    monkeypatch.setattr(giry, "mu", swapped_mu(giry.mu))
+    rep = run_suite("giry-monad", {"maxPoints": 3, "maxSupport": 2})
     counts: dict[str, int] = {}
     for f in rep.failures:
         counts[f.law] = counts.get(f.law, 0) + 1
