@@ -23,8 +23,11 @@ The monad-law report computes each instance-independent value once: the
 flattening of each two-level measure serves the flatten oracle, the
 inner multiplications of associativity and the right side of
 multiplication naturality, and each support measure is pushed forward
-once per naturality map.  Every law still multiplies its own constructed
-side, and a witness is built only when its check fails.
+once per naturality map.  `mu` runs once per distinct side a law
+constructs, and every instance is still recorded with its own verdict;
+this is sound only because `mu` is pure, so a `mu` patched in by a
+self-check must be pure too.  A witness is built only when its check
+fails.
 """
 
 from __future__ import annotations
@@ -96,10 +99,18 @@ class FinDist:
         return tuple(Fraction(n, self.den) for n in self.num)
 
     def measure(self, mask: int) -> Fraction:
-        if mask not in self.space.sigma:
+        """The mass of a measurable set.  The atoms meeting the set cover
+        exactly it when it is a union of atoms, and no other mask (one
+        that splits an atom or has points off the carrier).  Read from
+        the atoms alone, so it works where `sigma` is past capacity."""
+        total = covered = 0
+        for a, n in zip(self.space.atoms, self.num):
+            if a & mask:
+                total += n
+                covered |= a
+        if covered != mask:
             raise DomainError("set is not measurable")
-        return sum((m for a, m in zip(self.space.atoms, self.mass)
-                    if a & ~mask == 0), ZERO)
+        return Fraction(total, self.den)
 
     def describe(self) -> str:
         parts = []
@@ -220,13 +231,17 @@ class DistOverDists:
     @classmethod
     def of(cls, base, pairs, den: int | None = None) -> "DistOverDists":
         """Build from (weight, measure) pairs, merging duplicate measures;
-        with `den` the weights are integer numerators over it."""
+        with `den` the weights are integer numerators over it.  A zero
+        weight drops, and a negative one is rejected even where merging
+        would cancel it."""
         if den is None:
             pairs = list(pairs)
             nums, den = int_row([rat(w) for w, _ in pairs])
             pairs = zip(nums, (q for _, q in pairs))
         acc: dict[FinDist, int] = {}
         for w, q in pairs:
+            if w < 0:
+                raise DomainError("weights must be nonnegative")
             if w:
                 acc[q] = acc[q] + w if q in acc else w
         support = _by_mass(acc)
@@ -312,10 +327,13 @@ def flatten_outer(PPP: ThreeLevel) -> DistOverDists:
     measure (the support stays at the middle level).  With the outer
     weights as a_j over A and D the lcm of the middle denominators, the
     measure q gets a_j * v * D / wden_j from each middle weight v over
-    wden_j, all over A * D.  A term of outer weight zero drops, as in
-    `DistOverDists.of` and so in `map_mu`."""
+    wden_j, all over A * D.  A term of outer weight zero drops and a
+    negative outer weight is rejected, as in `DistOverDists.of` and so
+    in `map_mu`."""
     base = _three_level_base(PPP)
     outer, A = int_row([rat(w) for w, _ in PPP])
+    if min(outer) < 0:
+        raise DomainError("outer weights must be nonnegative")
     D = lcm(*(PP.wden for _, PP in PPP))
     acc: dict[FinDist, int] = {}
     for a, (_, PP) in zip(outer, PPP):
@@ -329,7 +347,8 @@ def flatten_outer(PPP: ThreeLevel) -> DistOverDists:
 
 
 def map_mu(PPP: ThreeLevel, mu_fn=mu) -> DistOverDists:
-    """Push a three-level measure down along the multiplication."""
+    """Push a three-level measure down along the multiplication; the
+    weights are checked and merged by `DistOverDists.of`."""
     base = _three_level_base(PPP)
     return DistOverDists.of(base, [(w, mu_fn(PP)) for w, PP in PPP])
 
@@ -344,9 +363,11 @@ def P_as_convex(X: FinMeasSpace) -> GeomCvx:
 
 
 def mix_dists(P: FinDist, Q: FinDist, alpha) -> FinDist:
-    """(1 - alpha) P + alpha Q, over alpha's denominator times the lcm of
-    the two measures' denominators."""
+    """(1 - alpha) P + alpha Q for alpha in [0, 1], over alpha's
+    denominator times the lcm of the two measures' denominators."""
     alpha = rat(alpha)
+    if not ZERO <= alpha <= ONE:
+        raise DomainError("the weight must lie in [0, 1]")
     if P.space is not Q.space and P.space != Q.space:
         raise DomainError("cannot mix measures on different spaces")
     a, b = alpha.numerator, alpha.denominator
@@ -494,11 +515,20 @@ def monad_law_report(X: FinMeasSpace, max_support: int = 3,
     Work that does not depend on the instance is done once.  Each
     two-level measure is flattened by `mu` once, and that flattening is
     the left side of the flatten oracle, the inner multiplication of
-    `map_mu` in associativity and, pushed forward, the right side of
-    multiplication naturality.  Each support measure is pushed forward
-    once per naturality map, and P(f) is built from those images.  Every
-    law still applies `mu` to the side it constructs.  A `mu` patched in
-    by a self-check must be pure: equal inputs, equal results.
+    `map_mu` in associativity and, pushed forward once per distinct
+    flattening, the right side of multiplication naturality.  Each
+    support measure is pushed forward once per naturality map, and P(f)
+    is built from those images.
+
+    `mu` runs once per distinct side that a law constructs.  Equal sides
+    are found by key, without building them: P(f)(PP) by the weight it
+    moves to each distinct image (over one denominator for the space,
+    packed into one integer), `map_mu(PPP)` by the weight it moves to
+    each distinct flattening, and `flatten_outer(PPP)` by itself.  The
+    memos live for one space (one map for naturality), and every
+    instance is recorded with its own verdict.  Sharing is sound only
+    because `mu` is pure, so a `mu` patched in by a self-check must be
+    pure too: equal inputs, equal results.
     """
     rep = LawReport("giry-monad")
     pre = instance_prefix
@@ -520,6 +550,10 @@ def monad_law_report(X: FinMeasSpace, max_support: int = 3,
                    detail=PP.describe())
     prefix = two_level[:25]
     flat_of = dict(zip(prefix, flat))
+    # each two-level measure's flattening as a slot among the distinct ones
+    flat_slots: dict[FinDist, int] = {}
+    slot_of = [flat_slots.setdefault(P, len(flat_slots)) for P in flat]
+    prefix_slot = dict(zip(prefix, slot_of))
     pair_weights = grid_weightings(2)
     # made one at a time: the flattenings above stay alive to the end, and
     # a list of all triples would sit beside them
@@ -528,13 +562,32 @@ def monad_law_report(X: FinMeasSpace, max_support: int = 3,
         (((w[0], PPa), (w[1], PPb))
          for PPa, PPb in itertools.combinations(prefix, 2)
          for w in pair_weights))
+    outer_mu: dict[DistOverDists, FinDist] = {}
+    inner_mu: dict[frozenset, FinDist] = {}
     for i, PPP in enumerate(triples):
         inst = f"{pre}PPP{i}"
-        lhs = mu(flatten_outer(PPP))
-        rhs = mu(map_mu(PPP, mu_fn=flat_of.__getitem__))
+        outer = flatten_outer(PPP)
+        lhs = outer_mu.get(outer)
+        if lhs is None:
+            lhs = outer_mu[outer] = mu(outer)
+        # map_mu(PPP) is fixed by the weight it moves to each flattening
+        acc = {}
+        for w, PP in PPP:
+            s = prefix_slot[PP]
+            acc[s] = acc[s] + w if s in acc else w
+        key = frozenset(acc.items())
+        rhs = inner_mu.get(key)
+        if rhs is None:
+            rhs = inner_mu[key] = mu(map_mu(PPP, mu_fn=flat_of.__getitem__))
         rep.record(lhs == rhs, "mu.associativity", inst,
                    witness=lambda: (lhs.describe(), rhs.describe()))
     supports = dict.fromkeys(q for PP in two_level for q in PP.support)
+    support_pos = {q: k for k, q in enumerate(supports)}
+    # each two-level measure as (support position, weight) pairs, the
+    # weights as numerators over one denominator L for the whole space
+    L = lcm(*(PP.wden for PP in two_level))
+    terms = [[(support_pos[q], w * (L // PP.wden))
+              for q, w in zip(PP.support, PP.wnum)] for PP in two_level]
     for j, f in enumerate(naturality_maps):
         for x, k, y in zip(X.points, X.point_atom, f.image):
             inst = f"{pre}nat-eta-f{j}-{x}"
@@ -543,10 +596,25 @@ def monad_law_report(X: FinMeasSpace, max_support: int = 3,
             rep.record(lhs == rhs, "eta.naturality", inst,
                        witness=lambda: (lhs.describe(), rhs.describe()))
         image = {q: pushforward(f, q) for q in supports}
-        for i, (PP, P) in enumerate(zip(two_level, flat)):
+        # the k-th distinct image is the digit (L + 1)^k, so that P(f)(PP)
+        # is the number whose digit for each image is the weight it gets;
+        # the weights of a measure sum to L, so no digit carries
+        image_slots: dict[FinDist, int] = {}
+        digit = [(L + 1) ** image_slots.setdefault(Q, len(image_slots))
+                 for Q in image.values()]
+        pushed = [pushforward(f, P) for P in flat_slots]
+        lhs_of: dict[int, FinDist] = {}
+        for i, (PP, pairs, flat_slot) in enumerate(
+                zip(two_level, terms, slot_of)):
             inst = f"{pre}nat-mu-f{j}-PP{i}"
-            lhs = mu(_push_outer(f.cod, image.__getitem__, PP))
-            rhs = pushforward(f, P)
+            key = 0
+            for p, w in pairs:
+                key += w * digit[p]
+            lhs = lhs_of.get(key)
+            if lhs is None:
+                lhs = lhs_of[key] = mu(_push_outer(f.cod, image.__getitem__,
+                                                   PP))
+            rhs = pushed[flat_slot]
             rep.record(lhs == rhs, "mu.naturality", inst,
                        witness=lambda: (lhs.describe(), rhs.describe()))
     return rep

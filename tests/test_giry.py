@@ -31,7 +31,7 @@ from gcvx.giry import (
 )
 from gcvx.kernel import DomainError, ONE, ZERO
 from gcvx.measurable import FinMeasSpace, MeasFn, enumerate_meas_fns
-from gcvx.suites import all_sigma_spaces
+from gcvx.suites import all_sigma_spaces, run_suite
 from test_suites import swapped_mu
 
 HALF = Fraction(1, 2)
@@ -124,6 +124,16 @@ def test_zero_outer_weight_drops_on_both_sides_of_associativity():
     assert mu(flatten_outer(PPP)) == mu(map_mu(PPP))
 
 
+def test_negative_outer_weight_is_a_domain_error_even_when_it_merges():
+    X = disc(2)
+    PP = unit_outer(FinDist(X, (QUARTER, 1 - QUARTER)))
+    PPP = ((-ONE, PP), (2 * ONE, PP))  # merges to weight 1 on PP
+    with pytest.raises(DomainError, match="nonnegative"):
+        flatten_outer(PPP)
+    with pytest.raises(DomainError, match="nonnegative"):
+        map_mu(PPP)
+
+
 def test_support_order_is_that_of_the_fraction_tuples():
     def fraction_tuple(q):
         return tuple(Fraction(n, q.den) for n in q.num)
@@ -161,6 +171,23 @@ def test_measure_of_sets_and_non_measurable_rejection():
     assert P.measure(0b111) == ONE
     with pytest.raises(DomainError):
         P.measure(0b010)
+    with pytest.raises(DomainError):
+        P.measure(0b1001)  # a point off the carrier
+
+
+def test_measure_reads_the_atoms_past_sigma_capacity():
+    X = FinMeasSpace.discrete(tuple(f"x{i}" for i in range(21)))
+    P = FinDist(X, [1, 2, 3] + [0] * 18, 6)
+    assert P.measure(0b1) == Fraction(1, 6)
+    assert P.measure(0b110) == Fraction(5, 6)
+    assert P.measure((1 << 21) - 1) == ONE
+    with pytest.raises(DomainError):
+        P.measure(1 << 21)
+    Y = FinMeasSpace(X.points, (0b11,) + tuple(1 << i for i in range(2, 21)))
+    Q = FinDist(Y, [1] + [0] * 19, 1)
+    assert Q.measure(0b11) == ONE
+    with pytest.raises(DomainError):
+        Q.measure(0b1)  # splits the atom {x0, x1}
 
 
 def test_dirac_and_pushforward():
@@ -323,12 +350,79 @@ def test_monad_law_report_catches_corrupted_mu(monkeypatch):
     assert any(f.law == "mu.flatten-oracle" for f in rep.unexpected_failures)
 
 
+def counted_mu(monkeypatch) -> list:
+    """Patch `giry.mu` with a counter; the list collects its inputs."""
+    inputs, real = [], giry.mu
+
+    def counting(PP):
+        inputs.append(PP)
+        return real(PP)
+    monkeypatch.setattr(giry, "mu", counting)
+    return inputs
+
+
+def test_monad_law_report_multiplies_each_distinct_side_once(monkeypatch):
+    # 76 unit sides, 473 flattenings, 3382 distinct flatten_outer(PPP) and
+    # 1741 distinct map_mu(PPP) results, and 3374 distinct P(f)(PP): one
+    # multiplication each, for 16,148 instances
+    inputs = counted_mu(monkeypatch)
+    rep = run_suite("giry-monad", {"maxPoints": 3, "maxSupport": 2})
+    assert (rep.instances, len(inputs)) == (16148, 9046)
+
+
+def test_shared_naturality_side_keeps_every_instance(monkeypatch):
+    X = disc(3)
+    const = MeasFn(X, X, (2, 2, 2))  # every support measure goes to c
+    inputs = counted_mu(monkeypatch)
+    alone = monad_law_report(X, max_support=2)
+    n = len(inputs)
+    rep = monad_law_report(X, max_support=2, naturality_maps=[const])
+    PPs = two_level_dists(X, 2)
+    # one multiplication, of the dirac at the dirac at c, serves every PP
+    assert inputs[2 * n:] == [unit_outer(dirac(X, "c"))]
+    assert rep.instances == alone.instances + len(X.points) + len(PPs)
+    # a multiplication that is wrong on that one side fails every
+    # instance, each under its own name
+    real = giry.mu
+    monkeypatch.setattr(giry, "mu", lambda PP: (
+        dirac(X, "a") if PP == unit_outer(dirac(X, "c")) else real(PP)))
+    rep = monad_law_report(X, max_support=2, naturality_maps=[const])
+    failed = [f.instance for f in rep.failures if f.law == "mu.naturality"]
+    assert failed == [f"nat-mu-f0-PP{i}" for i in range(len(PPs))]
+
+
+def test_shared_naturality_sides_keep_their_own_verdicts(monkeypatch):
+    # a, b -> a and c -> b: some P(f)(PP) are shared by measures whose
+    # flattenings the crooked multiplication gets wrong and right
+    X = disc(3)
+    f = MeasFn(X, X, (0, 0, 1))
+    monkeypatch.setattr(giry, "mu", swapped_mu(giry.mu))
+    rep = monad_law_report(X, max_support=2, naturality_maps=[f])
+    failed = {x.instance for x in rep.failures if x.law == "mu.naturality"}
+    verdicts: dict = {}
+    for i, PP in enumerate(two_level_dists(X, 2)):
+        ok = giry.mu(push_outer(f, PP)) == pushforward(f, giry.mu(PP))
+        verdicts.setdefault(push_outer(f, PP), {})[f"nat-mu-f0-PP{i}"] = ok
+    assert any(len(set(v.values())) == 2 for v in verdicts.values())
+    assert failed == {i for v in verdicts.values()
+                      for i, ok in v.items() if not ok}
+
+
 @given(st.fractions(min_value=0, max_value=1, max_denominator=16))
 def test_mix_dists_is_coordinatewise(alpha):
     X = disc(2)
     P, Q = dirac(X, "a"), dirac(X, "b")
     M = mix_dists(P, Q, alpha)
     assert M.mass == (ONE - alpha, alpha)
+
+
+@pytest.mark.parametrize("alpha", [2, -QUARTER, Fraction(5, 4)])
+def test_mix_dists_rejects_weights_outside_the_unit_interval(alpha):
+    X = disc(2)
+    # alpha = 2 would give the measure (0, 1), which is nonnegative
+    P, Q = FinDist(X, (HALF, HALF)), FinDist(X, (QUARTER, 1 - QUARTER))
+    with pytest.raises(DomainError, match=r"\[0, 1\]"):
+        mix_dists(P, Q, alpha)
 
 
 # ---------------------------------------------------------------------------
