@@ -24,10 +24,11 @@ flattening of each two-level measure serves the flatten oracle, the
 inner multiplications of associativity and the right side of
 multiplication naturality, and each support measure is pushed forward
 once per naturality map.  `mu` runs once per distinct side a law
-constructs, and every instance is still recorded with its own verdict;
-this is sound only because `mu` is pure, so a `mu` patched in by a
-self-check must be pure too.  A witness is built only when its check
-fails.
+constructs: a side is known by a packed integer key before it is built,
+and the memos live for one space, shared by all of its naturality maps.
+Every instance is still recorded with its own verdict; this is sound
+only because `mu` is pure, so a `mu` patched in by a self-check must be
+pure too.  A witness is built only when its check fails.
 """
 
 from __future__ import annotations
@@ -495,8 +496,9 @@ def two_level_dists(X: FinMeasSpace, max_support: int = 3) -> list[DistOverDists
     inner = grid_dists(X)
     out = []
     for size in range(1, max_support + 1):
+        weightings = grid_weightings(size)
         for support in itertools.combinations(inner, size):
-            for ws in grid_weightings(size):
+            for ws in weightings:
                 out.append(DistOverDists(X, support, ws))
     return out
 
@@ -521,15 +523,23 @@ def monad_law_report(X: FinMeasSpace, max_support: int = 3,
     is built from those images.
 
     `mu` runs once per distinct side that a law constructs.  Equal sides
-    are found by key, without building them: P(f)(PP) by the weight it
-    moves to each distinct image (over one denominator for the space,
-    packed into one integer), `map_mu(PPP)` by the weight it moves to
-    each distinct flattening, and `flatten_outer(PPP)` by itself.  The
-    memos live for one space (one map for naturality), and every
-    instance is recorded with its own verdict.  Sharing is sound only
-    because `mu` is pure, so a `mu` patched in by a self-check must be
-    pure too: equal inputs, equal results.
+    are found by key, without building them; a key packs the side's
+    weights, as numerators over one denominator, into one integer with
+    one digit per place a weight can go: P(f)(PP) by the weight it moves
+    to each distinct image of a support measure, numbered across every
+    map of the space; `flatten_outer(PPP)` by the weight it puts on each
+    support measure; `map_mu(PPP)` by the weight it moves to each
+    distinct flattening.  A side is built, and `mu` applied to it, only
+    the first time its key appears.  The memos live for one space and
+    are shared by all of its maps, and every instance is recorded with
+    its own verdict.  Sharing is sound only because `mu` is pure, so a
+    `mu` patched in by a self-check must be pure too: equal inputs,
+    equal results.  A `max_support` below 1 is a `DomainError`, as it
+    would leave the flatten oracle and associativity with no instances.
     """
+    if max_support < 1:
+        raise DomainError("max_support must be at least 1; a bound below 1 "
+                          "leaves laws with no instances")
     rep = LawReport("giry-monad")
     pre = instance_prefix
     dists = grid_dists(X)
@@ -548,39 +558,6 @@ def monad_law_report(X: FinMeasSpace, max_support: int = 3,
         rep.record(lhs == rhs, "mu.flatten-oracle", inst,
                    witness=lambda: (lhs.describe(), rhs.describe()),
                    detail=PP.describe())
-    prefix = two_level[:25]
-    flat_of = dict(zip(prefix, flat))
-    # each two-level measure's flattening as a slot among the distinct ones
-    flat_slots: dict[FinDist, int] = {}
-    slot_of = [flat_slots.setdefault(P, len(flat_slots)) for P in flat]
-    prefix_slot = dict(zip(prefix, slot_of))
-    pair_weights = grid_weightings(2)
-    # made one at a time: the flattenings above stay alive to the end, and
-    # a list of all triples would sit beside them
-    triples = itertools.chain(
-        (((ONE, PP),) for PP in prefix),
-        (((w[0], PPa), (w[1], PPb))
-         for PPa, PPb in itertools.combinations(prefix, 2)
-         for w in pair_weights))
-    outer_mu: dict[DistOverDists, FinDist] = {}
-    inner_mu: dict[frozenset, FinDist] = {}
-    for i, PPP in enumerate(triples):
-        inst = f"{pre}PPP{i}"
-        outer = flatten_outer(PPP)
-        lhs = outer_mu.get(outer)
-        if lhs is None:
-            lhs = outer_mu[outer] = mu(outer)
-        # map_mu(PPP) is fixed by the weight it moves to each flattening
-        acc = {}
-        for w, PP in PPP:
-            s = prefix_slot[PP]
-            acc[s] = acc[s] + w if s in acc else w
-        key = frozenset(acc.items())
-        rhs = inner_mu.get(key)
-        if rhs is None:
-            rhs = inner_mu[key] = mu(map_mu(PPP, mu_fn=flat_of.__getitem__))
-        rep.record(lhs == rhs, "mu.associativity", inst,
-                   witness=lambda: (lhs.describe(), rhs.describe()))
     supports = dict.fromkeys(q for PP in two_level for q in PP.support)
     support_pos = {q: k for k, q in enumerate(supports)}
     # each two-level measure as (support position, weight) pairs, the
@@ -588,6 +565,61 @@ def monad_law_report(X: FinMeasSpace, max_support: int = 3,
     L = lcm(*(PP.wden for PP in two_level))
     terms = [[(support_pos[q], w * (L // PP.wden))
               for q, w in zip(PP.support, PP.wnum)] for PP in two_level]
+    prefix = two_level[:25]
+    flat_of = dict(zip(prefix, flat))
+    # each two-level measure's flattening as a slot among the distinct ones
+    flat_slots: dict[FinDist, int] = {}
+    slot_of = [flat_slots.setdefault(P, len(flat_slots)) for P in flat]
+    # an outer weight is a numerator a over G; with a_j on PP_j the support
+    # measure at position p gets sum_j a_j * (its weight in PP_j over L)
+    # over G * L in flatten_outer(PPP), and the flattening in slot s gets
+    # the sum of the a_j whose PP_j flattens to it in map_mu(PPP).  These
+    # sums are the digits of the two keys, base G * L + 1 and base G + 1:
+    # the digits of a side sum to G * L or to G, so none carries, and equal
+    # keys are exactly equal sides
+    pair_weights = grid_weightings(2)
+    G = lcm(*(w.denominator for ws in pair_weights for w in ws))
+    # the outer weight that each numerator over G stands for
+    weight = {int(w * G): w for ws in pair_weights for w in ws} | {G: ONE}
+    pair_weights = [(int(wa * G), int(wb * G)) for wa, wb in pair_weights]
+    outer_base = G * L + 1
+    outer_digits = [sum(w * outer_base ** p for p, w in pairs)
+                    for pairs in terms[:25]]
+    inner_digits = [(G + 1) ** s for s in slot_of[:25]]
+    # (numerator, prefix position) pairs, made one at a time: the
+    # flattenings above stay alive to the end, and a list of all triples
+    # would sit beside them
+    triples = itertools.chain(
+        (((G, a),) for a in range(len(prefix))),
+        (((wa, a), (wb, b))
+         for a, b in itertools.combinations(range(len(prefix)), 2)
+         for wa, wb in pair_weights))
+    outer_mu: dict[int, FinDist] = {}
+    inner_mu: dict[int, FinDist] = {}
+    for i, outer_terms in enumerate(triples):
+        inst = f"{pre}PPP{i}"
+        outer_key = inner_key = 0
+        for w, a in outer_terms:
+            outer_key += w * outer_digits[a]
+            inner_key += w * inner_digits[a]
+        lhs = outer_mu.get(outer_key)
+        rhs = inner_mu.get(inner_key)
+        if lhs is None or rhs is None:
+            PPP = tuple((weight[w], prefix[a]) for w, a in outer_terms)
+            if lhs is None:
+                lhs = outer_mu[outer_key] = mu(flatten_outer(PPP))
+            if rhs is None:
+                rhs = inner_mu[inner_key] = mu(
+                    map_mu(PPP, mu_fn=flat_of.__getitem__))
+        rep.record(lhs == rhs, "mu.associativity", inst,
+                   witness=lambda: (lhs.describe(), rhs.describe()))
+    # the k-th distinct image of a support measure, across every map, is
+    # the digit (L + 1)^k, so that P(f)(PP) is the number whose digit for
+    # each image is the weight it gets; the weights of a measure sum to L,
+    # so no digit carries.  Images on different codomains are different
+    # measures, so their P(f)(PP) never share a key
+    image_slots: dict[FinDist, int] = {}
+    lhs_of: dict[int, FinDist] = {}
     for j, f in enumerate(naturality_maps):
         for x, k, y in zip(X.points, X.point_atom, f.image):
             inst = f"{pre}nat-eta-f{j}-{x}"
@@ -596,14 +628,9 @@ def monad_law_report(X: FinMeasSpace, max_support: int = 3,
             rep.record(lhs == rhs, "eta.naturality", inst,
                        witness=lambda: (lhs.describe(), rhs.describe()))
         image = {q: pushforward(f, q) for q in supports}
-        # the k-th distinct image is the digit (L + 1)^k, so that P(f)(PP)
-        # is the number whose digit for each image is the weight it gets;
-        # the weights of a measure sum to L, so no digit carries
-        image_slots: dict[FinDist, int] = {}
         digit = [(L + 1) ** image_slots.setdefault(Q, len(image_slots))
                  for Q in image.values()]
         pushed = [pushforward(f, P) for P in flat_slots]
-        lhs_of: dict[int, FinDist] = {}
         for i, (PP, pairs, flat_slot) in enumerate(
                 zip(two_level, terms, slot_of)):
             inst = f"{pre}nat-mu-f{j}-PP{i}"

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import random
 from fractions import Fraction
 
@@ -15,6 +16,7 @@ from gcvx.giry import (
     flatten_oracle,
     flatten_outer,
     grid_dists,
+    grid_weightings,
     integrate,
     map_mu,
     map_unit,
@@ -31,6 +33,7 @@ from gcvx.giry import (
 )
 from gcvx.kernel import DomainError, ONE, ZERO
 from gcvx.measurable import FinMeasSpace, MeasFn, enumerate_meas_fns
+from gcvx.reports import LawReport
 from gcvx.suites import all_sigma_spaces, run_suite
 from test_suites import swapped_mu
 
@@ -342,6 +345,14 @@ def test_monad_law_report_all_green():
     assert rep.instances > 100
 
 
+@pytest.mark.parametrize("max_support", [0, -1])
+def test_monad_law_report_rejects_support_bound_below_one(max_support):
+    # a bound below 1 would drop the flatten oracle and associativity
+    # without a word, as run_suite already refuses
+    with pytest.raises(DomainError, match="at least 1"):
+        monad_law_report(disc(2), max_support)
+
+
 def test_monad_law_report_catches_corrupted_mu(monkeypatch):
     X = disc(2)
     monkeypatch.setattr(giry, "mu", swapped_mu(giry.mu))
@@ -363,11 +374,91 @@ def counted_mu(monkeypatch) -> list:
 
 def test_monad_law_report_multiplies_each_distinct_side_once(monkeypatch):
     # 76 unit sides, 473 flattenings, 3382 distinct flatten_outer(PPP) and
-    # 1741 distinct map_mu(PPP) results, and 3374 distinct P(f)(PP): one
-    # multiplication each, for 16,148 instances
+    # 1741 distinct map_mu(PPP) results, and 473 distinct P(f)(PP) across
+    # the maps of each space: one multiplication each, for 16,148 instances
     inputs = counted_mu(monkeypatch)
     rep = run_suite("giry-monad", {"maxPoints": 3, "maxSupport": 2})
-    assert (rep.instances, len(inputs)) == (16148, 9046)
+    assert (rep.instances, len(inputs)) == (16148, 6145)
+
+
+def test_maps_share_naturality_sides(monkeypatch):
+    X = disc(3)
+    const = MeasFn(X, X, (2, 2, 2))
+    inputs = counted_mu(monkeypatch)
+    monad_law_report(X, max_support=2, naturality_maps=[const])
+    n = len(inputs)
+    monad_law_report(X, max_support=2, naturality_maps=[const, const])
+    # the second copy of the map builds only sides the first one built
+    assert len(inputs) == 2 * n
+    # a multiplication that is wrong on the shared side fails the
+    # instances of both maps, each under its own name
+    real = giry.mu
+    monkeypatch.setattr(giry, "mu", lambda PP: (
+        dirac(X, "a") if PP == unit_outer(dirac(X, "c")) else real(PP)))
+    rep = monad_law_report(X, max_support=2, naturality_maps=[const, const])
+    failed = [f.instance for f in rep.failures if f.law == "mu.naturality"]
+    n_PP = len(two_level_dists(X, 2))
+    assert failed == [f"nat-mu-f{j}-PP{i}"
+                      for j in (0, 1) for i in range(n_PP)]
+
+
+def test_associativity_keys_are_exact(monkeypatch):
+    # on disc(3) with maxSupport 2 a multiplication that tells its inputs
+    # apart shows which sides each of the 925 associativity instances got:
+    # the report keys a side by a packed integer and builds it only for a
+    # new key, so a key that merged two sides would hand a triple another
+    # triple's side, and one that split a side would build it twice
+    X = disc(3)
+    prefix = two_level_dists(X, 2)[:25]
+    triples = [((ONE, PP),) for PP in prefix] + [
+        ((wa, PPa), (wb, PPb))
+        for PPa, PPb in itertools.combinations(prefix, 2)
+        for wa, wb in grid_weightings(2)]
+    assert len(triples) == 925
+    tag_of, input_of = {}, {}
+
+    def tagged(PP):
+        if PP not in tag_of:
+            n = len(tag_of)
+            tag_of[PP] = FinDist(X, (1, n, 10**6 - 1 - n), 10**6)
+            input_of[tag_of[PP].describe()] = PP
+        return tag_of[PP]
+    built = {"outer": [], "inner": []}
+
+    def spy(side, real):
+        def wrapped(PPP, **kw):
+            built[side].append(PPP)
+            return real(PPP, **kw)
+        return wrapped
+    sides, real_record = [], LawReport.record
+
+    def record(self, passed, law, instance, witness=None, **kw):
+        if law == "mu.associativity":
+            sides.append(tuple(input_of[d] for d in witness()))
+        real_record(self, passed, law, instance, witness=witness, **kw)
+    monkeypatch.setattr(giry, "mu", tagged)
+    monkeypatch.setattr(giry, "flatten_outer", spy("outer", flatten_outer))
+    monkeypatch.setattr(giry, "map_mu", spy("inner", map_mu))
+    monkeypatch.setattr(LawReport, "record", record)
+    monad_law_report(X, max_support=2)
+    outer = [flatten_outer(T) for T in triples]
+    inner = [map_mu(T, mu_fn=tag_of.__getitem__) for T in triples]
+    assert sides == list(zip(outer, inner))
+
+    def first_triples(values):
+        first = {}
+        for T, v in zip(triples, values):
+            first.setdefault(v, T)
+        return list(first.values())
+    assert built["outer"] == first_triples(outer)
+    assert built["inner"] == first_triples(inner)
+    # the real multiplication flattens some prefix measures alike, so more
+    # map_mu(PPP) sides coincide
+    monkeypatch.setattr(giry, "mu", mu)
+    monkeypatch.setattr(LawReport, "record", real_record)
+    built["inner"].clear()
+    monad_law_report(X, max_support=2)
+    assert built["inner"] == first_triples([map_mu(T) for T in triples])
 
 
 def test_shared_naturality_side_keeps_every_instance(monkeypatch):
