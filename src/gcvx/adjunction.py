@@ -39,18 +39,11 @@ from .measurable import FinMeasSpace, MeasFn, generate_sigma
 from .reports import LawReport
 
 
-@dataclass(frozen=True)
-class SigmaOfA:
-    """A semilattice together with its generated measurable space."""
-
-    base: SemiCvx
-    space: FinMeasSpace
-
-
-def sigma_functor(A: SemiCvx) -> SigmaOfA:
-    """Generate the sigma-algebra from all Boolean subobjects of A."""
+def sigma_functor(A: SemiCvx) -> FinMeasSpace:
+    """The measurable space on the elements of A whose sigma-algebra is
+    generated by all Boolean subobjects of A."""
     gens = [sum(1 << i for i in S.members) for S in all_boolean_subobjects(A)]
-    return SigmaOfA(A, generate_sigma(A.elements, gens))
+    return generate_sigma(A.elements, gens)
 
 
 def counit(A, P):
@@ -79,10 +72,11 @@ def adjunct(f: MeasFn, A: SemiCvx) -> Callable[[FinDist], int]:
     return g
 
 
-def adjunct_inverse(g, X: FinMeasSpace, sigma_a: SigmaOfA) -> MeasFn:
+def adjunct_inverse(g, X: FinMeasSpace, space: FinMeasSpace) -> MeasFn:
     """Transpose an affine map on measures back by precomposing with the
-    unit x -> dirac(x)."""
-    return MeasFn(X, sigma_a.space,
+    unit x -> dirac(x); `space` is the generated space of the map's
+    semilattice."""
+    return MeasFn(X, space,
                   tuple(g(atom_dirac(X, k)) for k in X.point_atom))
 
 
@@ -110,8 +104,8 @@ def triangle_check(X: FinMeasSpace, semilattices=()) -> LawReport:
                    detail=P.describe())
     for j, A in enumerate(semilattices):
         sa = sigma_functor(A)
-        for a, k in enumerate(sa.space.point_atom):
-            got = counit(A, atom_dirac(sa.space, k))
+        for a, k in enumerate(sa.point_atom):
+            got = counit(A, atom_dirac(sa, k))
             rep.record(got == a, "triangle.convex-side", f"A{j}-{A.elements[a]}",
                        witness=lambda: A.elements[got])
     return rep
@@ -222,7 +216,7 @@ class GiryAlgebra:
 def convex_to_algebra(A: SemiCvx) -> GiryAlgebra:
     """The algebra structure on the generated space: the counit itself."""
     sa = sigma_functor(A)
-    return GiryAlgebra(sa.space, lambda P: counit(A, P))
+    return GiryAlgebra(sa, lambda P: counit(A, P))
 
 
 def algebra_law_report(alg: GiryAlgebra) -> LawReport:

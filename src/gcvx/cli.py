@@ -15,9 +15,24 @@ import sys
 from .jsonio import dump_json, load_json, space_from_json, space_to_json, witness_text
 from .kernel import CapacityError, DomainError
 from .smcc import product_space, tensor_space
-from .suites import SUITE_NAMES, explain, run_suite
+from .suites import SUITE_NAMES, SUITES, explain, run_suite
 
 USAGE_EXIT = 2
+
+
+# the command-line flag of each config key that has one, with its help;
+# maxSupport is set only in a config file
+_FLAGS = {
+    "maxPoints": ("--max-points", "carrier-size bound for measurable spaces"),
+    "maxSize": ("--max-size", "size bound for exhaustive families"),
+    "samples": ("--samples", "sample count for sampled suites"),
+    "seed": ("--seed", "seed for sampled instances"),
+}
+
+
+def _add_flag(parser, key: str, note: str = "") -> None:
+    flag, text = _FLAGS[key]
+    parser.add_argument(flag, dest=key, type=int, metavar="N", help=text + note)
 
 
 @functools.cache
@@ -27,17 +42,13 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact-arithmetic law suites for measures and convex "
                     "spaces at finite scale")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in SUITE_NAMES:
+    for name, (_runner, defaults) in SUITES.items():
         p = sub.add_parser(name, help=f"run the {name} suite")
         p.add_argument("--config", help="JSON config file")
-        p.add_argument("--seed", type=int, help="seed for sampled instances")
         p.add_argument("--json", dest="json_out", help="write the report here")
-        p.add_argument("--max-size", type=int,
-                       help="size bound for exhaustive families")
-        p.add_argument("--max-points", type=int,
-                       help="carrier-size bound for measurable spaces")
-        p.add_argument("--samples", type=int,
-                       help="sample count for sampled suites")
+        for key, default in defaults.items():
+            if key in _FLAGS:
+                _add_flag(p, key, f" (default {default})")
     t = sub.add_parser("tensor", help="compare tensor and product "
                        "sigma-algebras on two spaces")
     t.add_argument("--left", required=True, help="JSON file for the left space")
@@ -50,24 +61,20 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--law")
     e.add_argument("--config", help="JSON config file (must match the "
                    "original run)")
-    e.add_argument("--seed", type=int)
+    _add_flag(e, "seed")
     return parser
 
 
 def _suite_config(args) -> dict:
     config = {}
-    if getattr(args, "config", None):
+    if args.config:
         config = load_json(args.config)
         if not isinstance(config, dict):
             raise DomainError("a config file must hold a JSON object")
-    if getattr(args, "seed", None) is not None:
-        config["seed"] = args.seed
-    if getattr(args, "max_size", None) is not None:
-        config["maxSize"] = args.max_size
-    if getattr(args, "max_points", None) is not None:
-        config["maxPoints"] = args.max_points
-    if getattr(args, "samples", None) is not None:
-        config["samples"] = args.samples
+    for key in _FLAGS:
+        value = getattr(args, key, None)
+        if value is not None:
+            config[key] = value
     return config
 
 

@@ -37,10 +37,10 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, lcm
+from math import lcm
 
 from .convex import MIX_GRID, GeomCvx, SemiCvx, free_convex
-from .kernel import DomainError, ONE, ZERO, int_row, rat, rat_str
+from .kernel import DomainError, ONE, ZERO, int_row, prob_row, rat, rat_str
 from .measurable import FinMeasSpace, MeasFn, mask_of
 from .reports import LawReport
 
@@ -64,25 +64,10 @@ class FinDist:
     def __init__(self, space: FinMeasSpace, num, den: int | None = None):
         """`num` holds integer numerators over `den`; with `den` left out
         it holds the masses themselves as rationals."""
-        if den is None:
-            num, den = int_row([rat(m) for m in num])
         num = tuple(num)
         if len(num) != len(space.atoms):
             raise DomainError("need exactly one mass per atom")
-        try:
-            g = gcd(den, *num)
-        except TypeError:
-            raise DomainError("numerators and denominator must be "
-                              "integers") from None
-        if den <= 0:
-            raise DomainError("the denominator must be positive")
-        if sum(num) != den:
-            raise DomainError("masses must sum to exactly 1")
-        if min(num) < 0:
-            raise DomainError("masses must be nonnegative")
-        if g > 1:
-            num = tuple(n // g for n in num)
-            den //= g
+        num, den = prob_row(num, den, "masses")
         # frozen: the fields go into the instance dict in one step
         self.__dict__.update(space=space, num=num, den=den)
 
@@ -195,32 +180,17 @@ class DistOverDists:
                  den: int | None = None):
         """`weights` holds integer numerators over `den`; with `den` left
         out it holds the weights themselves as rationals."""
-        if den is None:
-            weights, den = int_row([rat(w) for w in weights])
         support, weights = tuple(support), tuple(weights)
         if len(support) != len(weights) or not support:
             raise DomainError("support and weights must align and be nonempty")
         if len(set(support)) != len(support):
             raise DomainError("support elements must be distinct")
-        try:
-            g = gcd(den, *weights)
-        except TypeError:
-            raise DomainError("weight numerators and denominator must be "
-                              "integers") from None
-        if den <= 0:
-            raise DomainError("the weight denominator must be positive")
-        if min(weights) <= 0:
-            raise DomainError("weights must be positive")
-        if sum(weights) != den:
-            raise DomainError("weights must sum to 1")
+        weights, den = prob_row(weights, den, "weights", positive=True)
         for q in support:
             # the support usually shares the base object itself, and the
             # identity test skips the field-by-field comparison
             if q.space is not base and q.space != base:
                 raise DomainError("mixed base spaces in support")
-        if g > 1:
-            weights = tuple(w // g for w in weights)
-            den //= g
         self.__dict__.update(base=base, support=support, wnum=weights,
                              wden=den)
 
@@ -504,7 +474,7 @@ def two_level_dists(X: FinMeasSpace, max_support: int = 3) -> list[DistOverDists
 
 
 def monad_law_report(X: FinMeasSpace, max_support: int = 3,
-                     naturality_maps=(), instance_prefix: str = "") -> LawReport:
+                     naturality_maps=()) -> LawReport:
     """Check the monad laws with exact equality on grid-valued measures.
 
     Unit laws and the flatten oracle run over every two-level grid
@@ -541,10 +511,9 @@ def monad_law_report(X: FinMeasSpace, max_support: int = 3,
         raise DomainError("max_support must be at least 1; a bound below 1 "
                           "leaves laws with no instances")
     rep = LawReport("giry-monad")
-    pre = instance_prefix
     dists = grid_dists(X)
     for i, P in enumerate(dists):
-        inst = f"{pre}P{i}"
+        inst = f"P{i}"
         got = mu(unit_outer(P))
         rep.record(got == P, "mu.unit-left", inst, witness=got.describe,
                    detail=P.describe())
@@ -553,7 +522,7 @@ def monad_law_report(X: FinMeasSpace, max_support: int = 3,
     two_level = two_level_dists(X, max_support)
     flat = [mu(PP) for PP in two_level]
     for i, (PP, lhs) in enumerate(zip(two_level, flat)):
-        inst = f"{pre}PP{i}"
+        inst = f"PP{i}"
         rhs = flatten_oracle(PP)
         rep.record(lhs == rhs, "mu.flatten-oracle", inst,
                    witness=lambda: (lhs.describe(), rhs.describe()),
@@ -597,7 +566,7 @@ def monad_law_report(X: FinMeasSpace, max_support: int = 3,
     outer_mu: dict[int, FinDist] = {}
     inner_mu: dict[int, FinDist] = {}
     for i, outer_terms in enumerate(triples):
-        inst = f"{pre}PPP{i}"
+        inst = f"PPP{i}"
         outer_key = inner_key = 0
         for w, a in outer_terms:
             outer_key += w * outer_digits[a]
@@ -622,7 +591,7 @@ def monad_law_report(X: FinMeasSpace, max_support: int = 3,
     lhs_of: dict[int, FinDist] = {}
     for j, f in enumerate(naturality_maps):
         for x, k, y in zip(X.points, X.point_atom, f.image):
-            inst = f"{pre}nat-eta-f{j}-{x}"
+            inst = f"nat-eta-f{j}-{x}"
             lhs = pushforward(f, atom_dirac(X, k))
             rhs = atom_dirac(f.cod, f.cod.point_atom[y])
             rep.record(lhs == rhs, "eta.naturality", inst,
@@ -633,7 +602,7 @@ def monad_law_report(X: FinMeasSpace, max_support: int = 3,
         pushed = [pushforward(f, P) for P in flat_slots]
         for i, (PP, pairs, flat_slot) in enumerate(
                 zip(two_level, terms, slot_of)):
-            inst = f"{pre}nat-mu-f{j}-PP{i}"
+            inst = f"nat-mu-f{j}-PP{i}"
             key = 0
             for p, w in pairs:
                 key += w * digit[p]

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 Rat = Fraction
 
@@ -50,6 +50,35 @@ def int_row(values) -> tuple[list[int], int]:
     """Fractions as integer numerators over their least common denominator."""
     den = lcm(*(v.denominator for v in values))
     return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def prob_row(values, den, name: str,
+             positive: bool = False) -> tuple[tuple[int, ...], int]:
+    """A probability vector as reduced integers: `values` are integer
+    numerators over `den`, or, with `den` None, the entries themselves
+    as rationals.  The denominator must be positive and the numerators
+    must sum to it and be nonnegative, or positive with `positive`;
+    both come back divided by their gcd.  `name` names the entries in
+    the `DomainError` for a row that breaks a rule."""
+    if den is None:
+        values, den = int_row([rat(v) for v in values])
+    values = tuple(values)
+    try:
+        g = gcd(den, *values)
+    except TypeError:
+        raise DomainError(f"{name} must be integer numerators over an "
+                          f"integer denominator") from None
+    if den <= 0:
+        raise DomainError(f"the denominator of the {name} must be positive")
+    if sum(values) != den:
+        raise DomainError(f"{name} must sum to exactly 1")
+    if min(values) < positive:
+        raise DomainError(f"{name} must be "
+                          f"{'positive' if positive else 'nonnegative'}")
+    if g > 1:
+        values = tuple(v // g for v in values)
+        den //= g
+    return values, den
 
 
 def check_unit(q: Fraction, name: str = "value") -> Fraction:

@@ -9,7 +9,7 @@ value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 
 @dataclass
@@ -58,10 +58,14 @@ class LawReport:
             self.failures.append(
                 Failure(law, instance, witness, erratum_expected))
 
-    def merge(self, other: "LawReport") -> None:
+    def merge(self, other: "LawReport", prefix: str = "") -> None:
+        """Add the checks of `other`, with `prefix` in front of each of its
+        instance names, in the failures and the index alike."""
         self.instances += other.instances
-        self.failures.extend(other.failures)
-        self.instance_index.update(other.instance_index)
+        self.failures.extend(replace(f, instance=prefix + f.instance)
+                             for f in other.failures)
+        self.instance_index.update((prefix + k, v)
+                                   for k, v in other.instance_index.items())
 
     def to_json(self) -> dict:
         return {

@@ -21,17 +21,6 @@ from .measurable import (FinMeasSpace, enumerate_meas_fns, is_separated, mask_of
                          measurable_maps)
 from .reports import LawReport
 
-SUITE_NAMES = (
-    "giry-monad", "adjunction", "algebra-roundtrip", "convex-axioms",
-    "boolean-subobjects", "smcc", "lebesgue", "errata",
-)
-
-# every key a suite reads from its config, each an int; run_suite
-# rejects any other key, any value that is not an int, and a bound (any
-# key but seed) below 1
-CONFIG_KEYS = ("maxPoints", "maxSupport", "maxSize", "samples", "seed")
-
-
 def _partitions(items):
     """All set partitions of a sequence, deterministic order."""
     items = list(items)
@@ -77,12 +66,11 @@ def _semilattices(max_size: int) -> list[cvx.SemiCvx]:
 
 def _suite_giry(config) -> LawReport:
     rep = LawReport("giry-monad")
-    max_points = config.get("maxPoints", 2)
-    max_support = config.get("maxSupport", 3)
-    for tag, X in _suite_spaces(max_points):
+    for tag, X in _suite_spaces(config["maxPoints"]):
         nats = list(enumerate_meas_fns(X, X))
-        rep.merge(giry.monad_law_report(X, max_support, naturality_maps=nats,
-                                        instance_prefix=f"{tag}-"))
+        rep.merge(giry.monad_law_report(X, config["maxSupport"],
+                                        naturality_maps=nats),
+                  prefix=f"{tag}-")
     return rep
 
 
@@ -95,12 +83,11 @@ def _indicator_fns(A: cvx.SemiCvx):
 
 def _suite_adjunction(config) -> LawReport:
     rep = LawReport("adjunction")
-    max_points = config.get("maxPoints", 3)
-    lattices = _semilattices(config.get("maxSize", 3))
+    lattices = _semilattices(config["maxSize"])
     endos = [cvx.EndoI.of(s, t)
              for s, t in ((1, 0), (Fraction(1, 2), 0), (Fraction(1, 2), Fraction(1, 4)),
                           (-Fraction(1, 2), Fraction(3, 4)), (0, Fraction(1, 2)))]
-    for n in range(1, max_points + 1):
+    for n in range(1, config["maxPoints"] + 1):
         X = FinMeasSpace.discrete(_point_names(n))
         rep.merge(adj.triangle_check(X))
         dists = giry.grid_dists(X)
@@ -109,7 +96,7 @@ def _suite_adjunction(config) -> LawReport:
                     for P in dists]
         for j, A in enumerate(lattices):
             sa = adj.sigma_functor(A)
-            homs = enumerate_meas_fns(X, sa.space)
+            homs = enumerate_meas_fns(X, sa)
             seen_diracs = set()
             for k, f in enumerate(homs):
                 g = adj.adjunct(f, A)
@@ -133,9 +120,9 @@ def _suite_adjunction(config) -> LawReport:
         # phi round trip: measures <-> weakly averaging functionals
         sa = adj.sigma_functor(A)
         fns = _indicator_fns(A)
-        for i, P in enumerate(giry.grid_dists(sa.space)):
+        for i, P in enumerate(giry.grid_dists(sa)):
             F = giry.measure_to_functional(P, A)
-            back = giry.functional_to_measure(F, sa.space)
+            back = giry.functional_to_measure(F, sa)
             rep.record(back == P, "phi.roundtrip", f"A{j}-P{i}",
                        witness=lambda: (back.describe(), P.describe()))
             ok, failures = giry.wa_check(F, endos, fns)
@@ -146,13 +133,10 @@ def _suite_adjunction(config) -> LawReport:
 
 def _suite_algebra(config) -> LawReport:
     rep = LawReport("algebra-roundtrip")
-    max_elems = config.get("maxSize", 4)
-    for n in range(1, max_elems + 1):
+    for n in range(1, config["maxSize"] + 1):
         for j, A in enumerate(cvx.enumerate_semilattices(n)):
-            sub = adj.algebra_law_report(adj.convex_to_algebra(A))
-            for f in sub.failures:
-                f.instance = f"n{n}L{j}-{f.instance}"
-            rep.merge(sub)
+            rep.merge(adj.algebra_law_report(adj.convex_to_algebra(A)),
+                      prefix=f"n{n}L{j}-")
             try:
                 ok, theta = adj.roundtrip_check(A)
                 rep.record(ok, "roundtrip.isomorphism", f"n{n}L{j}",
@@ -169,7 +153,7 @@ def _suite_algebra(config) -> LawReport:
 
 def _suite_convex(config) -> LawReport:
     rep = LawReport("convex-axioms")
-    lattices = _semilattices(config.get("maxSize", 4))
+    lattices = _semilattices(config["maxSize"])
     geoms = [cvx.unit_interval(), cvx.free_convex(2),
              cvx.GeomCvx.of(2, (("0", "0"), ("1", "0"), ("0", "1"), ("1", "1")))]
     for j, A in enumerate(lattices):
@@ -197,7 +181,7 @@ def _suite_convex(config) -> LawReport:
                     rhs = cvx.combine_many(A, (w_a, w_b, be), (a, b, c))
                     rep.record(lhs == rhs, "axiom.barycentric", f"{inst}{names[c]}",
                                witness=lambda: (names[lhs], names[rhs]))
-        sep, pair = is_separated(adj.sigma_functor(A).space)
+        sep, pair = is_separated(adj.sigma_functor(A))
         rep.record(sep, "separation.sigma-of-A", f"L{j}", witness=pair)
     for j, G in enumerate(geoms):
         gens = G.generators
@@ -225,7 +209,7 @@ def _suite_convex(config) -> LawReport:
 
 def _suite_boolean(config) -> LawReport:
     rep = LawReport("boolean-subobjects")
-    for j, A in enumerate(_semilattices(config.get("maxSize", 4))):
+    for j, A in enumerate(_semilattices(config["maxSize"])):
         subs = cvx.all_boolean_subobjects(A)
         is_filter = [cvx.chi_is_affine(S)[0] for S in subs]
         for k, S in enumerate(subs):
@@ -272,8 +256,7 @@ def _curry_uncurry_failure(outer, inner, F, nz):
 
 def _suite_smcc(config) -> LawReport:
     rep = LawReport("smcc")
-    max_points = config.get("maxPoints", 2)
-    spaces = _suite_spaces(max_points)
+    spaces = _suite_spaces(config["maxPoints"])
     # one product per pair of spaces, for the tensor check of (X, Y) and
     # the outer hom-sets of every (X, Z)
     products = {(ta, tb): smcc.product_space(X, Y)
@@ -304,11 +287,9 @@ def _suite_smcc(config) -> LawReport:
 
 def _suite_lebesgue(config) -> LawReport:
     rep = LawReport("lebesgue")
-    samples = config.get("samples", 100)
-    seed = config.get("seed", 0)
-    rng = random.Random(seed)
+    rng = random.Random(config["seed"])
     levels = []
-    for _ in range(samples):
+    for _ in range(config["samples"]):
         den = rng.randrange(1, 1000)
         levels.append(Fraction(rng.randrange(0, den + 1), den))
     for i, u in enumerate(levels):
@@ -356,27 +337,32 @@ def _suite_errata(config) -> LawReport:
     return rep
 
 
-_RUNNERS = {
-    "giry-monad": _suite_giry,
-    "adjunction": _suite_adjunction,
-    "algebra-roundtrip": _suite_algebra,
-    "convex-axioms": _suite_convex,
-    "boolean-subobjects": _suite_boolean,
-    "smcc": _suite_smcc,
-    "lebesgue": _suite_lebesgue,
-    "errata": _suite_errata,
+# each suite's runner and the config keys it reads, with their defaults;
+# run_suite rejects any other key, any value that is not an int, and a
+# bound (any key but seed) below 1
+SUITES = {
+    "giry-monad": (_suite_giry, {"maxPoints": 2, "maxSupport": 3}),
+    "adjunction": (_suite_adjunction, {"maxPoints": 3, "maxSize": 3}),
+    "algebra-roundtrip": (_suite_algebra, {"maxSize": 4}),
+    "convex-axioms": (_suite_convex, {"maxSize": 4}),
+    "boolean-subobjects": (_suite_boolean, {"maxSize": 4}),
+    "smcc": (_suite_smcc, {"maxPoints": 2}),
+    "lebesgue": (_suite_lebesgue, {"samples": 100, "seed": 0}),
+    "errata": (_suite_errata, {}),
 }
+SUITE_NAMES = tuple(SUITES)
 
 
 def run_suite(name: str, config=None) -> LawReport:
-    """Run one suite on its JSON `config`."""
-    if name not in _RUNNERS:
+    """Run one suite on its JSON `config`, over the suite's defaults."""
+    if name not in SUITES:
         raise DomainError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
+    runner, defaults = SUITES[name]
     config = dict(config or {})
-    unknown = [k for k in config if k not in CONFIG_KEYS]
+    unknown = [k for k in config if k not in defaults]
     if unknown:
-        raise DomainError(f"unknown config key(s) {unknown}; "
-                          f"choose from {CONFIG_KEYS}")
+        raise DomainError(f"unknown config key(s) {unknown}; suite {name!r} "
+                          f"reads {list(defaults) or 'no keys'}")
     untyped = [k for k, v in config.items()
                if not isinstance(v, int) or isinstance(v, bool)]
     if untyped:
@@ -385,7 +371,7 @@ def run_suite(name: str, config=None) -> LawReport:
     if low:
         raise DomainError(f"config value(s) of {low} must be at least 1; "
                           f"a bound below 1 leaves laws with no instances")
-    rep = _RUNNERS[name](config)
+    rep = runner({**defaults, **config})
     if rep.instances == 0:
         raise DomainError(f"suite {name!r} checked no instances; a run that "
                           f"checks nothing is not a pass")

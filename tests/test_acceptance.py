@@ -164,7 +164,7 @@ def test_criterion_08_separation():
     for n in range(1, 6):
         for A in cvx.enumerate_semilattices(n):
             count += 1
-            if not is_separated(adj.sigma_functor(A).space)[0]:
+            if not is_separated(adj.sigma_functor(A))[0]:
                 ok = False
     rng = random.Random(17)
     geoms = [cvx.unit_interval(), cvx.free_convex(3),

@@ -26,23 +26,23 @@ def chain3():
 def test_sigma_functor_on_the_classifier():
     two = two_space()
     sa = adj.sigma_functor(two)
-    assert sa.space.sigma == frozenset({0, 0b01, 0b10, 0b11})
-    assert is_separated(sa.space) == (True, None)
+    assert sa.sigma == frozenset({0, 0b01, 0b10, 0b11})
+    assert is_separated(sa) == (True, None)
 
 
 def test_sigma_functor_separates_all_small_semilattices():
     from gcvx.convex import enumerate_semilattices
     for n in (1, 2, 3):
         for A in enumerate_semilattices(n):
-            assert is_separated(adj.sigma_functor(A).space)[0]
+            assert is_separated(adj.sigma_functor(A))[0]
 
 
 def test_counit_meet_of_support():
     A = chain3()
     sa = adj.sigma_functor(A)
-    P = FinDist(sa.space, (ZERO, HALF, HALF))
+    P = FinDist(sa, (ZERO, HALF, HALF))
     assert adj.counit(A, P) == 1  # b
-    assert adj.counit(A, dirac(sa.space, "c")) == 2
+    assert adj.counit(A, dirac(sa, "c")) == 2
 
 
 def test_counit_barycenter():
@@ -54,7 +54,7 @@ def test_adjunct_roundtrip_and_meet_formula():
     A = chain3()
     sa = adj.sigma_functor(A)
     X = FinMeasSpace.discrete(("x", "y"))
-    f = MeasFn(X, sa.space, (0, 2))  # x -> a, y -> c
+    f = MeasFn(X, sa, (0, 2))  # x -> a, y -> c
     assert f.mapping == ("a", "c")
     g = adj.adjunct(f, A)
     assert g(dirac(X, "x")) == 0

@@ -111,13 +111,25 @@ def test_library_bug_is_not_a_usage_error(tmp_path, monkeypatch, capsys):
 
 def test_mutation_hooks_are_not_config_keys(tmp_path, capsys):
     config = tmp_path / "config.json"
-    for suite, hook in (("giry-monad", "mu_fn"), ("lebesgue", "integrator"),
-                        ("algebra-roundtrip", "structure_map_twist")):
+    for suite, hook, flags in (
+            ("giry-monad", "mu_fn", ["--max-points", "1"]),
+            ("lebesgue", "integrator", []),
+            ("algebra-roundtrip", "structure_map_twist", ["--max-size", "1"])):
         config.write_text(f'{{"{hook}": 1, "samples": 3}}')
-        assert main([suite, "--config", str(config), "--max-points", "1",
-                     "--max-size", "1"]) == 2
+        assert main([suite, "--config", str(config), *flags]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: unknown config key") and hook in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["errata", "--seed", "1"],
+    ["giry-monad", "--max-size", "3"],
+    ["explain", "--suite", "errata", "--instance", "lshape", "--seed", "1"],
+])
+def test_flag_of_a_key_the_suite_does_not_read_is_usage_error(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
 
 
 def test_unknown_config_key_is_usage_error(tmp_path, capsys):
@@ -131,6 +143,14 @@ def test_unknown_config_key_is_usage_error(tmp_path, capsys):
     config.write_text('{"samples": 3}')
     assert main(["lebesgue", "--config", str(config)]) == 0
     assert "3/3 passed" in capsys.readouterr().out
+    # a key of another suite is unknown to this one, and the error names
+    # the keys this one reads
+    config.write_text('{"maxSize": 3}')
+    assert main(["giry-monad", "--config", str(config)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: unknown config key") \
+        and "maxSize" in captured.err and "maxSupport" in captured.err
 
 
 @pytest.mark.parametrize("value", ["2.7", "true", '"2"'])
@@ -214,6 +234,21 @@ def test_explain_subcommand(capsys):
     assert "verdict" in out
     assert main(["explain", "--suite", "errata",
                  "--instance", "not-a-ref"]) == 2
+    capsys.readouterr()
+
+
+def test_explain_finds_an_algebra_instance_by_its_full_name(tmp_path, capsys):
+    # the algebra laws of each semilattice are indexed under its own
+    # prefix, so a full name reaches that instance's input
+    config = tmp_path / "config.json"
+    config.write_text('{"maxSize": 2}')
+    assert main(["explain", "--suite", "algebra-roundtrip", "--config",
+                 str(config), "--instance", "n2L0-PP3"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1] == "instance: n2L0-PP3"
+    assert lines[2].startswith("input: ") and lines[-1] == "verdict: pass"
+    assert main(["explain", "--suite", "algebra-roundtrip", "--config",
+                 str(config), "--instance", "PP3"]) == 2
     capsys.readouterr()
 
 

@@ -54,6 +54,26 @@ def test_suite_runs_clean(name):
     assert report_digest(rep) == digest
 
 
+class RecordingConfig(dict):
+    """A config that notes every key read from it."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+
+@pytest.mark.parametrize("name", SUITE_NAMES)
+def test_each_runner_reads_exactly_its_declared_keys(name):
+    runner, defaults = suites.SUITES[name]
+    config = RecordingConfig({**defaults, **SMALL[name][0]})
+    runner(config)
+    assert config.read == set(defaults)
+
+
 def test_unknown_suite_rejected():
     with pytest.raises(DomainError):
         run_suite("nonsense")
