@@ -19,7 +19,7 @@ SMALL = {
     "adjunction": ({"maxPoints": 2, "maxSize": 2},
                    "028c71027f81072b3f63c8fd04410ae44f42ee80dbbc5c9c3d74370dd4c2fc7a"),
     "algebra-roundtrip": ({"maxSize": 3},
-                          "71fac015426358453ebfe17762ce6565d5b7eeb8aa81640ede7983b14307b779"),
+                          "3f5e90f66fa2a0a16c953da0c3733906c13877663eb43f5710f02f06ef9bea24"),
     "convex-axioms": ({"maxSize": 3},
                       "eb15da6d87ed5351426f898ca1a4dda68201f9b7791e71015fe20f4124a7d064"),
     "boolean-subobjects": ({"maxSize": 3},
