@@ -2,7 +2,8 @@
 
 `main` can be called repeatedly in one process: it builds its parser
 once, on the first call, and each call parses and runs only its own
-request.
+request.  An argument a subcommand does not take is reported by that
+subcommand's parser, with its usage line.
 """
 
 from __future__ import annotations
@@ -62,6 +63,8 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--config", help="JSON config file (must match the "
                    "original run)")
     _add_flag(e, "seed")
+    for p in sub.choices.values():  # each reports its own bad arguments
+        p.set_defaults(command_parser=p)
     return parser
 
 
@@ -94,7 +97,10 @@ def _emit(report, json_out) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args, extra = parser.parse_known_args(argv)
+        if extra:
+            args.command_parser.error(
+                f"unrecognized arguments: {' '.join(extra)}")
     except SystemExit as exc:
         return USAGE_EXIT if exc.code not in (0, None) else 0
     try:
@@ -103,10 +109,11 @@ def main(argv=None) -> int:
             right = space_from_json(load_json(args.right))
             T = tensor_space(left, right)
             P = product_space(left, right)
+            product_sigma = space_to_json(P)["sigma"]
             data = {
-                "tensorSigma": space_to_json(T)["sigma"],
-                "productSigma": space_to_json(P)["sigma"],
-                "strictlyLarger": P.sigma < T.sigma,
+                "tensorSigma": product_sigma if T == P else space_to_json(T)["sigma"],
+                "productSigma": product_sigma,
+                "strictlyLarger": T != P and P.sigma < T.sigma,
             }
             if args.json_out:
                 dump_json(data, args.json_out)

@@ -2,8 +2,9 @@
 
 A space travels as its point names plus either its generators or its
 sigma-algebra, written out as the member list (the derived view of the
-atoms); without either it is discrete.  Rationals in reports and
-witnesses travel as canonical "p/q" strings.
+atoms); without either it is discrete.  `space_to_json` writes that
+list with one table lookup per member and run of 8 positions.
+Rationals in reports and witnesses travel as canonical "p/q" strings.
 """
 
 from __future__ import annotations
@@ -16,13 +17,21 @@ from .measurable import FinMeasSpace, generate_sigma, mask_of, space_from_member
 
 
 def space_to_json(X: FinMeasSpace) -> dict:
+    """The points and the member list of X, members in mask order.
+
+    Member names are read in runs of 8 positions: for each run, a table
+    maps every 8-bit piece that occurs in some member to the names it
+    selects, so a member costs one lookup per run and the tables hold at
+    most one entry per member."""
     points = X.points
-    positions = range(len(points))
-    return {
-        "points": list(points),
-        "sigma": [[points[i] for i in positions if m >> i & 1]
-                  for m in sorted(X.sigma)],
-    }
+    members = sorted(X.sigma)
+    sigma = [[]] * len(members)
+    for s in range(0, len(points), 8):
+        run = points[s:s + 8]
+        table = {piece: [p for i, p in enumerate(run) if piece >> i & 1]
+                 for piece in {m >> s & 255 for m in members}}
+        sigma = [names + table[m >> s & 255] for names, m in zip(sigma, members)]
+    return {"points": list(points), "sigma": sigma}
 
 
 def _names(value) -> list:

@@ -2,7 +2,8 @@
 
 The monoidal product X (x) Y is `product_space`, whose atoms are the
 rectangles of atoms; on finite spaces it equals the tensor sigma-algebra,
-which `tensor_space` builds by its definition and the `smcc` suite checks
+which `tensor_space` builds by its definition, coinduced from the graph
+of each map from an atom into an atom, and the `smcc` suite checks
 against the product.  Also function spaces with the evaluation-induced
 sigma-algebra, currying, and the lower-indicator map on the unit
 interval, whose step-function integral is its level (the section
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import operator
 from dataclasses import dataclass, field
 
 from .kernel import CapacityError, DomainError, ONE, ZERO, StepFn, rat
@@ -55,17 +57,41 @@ def tensor_space(X: FinMeasSpace, Y: FinMeasSpace) -> FinMeasSpace:
     """The largest sigma-algebra on X x Y making the graph of every
     measurable cross map, in both directions, measurable.
 
+    The graph x -> (x, f(x)) of a measurable f: X -> Y sends an atom a
+    to {(i, f(i)) : i in a}, and coinduction joins the points of each
+    such image.  As f ranges over the measurable maps, f restricted to a
+    ranges over every map from a into a single atom b of Y, independently
+    for each atom.  So the images are exactly the graphs of the maps
+    g: a -> b, and the coinduction runs over one piece per such g,
+    sum over a, b of |b|^|a| pieces rather than the product over a of
+    the sum over b of |b|^|a| maps; likewise for maps Y -> X.  An atom
+    of one point has a one-point image, which joins nothing, so its
+    pieces are skipped.
+
     This is the definition, kept to be checked against `product_space`,
-    which it equals; it enumerates every measurable map in both
-    directions, so the carrier is bounded by TENSOR_POINT_GUARD."""
+    which it equals; the carrier is still bounded by TENSOR_POINT_GUARD."""
     if len(X.points) * len(Y.points) > TENSOR_POINT_GUARD:
         raise CapacityError("product carrier exceeds the tensor guard")
     ny = len(Y.points)
-    family = [(X, tuple(i * ny + j for i, j in enumerate(f)))
-              for f in measurable_maps(X, Y)]
-    family += [(Y, tuple(i * ny + j for j, i in enumerate(g)))
-               for g in measurable_maps(Y, X)]
+    family = _graph_pieces(X, Y, ny, 1) + _graph_pieces(Y, X, 1, ny)
     return coinduced_sigma(product_points(X, Y), family)
+
+
+def _graph_pieces(A: FinMeasSpace, B: FinMeasSpace, a_step: int, b_step: int) -> list:
+    """The graph of every map g from an atom of A with two or more points
+    into an atom of B, as a (source, mapping) family entry whose source
+    is that atom as a one-atom space; (A_i, B_j) is carrier position
+    i*a_step + j*b_step."""
+    family = []
+    for a in A.atoms:
+        if a & (a - 1):
+            source = FinMeasSpace.trivial(A.subset_names(a))
+            dom = [i * a_step for i in range(len(A.points)) if a >> i & 1]
+            for b in B.atoms:
+                cod = [j * b_step for j in range(len(B.points)) if b >> j & 1]
+                family += [(source, tuple(map(operator.add, dom, g)))
+                           for g in itertools.product(cod, repeat=len(dom))]
+    return family
 
 
 def product_space(X: FinMeasSpace, Y: FinMeasSpace) -> FinMeasSpace:

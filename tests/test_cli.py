@@ -6,6 +6,8 @@ import pytest
 
 from gcvx.cli import main
 from gcvx.jsonio import space_to_json
+from gcvx.measurable import FinMeasSpace
+from gcvx.smcc import product_points
 from gcvx.suites import all_sigma_spaces
 
 # SHA-256 over the exit code and stdout of every `gcvx tensor` run in
@@ -121,15 +123,32 @@ def test_mutation_hooks_are_not_config_keys(tmp_path, capsys):
         assert err.startswith("error: unknown config key") and hook in err
 
 
+# the arguments each subcommand's parser rejects in the cases below;
+# explain takes --seed, and the suite it runs rejects the key instead
+_UNRECOGNIZED = {"errata": "--seed 1", "giry-monad": "--max-size 3",
+                 "tensor": "--bogus"}
+
+
 @pytest.mark.parametrize("argv", [
     ["errata", "--seed", "1"],
     ["giry-monad", "--max-size", "3"],
     ["explain", "--suite", "errata", "--instance", "lshape", "--seed", "1"],
+    ["tensor", "--left", "l.json", "--right", "r.json", "--bogus"],
 ])
 def test_flag_of_a_key_the_suite_does_not_read_is_usage_error(argv, capsys):
+    # a flag the subcommand does not take is reported by that
+    # subcommand's parser, so its usage line shows the flags it does take
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "Traceback" not in captured.err
+    command = argv[0]
+    if command in _UNRECOGNIZED:
+        assert captured.err.startswith(f"usage: gcvx {command} [-h] ")
+        assert captured.err.endswith(
+            f"\ngcvx {command}: error: unrecognized arguments: "
+            f"{_UNRECOGNIZED[command]}\n")
+    else:
+        assert captured.err.startswith("error: unknown config key(s) ['seed']")
 
 
 def test_unknown_config_key_is_usage_error(tmp_path, capsys):
@@ -213,19 +232,56 @@ def test_repeated_calls_stay_independent(capsys):
     assert "suite lebesgue: 100/100 passed" in capsys.readouterr().out
 
 
-def test_tensor_subcommand(tmp_path, capsys):
+def _tensor_files(tmp_path):
     left = tmp_path / "left.json"
     right = tmp_path / "right.json"
     left.write_text('{"points": ["a", "b"]}')
     right.write_text('{"points": ["x", "y"], "sigma": [[], ["x", "y"]]}')
+    return ["tensor", "--left", str(left), "--right", str(right)]
+
+
+def test_tensor_subcommand(tmp_path, capsys):
     out = tmp_path / "tensor.json"
-    assert main(["tensor", "--left", str(left), "--right", str(right),
-                 "--json", str(out)]) == 0
+    assert main(_tensor_files(tmp_path) + ["--json", str(out)]) == 0
     data = json.loads(out.read_text())
     assert set(data) == {"tensorSigma", "productSigma", "strictlyLarger"}
     for member in data["productSigma"]:
         assert member in data["tensorSigma"]
     capsys.readouterr()
+
+
+def test_tensor_prints_each_list_from_its_own_space(tmp_path, monkeypatch,
+                                                    capsys):
+    # a tensor that differs from the product is written from its own
+    # sigma-algebra, and is strictly larger when it contains the product
+    monkeypatch.setattr(
+        "gcvx.cli.tensor_space",
+        lambda X, Y: FinMeasSpace.discrete(product_points(X, Y)))
+    assert main(_tensor_files(tmp_path)) == 0
+    data = json.loads(capsys.readouterr().out)
+    points = ["(a,x)", "(a,y)", "(b,x)", "(b,y)"]
+    assert data["tensorSigma"] == space_to_json(
+        FinMeasSpace.discrete(points))["sigma"]
+    assert data["productSigma"] == [[], ["(a,x)", "(a,y)"],
+                                    ["(b,x)", "(b,y)"], points]
+    assert data["strictlyLarger"] is True
+
+
+def test_tensor_writes_one_member_list_when_tensor_is_product(
+        tmp_path, monkeypatch, capsys):
+    written = []
+
+    def counting(X):
+        written.append(X)
+        return space_to_json(X)
+
+    monkeypatch.setattr("gcvx.cli.space_to_json", counting)
+    for _ in range(3):
+        assert main(_tensor_files(tmp_path)) == 0
+    data = json.loads(capsys.readouterr().out.splitlines()[-1])
+    assert data["tensorSigma"] == data["productSigma"]
+    assert data["strictlyLarger"] is False
+    assert len(written) == 3
 
 
 def test_explain_subcommand(capsys):

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -5,7 +6,8 @@ from hypothesis import given, strategies as st
 
 from gcvx import smcc, suites
 from gcvx.kernel import CapacityError, DomainError, ONE, ZERO, rat, rat_str, step_integrate
-from gcvx.measurable import FinMeasSpace, MeasFn, enumerate_meas_fns, generate_sigma
+from gcvx.measurable import (FinMeasSpace, MeasFn, coinduced_sigma, enumerate_meas_fns,
+                             generate_sigma, measurable_maps)
 from gcvx.suites import all_sigma_spaces, run_suite
 
 HALF = Fraction(1, 2)
@@ -32,6 +34,42 @@ def test_tensor_is_product_on_small_spaces():
             T, P = smcc.tensor_space(X, Y), smcc.product_space(X, Y)
             assert T.atoms == P.atoms
             assert T == P
+
+
+def literal_tensor(X, Y):
+    # the definition: coinduce from the graph of every measurable map in
+    # both directions
+    ny = len(Y.points)
+    family = [(X, tuple(i * ny + j for i, j in enumerate(f)))
+              for f in measurable_maps(X, Y)]
+    family += [(Y, tuple(i * ny + j for j, i in enumerate(g)))
+               for g in measurable_maps(Y, X)]
+    return coinduced_sigma(smcc.product_points(X, Y), family)
+
+
+def random_space(rng, n):
+    # at most k atoms, k drawn first so that coarse partitions are common
+    k = rng.randint(1, n)
+    labels = [rng.randrange(k) for _ in range(n)]
+    atoms = {}
+    for i, k in enumerate(labels):
+        atoms[k] = atoms.get(k, 0) | 1 << i
+    return FinMeasSpace(tuple(f"p{i}" for i in range(n)), atoms.values())
+
+
+def test_tensor_from_graph_pieces_matches_the_definition():
+    spaces = [X for n in range(5) for X in all_sigma_spaces(tuple("abcd"[:n]))]
+    assert len(spaces) ** 2 == 576
+    for X in spaces:
+        for Y in spaces:
+            assert smcc.tensor_space(X, Y) == literal_tensor(X, Y)
+    # seeded pairs up to the 16-point guard, atoms of every size
+    rng = random.Random(20)
+    sizes = [(n, m) for n in range(1, 17) for m in range(1, 17)
+             if 4 < n * m <= smcc.TENSOR_POINT_GUARD]
+    for n, m in sizes + rng.choices(sizes, k=40):
+        X, Y = random_space(rng, n), random_space(rng, m)
+        assert smcc.tensor_space(X, Y) == literal_tensor(X, Y)
 
 
 def test_product_space_is_generated_by_rectangles():
