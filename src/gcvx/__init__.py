@@ -3,7 +3,7 @@ spaces at finite scale."""
 
 from .kernel import CapacityError, DomainError, Rat, StepFn, rat, rat_str
 from .measurable import FinMeasSpace, MeasFn, generate_sigma
-from .giry import FinDist, DistOverDists, dirac, integrate, mu, pushforward
+from .giry import FinDist, DistOverDists, dirac, mu, pushforward
 from .convex import GeomCvx, SemiCvx
 from .reports import LawReport
 from .suites import run_suite
@@ -11,7 +11,7 @@ from .suites import run_suite
 __all__ = [
     "CapacityError", "DomainError", "Rat", "StepFn", "rat", "rat_str",
     "FinMeasSpace", "MeasFn", "generate_sigma",
-    "FinDist", "DistOverDists", "dirac", "integrate", "mu", "pushforward",
+    "FinDist", "DistOverDists", "dirac", "mu", "pushforward",
     "GeomCvx", "SemiCvx", "LawReport", "run_suite",
 ]
 

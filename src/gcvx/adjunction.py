@@ -34,7 +34,7 @@ from .giry import (
     mu,
     pushforward,
 )
-from .kernel import DomainError, ONE, ZERO, rat, rat_str
+from .kernel import DomainError, ONE, ZERO, int_row, int_rows, rat, rat_str
 from .measurable import FinMeasSpace, MeasFn, generate_sigma
 from .reports import LawReport
 
@@ -183,12 +183,18 @@ def eval_hull_identity(A: GeomCvx, weights, points, spanning_fns) -> dict:
     at the combined point, on a spanning family of functionals.
 
     The one law check that returns a dict, {"passed", "point"}: the
-    benchmark's polytope workload reads both keys."""
+    benchmark's polytope workload reads both keys.  With the weights as
+    w_i / W, and the points P_i and the combination C over one common
+    denominator Q, each functional m compares two integers:
+    sum_i w_i m(P_i / Q) and W m(C / Q), both scaled by m's apply_num."""
     weights = [rat(w) for w in weights]
     combined = combine_many(A, weights, points)
+    wnum, W = int_row(weights)
+    pts = [tuple(rat(x) for x in p) for _, p in zip(weights, points)]
+    (*rows, C), Q = int_rows([*pts, combined])
     passed = all(
-        sum((w * m.apply(p) for w, p in zip(weights, points)), ZERO)
-        == m.apply(combined) for m in spanning_fns)
+        sum(w * m.apply_num(P, Q) for w, P in zip(wnum, rows))
+        == W * m.apply_num(C, Q) for m in spanning_fns)
     return {"passed": passed, "point": tuple(rat_str(c) for c in combined)}
 
 

@@ -12,10 +12,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 
 from . import exactlp
-from .kernel import CapacityError, DomainError, ONE, ZERO, int_row, rat, rat_str
+from .kernel import (CapacityError, DomainError, ONE, ZERO, int_row, int_rows,
+                     rat, rat_str)
 
 Point = tuple[Fraction, ...]
 
@@ -47,15 +49,30 @@ class GeomCvx:
         for g in self.generators:
             if len(g) != self.dim:
                 raise DomainError("generator dimension mismatch")
-            for x in g:
-                if not isinstance(x, (int, Fraction)):
-                    raise DomainError(f"coordinate {x!r} is not an int or a "
-                                      f"Fraction")
-        den = lcm(*(x.denominator for g in self.generators for x in g))
-        object.__setattr__(self, "generator_rows", tuple(
-            tuple(x.numerator * (den // x.denominator) for x in g)
-            for g in self.generators))
+            _require_rationals(g, "coordinate")
+        rows, den = int_rows(self.generators)
+        object.__setattr__(self, "generator_rows", rows)
         object.__setattr__(self, "generator_den", den)
+
+    @cached_property
+    def spanning_family(self) -> tuple[GeomToI, ...]:
+        """The two constants 0 and 1, then each coordinate that varies
+        over the generators, rescaled so that its range is [0, 1]; built
+        and validated once per polytope.
+
+        Equality of two affine functionals on this family implies
+        equality on the whole hull."""
+        zero = (ZERO,) * self.dim
+        fns = [GeomToI(self, zero, ZERO), GeomToI(self, zero, ONE)]
+        D = self.generator_den
+        for d, column in enumerate(zip(*self.generator_rows)):
+            # x_d -> (x_d - lo / D) / ((hi - lo) / D) on integer numerators
+            lo, hi = min(column), max(column)
+            if lo == hi:
+                continue
+            c = zero[:d] + (Fraction(D, hi - lo),) + zero[d + 1:]
+            fns.append(GeomToI(self, c, Fraction(-lo, hi - lo)))
+        return tuple(fns)
 
     @classmethod
     def of(cls, dim, generators) -> "GeomCvx":
@@ -81,10 +98,18 @@ def _vec_str(v) -> str:
     return "(" + ", ".join(rat_str(x) for x in v) + ")"
 
 
+def _require_rationals(values, name: str) -> None:
+    """Each value must be an int that is not a bool, or a Fraction."""
+    for x in values:
+        if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
+            raise DomainError(f"{name} {x!r} is not an int or a Fraction")
+
+
 def _sparse_row(c, t) -> tuple[tuple[tuple[int, int], ...], int, int]:
     """The affine form (c, t) as integer numerators over one denominator:
     the (index, numerator) of each nonzero entry of c, the numerator of t,
     and the denominator."""
+    _require_rationals((*c, t), "coefficient")
     nums, den = int_row((*c, t))
     return tuple((i, n) for i, n in enumerate(nums[:-1]) if n), nums[-1], den
 
@@ -222,13 +247,14 @@ def combine_many(A, weights, points):
         raise DomainError("weights must be nonnegative and sum to 1")
     support = [(w, p) for w, p in zip(weights, points) if w > 0]
     if isinstance(A, GeomCvx):
-        for _, p in support:
-            A.require_member(tuple(rat(x) for x in p))
-        out = [ZERO] * A.dim
-        for w, p in support:
-            for d in range(A.dim):
-                out[d] += w * rat(p[d])
-        return tuple(out)
+        pts = [tuple(rat(x) for x in p) for _, p in support]
+        for p in pts:
+            A.require_member(p)
+        # sum_i (w_i / W) (P_i / Q) over integer numerators w_i and P_i
+        wnum, W = int_row([w for w, _ in support])
+        rows, Q = int_rows(pts)
+        return tuple(Fraction(sum(w * x for w, x in zip(wnum, column)), W * Q)
+                     for column in zip(*rows))
     if isinstance(A, SemiCvx):
         _require_positions(A, [p for _, p in support])
         if len(support) == 1:
@@ -440,7 +466,8 @@ class GeomToI:
     """The affine functional p -> c.p + t into the unit interval.
 
     (c, t) is cached as one integer row (see _sparse_row), so validation
-    and evaluation multiply integers and only apply builds a Fraction."""
+    and evaluation multiply integers: apply builds one Fraction at the
+    end, and apply_num none."""
 
     dom: GeomCvx
     c: tuple[Fraction, ...]
@@ -452,11 +479,16 @@ class GeomToI:
             raise DomainError("functional dimension mismatch")
         terms, t_num, den = row = _sparse_row(self.c, self.t)
         object.__setattr__(self, "row", row)
-        # for g = G / D: c.g + t = (C.G + t_num D) / (den D) lies in [0, 1]
+        # for g = G / D: c.g + t = (C.G + t_num D) / (den D) lies in [0, 1];
+        # C.G is summed one column of generator_rows at a time
         D = self.dom.generator_den
         lo, hi = -t_num * D, (den - t_num) * D
-        for g, G in zip(self.dom.generators, self.dom.generator_rows):
-            if not lo <= sum(n * G[i] for i, n in terms) <= hi:
+        rows = self.dom.generator_rows
+        values = [0] * len(rows)
+        for i, n in terms:
+            values = [v + n * G[i] for v, G in zip(values, rows)]
+        for g, v in zip(self.dom.generators, values):
+            if not lo <= v <= hi:
                 raise DomainError("functional leaves [0,1] on generator "
                                   f"{_vec_str(g)}")
 
@@ -464,6 +496,15 @@ class GeomToI:
         terms, t_num, den = self.row
         v, q = _sparse_dot(terms, p, self.dom.dim)
         return Fraction(v + t_num * q, den * q)
+
+    def apply_num(self, P, Q: int) -> int:
+        """apply(P / Q) times den * Q, for integer numerators P over a
+        positive Q and den the denominator of row: one scale for every
+        point over Q, so such values compare as integers."""
+        terms, t_num, _ = self.row
+        if len(P) != self.dom.dim:
+            raise DomainError("point dimension mismatch")
+        return sum(n * P[i] for i, n in terms) + t_num * Q
 
 
 @dataclass(frozen=True)
@@ -523,25 +564,8 @@ def separate_points(A: GeomCvx, a, b) -> HalfspaceSplit:
 
 
 def geom_spanning_functionals(A: GeomCvx) -> list[GeomToI]:
-    """Coordinate functionals rescaled into [0,1], plus the constants.
-
-    Equality of two affine functionals on this family implies equality on
-    the whole hull.
-    """
-    zero = (ZERO,) * A.dim
-    fns = [GeomToI(A, zero, ZERO), GeomToI(A, zero, ONE)]
-    if not A.generators:
-        return fns
-    D = A.generator_den
-    for d in range(A.dim):
-        # x_d -> (x_d - lo / D) / ((hi - lo) / D) on integer numerators
-        lo = min(G[d] for G in A.generator_rows)
-        hi = max(G[d] for G in A.generator_rows)
-        if lo == hi:
-            continue
-        c = zero[:d] + (Fraction(D, hi - lo),) + zero[d + 1:]
-        fns.append(GeomToI(A, c, Fraction(-lo, hi - lo)))
-    return fns
+    """A.spanning_family as a new list on every call."""
+    return list(A.spanning_family)
 
 
 def injectivity_check(A):

@@ -47,10 +47,6 @@ from .reports import LawReport
 DEFAULT_GRID = (ZERO, *MIX_GRID, ONE)
 
 
-class MeasurabilityError(DomainError):
-    """An integrand is not constant on the atoms of its space."""
-
-
 @dataclass(frozen=True, init=False)
 class FinDist:
     """A probability measure on the sigma-algebra atoms: numerator `num[k]`
@@ -127,35 +123,6 @@ def pushforward(f: MeasFn, P: FinDist) -> FinDist:
     for k, n in zip(f.atom_map, P.num):
         num[k] += n
     return FinDist(f.cod, num, P.den)
-
-
-def _atom_values(P: FinDist, f) -> list[Fraction]:
-    """Resolve an integrand to one value per atom, checking that every
-    point has a value and that the values are constant on each atom."""
-    if callable(f):
-        f = {p: f(p) for p in P.space.points}
-    missing = [p for p in P.space.points if p not in f]
-    if missing:
-        raise DomainError(f"integrand has no value at {missing}")
-    vals = []
-    for a in P.space.atoms:
-        pts = P.space.subset_names(a)
-        got = {rat(f[p]) for p in pts}
-        if len(got) != 1:
-            raise MeasurabilityError(
-                f"integrand is not constant on the atom {pts}")
-        vals.append(got.pop())
-    return vals
-
-
-def integrate(P: FinDist, f) -> Fraction:
-    """Exact integral of an atom-constant function with values in [0,1],
-    keyed by point (checked for atom constancy) or a callable on points."""
-    vals = _atom_values(P, f)
-    for v in vals:
-        if not (ZERO <= v <= ONE):
-            raise DomainError("integrand values must lie in [0, 1]")
-    return sum((m * v for m, v in zip(P.mass, vals)), ZERO)
 
 
 # ---------------------------------------------------------------------------

@@ -52,6 +52,14 @@ def int_row(values) -> tuple[list[int], int]:
     return [v.numerator * (den // v.denominator) for v in values], den
 
 
+def int_rows(rows) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """Rows of Fractions as integer numerators over one least common
+    denominator of all their entries."""
+    den = lcm(*(v.denominator for row in rows for v in row))
+    return tuple(tuple(v.numerator * (den // v.denominator) for v in row)
+                 for row in rows), den
+
+
 def prob_row(values, den, name: str,
              positive: bool = False) -> tuple[tuple[int, ...], int]:
     """A probability vector as reduced integers: `values` are integer

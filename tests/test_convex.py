@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from gcvx import convex as cvx
+from gcvx import adjunction as adj, convex as cvx
 from gcvx.adjunction import eval_hull_identity
 from gcvx.kernel import DomainError, ONE, ZERO, rat_str
 
@@ -266,6 +266,8 @@ WRONG_DIMENSIONS = {
         lambda sq: cvx.separate_points(sq, (0, 0), (1, 0)).contains((1,)),
     "functional-too-short": lambda sq: cvx.GeomToI(sq, (HALF,), ZERO),
     "normal-too-short": lambda sq: cvx.HalfspaceSplit(sq, (ONE,), HALF),
+    "apply-num-too-short":
+        lambda sq: cvx.GeomToI(sq, (HALF, HALF), ZERO).apply_num((1,), 1),
 }
 
 
@@ -282,11 +284,29 @@ def test_functional_error_names_the_generator_as_rationals():
     assert str(err.value) == "functional leaves [0,1] on generator (1/1, 1/1)"
 
 
-@pytest.mark.parametrize("coord", ["1/2", 0.5])
+@pytest.mark.parametrize("coord", ["1/2", 0.5, True, False])
 def test_geomcvx_rejects_coordinates_that_are_not_rationals(coord):
-    with pytest.raises(DomainError):
+    # True.numerator is 1, so a bool would pass the integer rows unnoticed
+    with pytest.raises(DomainError, match="is not an int or a Fraction"):
         cvx.GeomCvx(1, ((coord,), (1,)))
     assert cvx.GeomCvx.of(1, (("1/2",), (1,))).generators == ((HALF,), (ONE,))
+
+
+NOT_RATIONAL = {"true": True, "false": False, "float": 0.5, "string": "1/2"}
+
+AFFINE_FORM_ENTRIES = {
+    "functional-c": lambda x: cvx.GeomToI(cvx.unit_interval(), (x,), ZERO),
+    "functional-t": lambda x: cvx.GeomToI(cvx.unit_interval(), (ZERO,), x),
+    "normal": lambda x: cvx.HalfspaceSplit(cvx.unit_interval(), (x,), ZERO),
+    "threshold": lambda x: cvx.HalfspaceSplit(cvx.unit_interval(), (ONE,), x),
+}
+
+
+@pytest.mark.parametrize("value", sorted(NOT_RATIONAL))
+@pytest.mark.parametrize("entry", sorted(AFFINE_FORM_ENTRIES))
+def test_affine_forms_reject_entries_that_are_not_rationals(entry, value):
+    with pytest.raises(DomainError, match="is not an int or a Fraction"):
+        AFFINE_FORM_ENTRIES[entry](NOT_RATIONAL[value])
 
 
 def test_geomcvx_of_rejects_bool_coordinates():
@@ -403,6 +423,103 @@ def test_geom_corpus_outputs_are_pinned():
     assert sum("split" in e for e in results) >= GEOM_CORPUS_SIZE // 2
     blob = json.dumps(results, sort_keys=True)
     assert hashlib.sha256(blob.encode()).hexdigest() == GEOM_CORPUS_DIGEST
+
+
+def test_spanning_family_is_built_once_per_polytope(monkeypatch):
+    built = []
+    check = cvx.GeomToI.__post_init__
+
+    def counted(m):
+        built.append(m)
+        check(m)
+
+    monkeypatch.setattr(cvx.GeomToI, "__post_init__", counted)
+    A = cvx.GeomCvx.of(3, ((0, 0, 0), (1, 0, 0), (0, 2, 0), (1, 2, 0)))
+    first = cvx.geom_spanning_functionals(A)
+    assert len(built) == len(first) == 4  # 0, 1, x_0 and x_1; x_2 is fixed
+    second = cvx.geom_spanning_functionals(A)
+    assert len(built) == 4
+    assert second == first and second is not first
+    second.clear()
+    assert cvx.geom_spanning_functionals(A) == first
+
+
+# ---------------------------------------------------------------------------
+# combinations in dimension 3-6: the integer route against Fraction routes
+
+
+def dyadic_combinations():
+    """Seeded polytopes in dimension 3-6 with coordinates k/16 in [0, 1],
+    each with positive dyadic weights on 2-4 points: generators and one
+    midpoint of two generators, which is not a generator in general."""
+    rng = random.Random("dyadic-combinations")
+    cases = []
+    for dim in range(3, 7):
+        for count in (2, 3, 5, 8, 13):
+            gens = []
+            while len(gens) < count:
+                g = tuple(Fraction(rng.randint(0, 16), 16) for _ in range(dim))
+                if g not in gens:
+                    gens.append(g)
+            g, h = rng.sample(gens, 2)
+            k = rng.randint(2, 4)
+            points = [rng.choice(gens) for _ in range(k - 1)]
+            points.insert(rng.randrange(k), tuple((x + y) / 2
+                                                  for x, y in zip(g, h)))
+            cuts = sorted(rng.sample(range(1, 16), k - 1))
+            weights = [Fraction(b - a, 16)
+                       for a, b in zip([0, *cuts], [*cuts, 16])]
+            cases.append((cvx.GeomCvx(dim, tuple(gens)), weights, points))
+    return cases
+
+
+def combination_disagreements(A, weights, points) -> set[str]:
+    """The routes whose combination differs from a plain Fraction sum:
+    `combine_many` on integer numerators, and a chain of `convex_combine`
+    on Fractions, which folds in one point at a time."""
+    oracle = tuple(sum((w * p[d] for w, p in zip(weights, points)), ZERO)
+                   for d in range(A.dim))
+    chain, mass = points[0], weights[0]
+    for w, p in zip(weights[1:], points[1:]):
+        mass += w
+        chain = cvx.convex_combine(A, chain, p, w / mass)
+    routes = {"combine_many": cvx.combine_many(A, weights, points),
+              "convex_combine": chain}
+    return {name for name, got in routes.items() if got != oracle}
+
+
+def test_combinations_in_dimension_three_to_six_agree():
+    cases = dyadic_combinations()
+    assert {A.dim for A, _, _ in cases} == {3, 4, 5, 6}
+    for A, weights, points in cases:
+        assert combination_disagreements(A, weights, points) == set()
+        got = cvx.combine_many(A, weights, points)
+        assert all(type(x) is Fraction for x in got)
+        identity = eval_hull_identity(A, weights, points,
+                                      cvx.geom_spanning_functionals(A))
+        assert identity["passed"]
+        assert identity["point"] == tuple(rat_str(x) for x in got)
+
+
+def test_combine_many_wrong_from_dimension_three_is_caught(monkeypatch):
+    right = cvx.combine_many
+
+    def wrong(A, weights, points):
+        p = right(A, weights, points)
+        if isinstance(A, cvx.GeomCvx) and A.dim >= 3:
+            p = tuple(x + Fraction(1, 64) for x in p)
+        return p
+
+    # adjunction imported the name, so it is patched there too
+    monkeypatch.setattr(cvx, "combine_many", wrong)
+    monkeypatch.setattr(adj, "combine_many", wrong)
+    assert cvx.combine_many(square(), (HALF, HALF), ((0, 0), (1, 1))) \
+        == (HALF, HALF)
+    for A, weights, points in dyadic_combinations():
+        assert combination_disagreements(A, weights, points) \
+            == {"combine_many"}
+        assert not eval_hull_identity(
+            A, weights, points, cvx.geom_spanning_functionals(A))["passed"]
 
 
 # ---------------------------------------------------------------------------

@@ -11,13 +11,11 @@ from gcvx.convex import EndoI, SemiCvx, two_space
 from gcvx.giry import (
     DistOverDists,
     FinDist,
-    MeasurabilityError,
     dirac,
     flatten_oracle,
     flatten_outer,
     grid_dists,
     grid_weightings,
-    integrate,
     map_mu,
     map_unit,
     measure_to_functional,
@@ -251,25 +249,6 @@ def test_mu_matches_weighted_sum_of_measures():
                 assert M.measure(U) == sum(
                     (w * q.measure(U) for q, w in zip(PP.support, PP.weights)),
                     ZERO)
-
-
-def test_integrate_checks_atom_constancy():
-    X = FinMeasSpace(("a", "b", "c"), (0b001, 0b110))
-    P = FinDist(X, (HALF, HALF))
-    assert integrate(P, {"a": ONE, "b": ZERO, "c": ZERO}) == HALF
-    with pytest.raises(MeasurabilityError):
-        integrate(P, {"a": ONE, "b": ZERO, "c": ONE})
-    with pytest.raises(DomainError):
-        integrate(P, lambda p: Fraction(2))
-
-
-def test_integrate_names_a_point_with_no_value():
-    X = FinMeasSpace.discrete(("a", "b"))
-    P = FinDist(X, (HALF, HALF))
-    with pytest.raises(DomainError, match=r"no value at \['a', 'b'\]"):
-        integrate(P, {})
-    with pytest.raises(DomainError, match=r"no value at \['b'\]"):
-        integrate(P, {"a": ONE})
 
 
 def test_dist_over_dists_merges_and_sorts():
