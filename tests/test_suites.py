@@ -341,3 +341,22 @@ def test_mutated_giry_monad_at_three_points_is_pinned(monkeypatch):
     for f in rep.failures:
         counts[f.law] = counts.get(f.law, 0) + 1
     assert (counts, report_digest(rep)) == MUTATED_GIRY_3_2
+
+
+# The crooked counit at the `laws` config, three points and semilattices
+# up to three elements: the (2, 3) digest above names no failure on three
+# points, so this pins the `X3-…` failure names and witnesses as well
+MUTATED_ADJUNCTION_3_3 = (
+    {"adjunct.meet-of-support": 1338},
+    "adad0e743c83f80a2f682e7ac4e8db2a7d50036d059879ab6d2a02b7c181512c",
+)
+
+
+def test_mutated_adjunction_at_three_points_is_pinned(monkeypatch):
+    monkeypatch.setattr(adj, "counit", first_point_counit(adj.counit))
+    rep = run_suite("adjunction", {"maxPoints": 3, "maxSize": 3})
+    counts: dict[str, int] = {}
+    for f in rep.failures:
+        counts[f.law] = counts.get(f.law, 0) + 1
+    assert (counts, report_digest(rep)) == MUTATED_ADJUNCTION_3_3
+    assert any(f.instance.startswith("X3-") for f in rep.failures)
