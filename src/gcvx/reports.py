@@ -1,9 +1,12 @@
 """Law-check reports with reproducible counterexample witnesses.
 
-A witness is only read when its check fails, so `LawReport.record` takes
-it either as a value or as a zero-argument callable that it calls once,
-on failure; a passing check then pays nothing for formatting its
-counterexample.  `detail` is recorded for every instance and stays a
+A pass is a count: a loop adds up its passing instances in an integer
+and hands the total to `LawReport.count`, without naming any of them.
+`LawReport.record` is for an instance that failed or that carries a
+`detail`; only such an instance has a name in the report.  A witness is
+only read when its check fails, so `record` takes it either as a value
+or as a zero-argument callable that it calls once, on failure.  A
+`detail` is stored under the instance name, pass or fail, and stays a
 value.
 """
 
@@ -46,6 +49,11 @@ class LawReport:
     @property
     def ok(self) -> bool:
         return not self.unexpected_failures
+
+    def count(self, n: int) -> None:
+        """Add n passing instances that carry no detail.  A pass is only
+        a count; `record` is for a failure or an instance with a detail."""
+        self.instances += n
 
     def record(self, passed: bool, law: str, instance: str, witness=None,
                erratum_expected: bool = False, detail=None) -> None:

@@ -83,6 +83,8 @@ def _indicator_fns(A: cvx.SemiCvx):
 
 def _suite_adjunction(config) -> LawReport:
     rep = LawReport("adjunction")
+    # passing instances, none with a detail, handed to the report at the end
+    passes = 0
     lattices = _semilattices(config["maxSize"])
     endos = [cvx.EndoI.of(s, t)
              for s, t in ((1, 0), (Fraction(1, 2), 0), (Fraction(1, 2), Fraction(1, 4)),
@@ -101,18 +103,26 @@ def _suite_adjunction(config) -> LawReport:
             for k, f in enumerate(homs):
                 g = adj.adjunct(f, A)
                 back = adj.adjunct_inverse(g, X, sa)
-                rep.record(back.image == f.image, "adjunct.roundtrip",
-                           f"X{n}-A{j}-f{k}",
-                           witness=lambda: (f.mapping, back.mapping))
+                if back.image == f.image:
+                    passes += 1
+                else:
+                    rep.record(False, "adjunct.roundtrip", f"X{n}-A{j}-f{k}",
+                               witness=(f.mapping, back.mapping))
                 seen_diracs.add(tuple(g(d) for d in diracs))
                 for i, (P, support) in enumerate(zip(dists, supports)):
                     expect = A.meet_all(f.image[x] for x in support)
                     got = g(P)
-                    rep.record(got == expect, "adjunct.meet-of-support",
-                               f"X{n}-A{j}-f{k}-P{i}",
-                               witness=lambda: (A.elements[got], A.elements[expect]))
-            rep.record(len(seen_diracs) == len(homs), "adjunct.injective",
-                       f"X{n}-A{j}", witness=len(seen_diracs))
+                    if got == expect:
+                        passes += 1
+                    else:
+                        rep.record(False, "adjunct.meet-of-support",
+                                   f"X{n}-A{j}-f{k}-P{i}",
+                                   witness=(A.elements[got], A.elements[expect]))
+            if len(seen_diracs) == len(homs):
+                passes += 1
+            else:
+                rep.record(False, "adjunct.injective", f"X{n}-A{j}",
+                           witness=len(seen_diracs))
     for j, A in enumerate(lattices):
         sub = adj.triangle_check(FinMeasSpace.discrete(("a",)),
                                  semilattices=[A])
@@ -123,11 +133,18 @@ def _suite_adjunction(config) -> LawReport:
         for i, P in enumerate(giry.grid_dists(sa)):
             F = giry.measure_to_functional(P, A)
             back = giry.functional_to_measure(F, sa)
-            rep.record(back == P, "phi.roundtrip", f"A{j}-P{i}",
-                       witness=lambda: (back.describe(), P.describe()))
+            if back == P:
+                passes += 1
+            else:
+                rep.record(False, "phi.roundtrip", f"A{j}-P{i}",
+                           witness=(back.describe(), P.describe()))
             ok, failures = giry.wa_check(F, endos, fns)
-            rep.record(ok, "phi.weakly-averaging", f"A{j}-P{i}",
-                       witness=failures)
+            if ok:
+                passes += 1
+            else:
+                rep.record(False, "phi.weakly-averaging", f"A{j}-P{i}",
+                           witness=failures)
+    rep.count(passes)
     return rep
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -249,6 +250,70 @@ def test_mu_matches_weighted_sum_of_measures():
                 assert M.measure(U) == sum(
                     (w * q.measure(U) for q, w in zip(PP.support, PP.weights)),
                     ZERO)
+
+
+def sparse_measure(rng, X, den):
+    """A measure on X over `den` whose mass sits on a random nonempty
+    subset of the atoms, so that many numerators are zero."""
+    live = rng.sample(range(len(X.atoms)), rng.randrange(1, len(X.atoms) + 1))
+    cuts = sorted(rng.randrange(den + 1) for _ in live[1:])
+    num = [0] * len(X.atoms)
+    for k, lo, hi in zip(live, [0, *cuts], [*cuts, den]):
+        num[k] = hi - lo
+    return FinDist(X, num, den)
+
+
+def wide_two_level_cases(seed=23, per_size=60):
+    """Seeded two-level measures on 1 to 6 atoms, discrete or with the
+    first two points in one atom, with 1 to 6 support measures over
+    denominators up to 64 and weights over denominators up to 64."""
+    rng = random.Random(seed)
+    cases = []
+    for n in range(1, 7):
+        names = tuple("abcdefg"[:n + 1])
+        spaces = (FinMeasSpace.discrete(names[:n]),
+                  FinMeasSpace(names, [0b11] + [1 << i for i in range(2, n + 1)]))
+        for _ in range(per_size):
+            X = rng.choice(spaces)
+            qs = [sparse_measure(rng, X, rng.randrange(1, 65))
+                  for _ in range(rng.randrange(1, 7))]
+            raw = [rng.randrange(1, 65) for _ in qs]
+            cases.append(DistOverDists.of(X, zip(raw, qs), sum(raw)))
+    return cases
+
+
+def mu_disagreements(mu_fn, cases) -> list[int]:
+    """The atom counts of the cases where `mu_fn` and the flatten oracle
+    differ."""
+    return [len(PP.base.atoms) for PP in cases
+            if mu_fn(PP) != flatten_oracle(PP)]
+
+
+def test_mu_matches_the_oracle_past_three_atoms():
+    cases = wide_two_level_cases()
+    assert {len(PP.base.atoms) for PP in cases} == set(range(1, 7))
+    assert {len(PP.support) for PP in cases} == set(range(1, 7))
+    assert any(0 in q.num for PP in cases for q in PP.support)
+    # denominators that share no factor meet in one support
+    assert any(math.gcd(q.den, r.den) == 1 and 1 < q.den < r.den
+               for PP in cases
+               for q, r in itertools.combinations(PP.support, 2))
+    assert max(q.den for PP in cases for q in PP.support) > 32
+    assert mu_disagreements(mu, cases) == []
+
+
+def test_mu_wrong_from_four_atoms_is_caught():
+    # swaps the masses of the third and fourth atom: right on up to three
+    # atoms, where the other checks of `mu` look
+    def crooked(PP):
+        good = mu(PP)
+        if len(good.num) < 4:
+            return good
+        num = list(good.num)
+        num[2], num[3] = num[3], num[2]
+        return FinDist(good.space, num, good.den)
+    wrong = mu_disagreements(crooked, wide_two_level_cases())
+    assert wrong and min(wrong) == 4
 
 
 def test_dist_over_dists_merges_and_sorts():

@@ -22,3 +22,13 @@ def test_witness_thunk_runs_only_on_failure():
     with pytest.raises(AssertionError):
         rep.record(False, "law", "i2", witness=raising)
 
+
+
+def test_count_adds_passes_without_names():
+    rep = LawReport("demo")
+    rep.count(3)
+    rep.record(False, "law", "i0", witness="w")
+    rep.record(True, "law", "i1", detail="input")
+    assert (rep.instances, rep.passed) == (5, 4)
+    assert [f.instance for f in rep.failures] == ["i0"]
+    assert rep.instance_index == {"i1": "input"}

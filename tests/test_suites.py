@@ -9,6 +9,7 @@ from gcvx import convex as cvx
 from gcvx import jsonio
 from gcvx.kernel import CapacityError, DomainError, ZERO, rat
 from gcvx.measurable import FinMeasSpace
+from gcvx.reports import LawReport
 from gcvx.suites import SUITE_NAMES, all_sigma_spaces, explain, run_suite
 
 # config and the SHA-256 of the canonical report; a refactor that keeps
@@ -360,3 +361,38 @@ def test_mutated_adjunction_at_three_points_is_pinned(monkeypatch):
         counts[f.law] = counts.get(f.law, 0) + 1
     assert (counts, report_digest(rep)) == MUTATED_ADJUNCTION_3_3
     assert any(f.instance.startswith("X3-") for f in rep.failures)
+
+
+# At the `laws` configs a pass with no detail is only counted: `record`
+# sees the instances that carry a detail and nothing else, and the
+# measures are described only for those details
+PASSES_RECORDED = {
+    "giry-monad": ({"maxPoints": 3, "maxSupport": 2}, 16148,
+                   {"mu.unit-left": 38, "mu.flatten-oracle": 473},
+                   {"FinDist": 946, "DistOverDists": 473}),
+    "adjunction": ({"maxPoints": 3, "maxSize": 3}, 5157,
+                   {"triangle.measure-side": 33},
+                   {"FinDist": 33, "DistOverDists": 0}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PASSES_RECORDED))
+def test_a_pass_costs_a_count(name, monkeypatch):
+    config, instances, recorded, described = PASSES_RECORDED[name]
+    laws: dict[str, int] = {}
+    calls = {"FinDist": 0, "DistOverDists": 0}
+    real_record = LawReport.record
+
+    def record(self, passed, law, instance, witness=None, **kw):
+        assert kw.get("detail") is not None
+        laws[law] = laws.get(law, 0) + 1
+        real_record(self, passed, law, instance, witness=witness, **kw)
+    monkeypatch.setattr(LawReport, "record", record)
+    for cls in (giry.FinDist, giry.DistOverDists):
+        def describe(self, real=cls.describe, key=cls.__name__):
+            calls[key] += 1
+            return real(self)
+        monkeypatch.setattr(cls, "describe", describe)
+    rep = run_suite(name, config)
+    assert rep.ok
+    assert (rep.instances, laws, calls) == (instances, recorded, described)
