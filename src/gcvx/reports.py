@@ -1,13 +1,13 @@
 """Law-check reports with reproducible counterexample witnesses.
 
-A pass is a count: a loop adds up its passing instances in an integer
-and hands the total to `LawReport.count`, without naming any of them.
-`LawReport.record` is for an instance that failed or that carries a
-`detail`; only such an instance has a name in the report.  A witness is
-only read when its check fails, so `record` takes it either as a value
-or as a zero-argument callable that it calls once, on failure.  A
-`detail` is stored under the instance name, pass or fail, and stays a
-value.
+A pass with no detail is a count: a loop adds up its passing instances
+in an integer and hands the total to `LawReport.count`, without naming
+any of them.  `LawReport.record` is for an instance that failed or that
+carries a `detail`; only such an instance has a name in the report.  A
+witness is only read when its check fails, so `record` takes it either
+as a value or as a zero-argument callable that it calls once, on
+failure.  A `detail` is stored under the instance name, pass or fail,
+and stays a value.
 """
 
 from __future__ import annotations

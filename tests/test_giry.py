@@ -271,8 +271,9 @@ def wide_two_level_cases(seed=23, per_size=60):
     cases = []
     for n in range(1, 7):
         names = tuple("abcdefg"[:n + 1])
+        merged = [0b11] + [1 << i for i in range(2, n + 1)]
         spaces = (FinMeasSpace.discrete(names[:n]),
-                  FinMeasSpace(names, [0b11] + [1 << i for i in range(2, n + 1)]))
+                  FinMeasSpace(names, merged))
         for _ in range(per_size):
             X = rng.choice(spaces)
             qs = [sparse_measure(rng, X, rng.randrange(1, 65))
