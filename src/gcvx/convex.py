@@ -204,15 +204,26 @@ def hull_member(A: GeomCvx, p):
 
     Returns (True, weights) with barycentric weights over A.generators, or
     (False, (c, t)) with c.g <= t < c.p for every generator g.
+
+    The LP asks for weights x >= 0 with sum x_i g_i = p and sum x_i = 1,
+    on integer rows built from A.generator_rows over D = A.generator_den
+    and the numerators P of p over Q: with L = lcm(D, Q), coordinate row
+    d is column d of generator_rows times L // D with right-hand side
+    P[d] * (L // Q), and the last row is all L.  Every row is the
+    Fraction row times the same L, so `exactlp.solve_int_rows` returns
+    what `exactlp.solve_eq_nonneg` does on the Fraction rows.
     """
     p = tuple(rat(x) for x in p)
     if len(p) != A.dim:
         raise DomainError("point dimension mismatch")
     n = len(A.generators)
-    rows = [[g[d] for g in A.generators] for d in range(A.dim)]
-    rows.append([ONE] * n)
-    rhs = list(p) + [ONE]
-    res = exactlp.solve_eq_nonneg(rows, rhs)
+    P, Q = int_row(p)
+    L = lcm(A.generator_den, Q)
+    k, s = L // A.generator_den, L // Q
+    columns = zip(*A.generator_rows) if n else [()] * A.dim
+    rows = [[v * k for v in col] + [x * s] for col, x in zip(columns, P)]
+    rows.append([L] * (n + 1))
+    res = exactlp.solve_int_rows(rows, n)
     if res["status"] == exactlp.FEASIBLE:
         return True, tuple(res["x"])
     y = res["farkas"]  # y.cols <= 0, y.rhs > 0

@@ -17,9 +17,13 @@ new basis.  A simplex pivot has T[p][c] > 0; only the
 drive-out of a degenerate artificial may pivot on a negative entry, and
 then the whole tableau is negated to keep D positive.
 
-The start negates each row whose b_i is negative, scales every row by
-the lcm L of the row denominators and gives the artificials identity
-columns, so D = 1.  That is the unscaled
+`solve_int_rows` is the one entry to the simplex.  It takes integer
+rows [A_i | b_i], each row i of the problem times one common positive
+factor L.  `solve_eq_nonneg` parses rational entries into such rows,
+with L the lcm of the row denominators, and calls it;
+`convex.hull_member` builds them from a polytope's integer generator
+rows.  The start negates each row whose b_i is negative and gives the
+artificials identity columns, so D = 1.  That is the unscaled
 problem with each artificial multiplied by L: the basic x and the
 reduced costs of the artificials (and so the Farkas y) keep their values,
 the structural reduced costs of phase 1 are multiplied by L > 0, and
@@ -120,27 +124,48 @@ def solve_eq_nonneg(A, b, objective=None):
     Raises DomainError unless A is m x n, b has m entries and
     `objective` n, or if an entry is not a rational.
     """
-    m = len(A)
-    n = len(A[0]) if m else 0
-    if (any(len(row) != n for row in A) or len(b) != m
-            or objective is not None and len(objective) != n):
-        raise DomainError(f"A must be {m} x {n}, with {m} entries in b and "
-                          f"{n} in the objective")
-    rows, flipped = [], []
-    for i in range(m):
-        nums, den = int_row([rat(v) for v in A[i]] + [rat(b[i])])
-        flipped.append(nums[-1] < 0)
-        rows.append(([-v for v in nums] if flipped[-1] else nums, den))
+    try:
+        m = len(A)
+        n = len(A[0]) if m else 0
+        ok = (all(len(row) == n for row in A) and len(b) == m
+              and (objective is None or len(objective) == n))
+    except TypeError:
+        ok = False
+    if not ok:
+        raise DomainError("A must be an m x n matrix, with m entries in b "
+                          "and n in the objective")
+    rows = [int_row([rat(v) for v in A[i]] + [rat(b[i])]) for i in range(m)]
+    scale = lcm(*(den for _, den in rows))
     if objective is not None:
-        cost, cost_den = int_row([rat(v) for v in objective])
+        objective = [rat(v) for v in objective]
+    return solve_int_rows([[v * (scale // den) for v in nums]
+                           for nums, den in rows], n, objective)
+
+
+def solve_int_rows(rows, n, objective=None):
+    """Solve {x >= 0, A x = b} given as integer rows [A_i | b_i].
+
+    Each row is row i of the problem times one common positive factor,
+    which changes no answer: the result is that of `solve_eq_nonneg` on
+    the problem, in the same form.  `objective` holds n ints or
+    Fractions.  Raises DomainError for a row without n + 1 entries or an
+    objective without n.
+    """
+    m = len(rows)
+    if (any(len(row) != n + 1 for row in rows)
+            or objective is not None and len(objective) != n):
+        raise DomainError(f"each row must have {n + 1} entries and the "
+                          f"objective {n}")
+    flipped = [row[-1] < 0 for row in rows]
+    if objective is not None:
+        cost, cost_den = int_row(objective)
 
     # tableau columns: n structural + m artificial + rhs; D = 1
-    scale = lcm(*(den for _, den in rows))
     tab = []
-    for i, (nums, den) in enumerate(rows):
-        k = scale // den
-        tab.append([v * k for v in nums[:n]] + [int(j == i) for j in range(m)]
-                   + [nums[n] * k])
+    for i, row in enumerate(rows):
+        if flipped[i]:
+            row = [-v for v in row]
+        tab.append(row[:n] + [int(j == i) for j in range(m)] + [row[n]])
     basis = [n + i for i in range(m)]
 
     # phase 1 maximizes minus the sum of the artificials; with the

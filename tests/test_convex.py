@@ -1,15 +1,16 @@
 import hashlib
 import itertools
 import json
+import math
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from gcvx import adjunction as adj, convex as cvx
+from gcvx import adjunction as adj, convex as cvx, exactlp
 from gcvx.adjunction import eval_hull_identity
-from gcvx.kernel import DomainError, ONE, ZERO, rat_str
+from gcvx.kernel import DomainError, ONE, ZERO, int_row, rat_str
 
 HALF = Fraction(1, 2)
 
@@ -93,6 +94,7 @@ def test_require_member_skips_the_lp_for_generators(monkeypatch):
         raise AssertionError("a generator needs no LP")
 
     monkeypatch.setattr(cvx.exactlp, "solve_eq_nonneg", no_lp)
+    monkeypatch.setattr(cvx.exactlp, "solve_int_rows", no_lp)
     for g in sq.generators:
         sq.require_member(g)
     assert cvx.convex_combine(sq, (0, 0), (1, 1), HALF) == (HALF, HALF)
@@ -593,24 +595,83 @@ def hull_corpus():
     return corpus
 
 
+def hull_answer_faults(A, p, ok, answer) -> set[str]:
+    """What is wrong with a `hull_member` answer on its own terms:
+    "weights" unless they are barycentric and reproduce p, "normal"
+    unless c.g <= t for every generator g while c.p > t."""
+    if ok:
+        if (sum(answer, ZERO) == ONE and min(answer) >= 0
+                and p == _mix_with(answer, A.generators, A.dim)):
+            return set()
+        return {"weights"}
+    c, t = answer
+    if all(_dot(c, g) <= t for g in A.generators) and _dot(c, p) > t:
+        return set()
+    return {"normal"}
+
+
 def test_hull_corpus_answers_are_pinned():
     results, inside, outside = [], 0, 0
     for A, p in hull_corpus():
         ok, answer = cvx.hull_member(A, p)
+        assert not hull_answer_faults(A, p, ok, answer), (A, p)
         if ok:
             inside += 1
-            assert sum(answer, ZERO) == ONE and min(answer) >= 0
-            assert p == _mix_with(answer, A.generators, A.dim)
             results.append(["in", _vec(answer)])
         else:
             outside += 1
             c, t = answer
-            assert all(_dot(c, g) <= t for g in A.generators)
-            assert _dot(c, p) > t
             results.append(["out", _vec(c), rat_str(t)])
     assert min(inside, outside) >= HULL_CORPUS_SIZE // 5, (inside, outside)
     blob = json.dumps(results, sort_keys=True)
     assert hashlib.sha256(blob.encode()).hexdigest() == HULL_CORPUS_DIGEST
+
+
+def reference_hull_member(A, p):
+    """Hull membership through `exactlp.solve_eq_nonneg` on Fraction
+    rows: one row per coordinate, then a row of ones."""
+    n, dim = len(A.generators), A.dim
+    rows = [[g[d] for g in A.generators] for d in range(dim)] + [[ONE] * n]
+    res = exactlp.solve_eq_nonneg(rows, list(p) + [ONE])
+    if res["status"] == exactlp.FEASIBLE:
+        return True, tuple(res["x"])
+    y = res["farkas"]
+    return False, (tuple(y[:dim]), -y[dim])
+
+
+def test_hull_member_answers_as_the_fraction_rows_do():
+    for A, p in hull_corpus():
+        assert cvx.hull_member(A, p) == reference_hull_member(A, p), (A, p)
+
+
+def test_hull_rows_need_the_common_scale_on_the_point():
+    # a hull_member whose right-hand side drops the factor L // Q asks
+    # about p * Q / L; that is p only when the generators' denominator D
+    # divides the point's Q, and the own-terms check must catch the rest
+    def unscaled(A, p):
+        n = len(A.generators)
+        P, Q = int_row(p)
+        L = math.lcm(A.generator_den, Q)
+        columns = zip(*A.generator_rows) if n else [()] * A.dim
+        rows = [[v * (L // A.generator_den) for v in col] + [x]
+                for col, x in zip(columns, P)]
+        rows.append([L] * (n + 1))
+        res = exactlp.solve_int_rows(rows, n)
+        if res["status"] == exactlp.FEASIBLE:
+            return True, tuple(res["x"])
+        y = res["farkas"]
+        return False, (tuple(y[:A.dim]), -y[A.dim])
+
+    faults, scaled_points = set(), 0
+    for A, p in hull_corpus():
+        found = hull_answer_faults(A, p, *unscaled(A, p))
+        if int_row(p)[1] % A.generator_den:
+            scaled_points += 1
+            faults |= found
+        else:
+            assert not found, (A, p)
+    assert scaled_points >= HULL_CORPUS_SIZE // 4
+    assert faults == {"weights", "normal"}
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,13 @@
 import hashlib
 import json
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from gcvx import exactlp
-from gcvx.kernel import DomainError, rat_str
+from gcvx.kernel import DomainError, int_row, rat_str
 
 
 def F(x):
@@ -76,16 +77,29 @@ def test_empty_system_is_feasible():
 
 
 def test_shapes_must_agree():
-    # each of these was answered "feasible": [[1]], [1, 2] dropped 0 = 2,
-    # and the ragged A gave x = [-1, 1]
+    # each of the first six was answered "feasible": [[1]], [1, 2] dropped
+    # 0 = 2, and the ragged A gave x = [-1, 1]; the last three, an A that
+    # is not a matrix and a b that is not a list, raised TypeError
     for A, b, objective in (([[1]], [1, 2], None),
                             ([[1, 1], [1]], [1, 2], None),
                             ([[1, 1]], [], None),
                             ([], [1], None),
                             ([[1, 1]], [1], [1]),
-                            ([[1, 1]], [1], [1, 1, 1])):
+                            ([[1, 1]], [1], [1, 1, 1]),
+                            ([1, 2], [1], None),
+                            ([[1, 2]], 1, None),
+                            (None, [], None)):
         with pytest.raises(DomainError):
             exactlp.solve_eq_nonneg(A, b, objective)
+
+
+def test_integer_rows_must_have_n_plus_one_entries():
+    # a short row would shift its right-hand side into a structural column
+    for rows, n, objective in (([[1, 1, 1], [1, 2]], 2, None),
+                               ([[1, 1, 1, 1]], 2, None),
+                               ([[1, 1, 1]], 2, [1])):
+        with pytest.raises(DomainError):
+            exactlp.solve_int_rows(rows, n, objective)
 
 
 @pytest.mark.parametrize("bad", (0.5, "abc", None, "1/0"))
@@ -208,3 +222,15 @@ def test_corpus_answers_check_on_their_own_terms():
             assert c is not None
             assert exactlp.solve_eq_nonneg(A, b)["status"] == exactlp.FEASIBLE
     assert degenerate >= 50
+
+
+def test_integer_rows_at_any_common_scale_give_the_same_answer():
+    # the integer entry fed [A_i | b_i] times the lcm L of all row
+    # denominators, and times 6L, answers exactly as the rational entry
+    for A, b, c in lp_corpus():
+        rows = [int_row(row + [rhs]) for row, rhs in zip(A, b)]
+        scale = math.lcm(*(den for _, den in rows))
+        expected = exactlp.solve_eq_nonneg(A, b, objective=c)
+        for k in (scale, 6 * scale):
+            int_rows = [[v * (k // den) for v in nums] for nums, den in rows]
+            assert exactlp.solve_int_rows(int_rows, len(A[0]), c) == expected
