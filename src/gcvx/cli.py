@@ -13,7 +13,7 @@ import functools
 import json
 import sys
 
-from .jsonio import dump_json, load_json, space_from_json, space_to_json, witness_text
+from .jsonio import dump_json, load_json, sigma_text, space_from_json, witness_text
 from .kernel import CapacityError, DomainError
 from .smcc import product_space, tensor_space
 from .suites import SUITE_NAMES, SUITES, explain, run_suite
@@ -109,15 +109,15 @@ def main(argv=None) -> int:
             right = space_from_json(load_json(args.right))
             T = tensor_space(left, right)
             P = product_space(left, right)
-            product_sigma = space_to_json(P)["sigma"]
-            data = {
-                "tensorSigma": product_sigma if T == P else space_to_json(T)["sigma"],
-                "productSigma": product_sigma,
-                "strictlyLarger": T != P and P.sigma < T.sigma,
-            }
+            product_sigma = sigma_text(P)
+            tensor_sigma = product_sigma if T == P else sigma_text(T)
+            larger = json.dumps(T != P and P.sigma < T.sigma)
+            line = ('{"tensorSigma": ' + tensor_sigma + ', "productSigma": '
+                    + product_sigma + ', "strictlyLarger": ' + larger + '}')
             if args.json_out:
-                dump_json(data, args.json_out)
-            print(json.dumps(data))
+                with open(args.json_out, "w", encoding="utf-8") as fh:
+                    fh.write(line + "\n")
+            print(line)
             return 0
         if args.command == "explain":
             report = run_suite(args.suite, _suite_config(args))

@@ -122,12 +122,14 @@ def solve_eq_nonneg(A, b, objective=None):
       value   -- objective value (status "optimal")
       farkas  -- certificate y with y.A <= 0, y.b > 0 (status "infeasible")
     Raises DomainError unless A is m x n, b has m entries and
-    `objective` n, or if an entry is not a rational.
+    `objective` n, or if an entry is not a rational.  A string is only
+    ever an entry: a string A, row, b or objective is an error.
     """
     try:
         m = len(A)
         n = len(A[0]) if m else 0
-        ok = (all(len(row) == n for row in A) and len(b) == m
+        ok = (not any(isinstance(v, str) for v in (A, b, objective, *A))
+              and all(len(row) == n for row in A) and len(b) == m
               and (objective is None or len(objective) == n))
     except TypeError:
         ok = False

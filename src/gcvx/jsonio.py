@@ -2,8 +2,10 @@
 
 A space travels as its point names plus either its generators or its
 sigma-algebra, written out as the member list (the derived view of the
-atoms); without either it is discrete.  `space_to_json` writes that
-list with one table lookup per member and run of 8 positions.
+atoms); without either it is discrete, and any other key is an error.
+`sigma_text` writes that list straight to JSON text, the same text
+`json.dumps` makes of the nested list: each point name is encoded once,
+and a member costs one table lookup per run of 8 positions.
 Rationals in reports and witnesses travel as canonical "p/q" strings.
 """
 
@@ -16,22 +18,25 @@ from .kernel import DomainError, rat_str
 from .measurable import FinMeasSpace, generate_sigma, mask_of, space_from_members
 
 
-def space_to_json(X: FinMeasSpace) -> dict:
-    """The points and the member list of X, members in mask order.
+def sigma_text(X: FinMeasSpace) -> str:
+    """The JSON text of the member list of X: members in mask order,
+    each the names of its points in carrier order.
 
-    Member names are read in runs of 8 positions: for each run, a table
-    maps every 8-bit piece that occurs in some member to the names it
-    selects, so a member costs one lookup per run and the tables hold at
-    most one entry per member."""
-    points = X.points
+    The text is `json.dumps` of that nested list, with its default
+    separators.  Names are read in runs of 8 positions: for each run, a
+    table maps every 8-bit piece that occurs in some member to the
+    encoded names it selects, so a member costs one lookup per run and
+    the tables hold at most one entry per member."""
+    names = [json.dumps(p) for p in X.points]
     members = sorted(X.sigma)
-    sigma = [[]] * len(members)
-    for s in range(0, len(points), 8):
-        run = points[s:s + 8]
-        table = {piece: [p for i, p in enumerate(run) if piece >> i & 1]
+    texts = [""] * len(members)
+    for s in range(0, len(names), 8):
+        run = names[s:s + 8]
+        table = {piece: ", ".join([p for i, p in enumerate(run) if piece >> i & 1])
                  for piece in {m >> s & 255 for m in members}}
-        sigma = [names + table[m >> s & 255] for names, m in zip(sigma, members)]
-    return {"points": list(points), "sigma": sigma}
+        texts = [a + ", " + b if a and b else a or b
+                 for a, b in zip(texts, [table[m >> s & 255] for m in members])]
+    return "[[" + "], [".join(texts) + "]]"
 
 
 def _names(value) -> list:
@@ -40,11 +45,19 @@ def _names(value) -> list:
     return value
 
 
+_SPACE_KEYS = {"points", "generators", "sigma"}
+
+
 def space_from_json(data) -> FinMeasSpace:
     if not isinstance(data, dict):
         raise DomainError("a space must be a JSON object")
     if "points" not in data:
         raise DomainError("a space must list its points")
+    unknown = data.keys() - _SPACE_KEYS
+    if unknown:
+        raise DomainError(f"a space has no key {min(unknown)!r}")
+    if "generators" in data and "sigma" in data:
+        raise DomainError("a space gives generators or sigma, not both")
     points = tuple(_names(data["points"]))
     for key, build in (("generators", generate_sigma), ("sigma", space_from_members)):
         if key in data:

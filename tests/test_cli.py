@@ -5,7 +5,7 @@ import json
 import pytest
 
 from gcvx.cli import main
-from gcvx.jsonio import space_to_json
+from gcvx.jsonio import sigma_text
 from gcvx.measurable import FinMeasSpace
 from gcvx.smcc import product_points
 from gcvx.suites import all_sigma_spaces
@@ -94,6 +94,24 @@ def test_malformed_space_file_is_usage_error(tmp_path, capsys):
         assert main(["tensor", "--left", str(good), "--right", str(bad)]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 12 and all(line.startswith("error: ") for line in err)
+
+
+def test_space_key_it_does_not_read_is_usage_error(tmp_path, capsys):
+    # a misspelt "sigma" read as the powerset, and a "sigma" beside
+    # "generators" was ignored even when it named a point off the carrier;
+    # both exited 0
+    good = tmp_path / "good.json"
+    good.write_text('{"points": ["x"]}')
+    bad = tmp_path / "bad.json"
+    for text in ('{"points": ["a", "b"], "sgima": [[], ["a", "b"]]}',
+                 '{"points": ["a", "b"], "generators": [["a"]], '
+                 '"sigma": [[], ["zz"]]}'):
+        bad.write_text(text)
+        assert main(["tensor", "--left", str(bad), "--right", str(good)]) == 2
+        assert main(["tensor", "--left", str(good), "--right", str(bad)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: a space has no key 'sgima'"] * 2 + \
+        ["error: a space gives generators or sigma, not both"] * 2
 
 
 def test_library_bug_is_not_a_usage_error(tmp_path, monkeypatch, capsys):
@@ -247,7 +265,8 @@ def test_tensor_subcommand(tmp_path, capsys):
     assert set(data) == {"tensorSigma", "productSigma", "strictlyLarger"}
     for member in data["productSigma"]:
         assert member in data["tensorSigma"]
-    capsys.readouterr()
+    # the file holds the printed line
+    assert out.read_text() == capsys.readouterr().out
 
 
 def test_tensor_prints_each_list_from_its_own_space(tmp_path, monkeypatch,
@@ -260,8 +279,8 @@ def test_tensor_prints_each_list_from_its_own_space(tmp_path, monkeypatch,
     assert main(_tensor_files(tmp_path)) == 0
     data = json.loads(capsys.readouterr().out)
     points = ["(a,x)", "(a,y)", "(b,x)", "(b,y)"]
-    assert data["tensorSigma"] == space_to_json(
-        FinMeasSpace.discrete(points))["sigma"]
+    assert data["tensorSigma"] == json.loads(
+        sigma_text(FinMeasSpace.discrete(points)))
     assert data["productSigma"] == [[], ["(a,x)", "(a,y)"],
                                     ["(b,x)", "(b,y)"], points]
     assert data["strictlyLarger"] is True
@@ -273,9 +292,9 @@ def test_tensor_writes_one_member_list_when_tensor_is_product(
 
     def counting(X):
         written.append(X)
-        return space_to_json(X)
+        return sigma_text(X)
 
-    monkeypatch.setattr("gcvx.cli.space_to_json", counting)
+    monkeypatch.setattr("gcvx.cli.sigma_text", counting)
     for _ in range(3):
         assert main(_tensor_files(tmp_path)) == 0
     data = json.loads(capsys.readouterr().out.splitlines()[-1])
@@ -342,7 +361,8 @@ def test_tensor_output_is_pinned(tmp_path, capsys):
     files = []
     for n in (1, 2, 3):
         for k, X in enumerate(all_sigma_spaces(tuple("abc"[:n]))):
-            files.append((f"s{n}-{k}.json", space_to_json(X)))
+            files.append((f"s{n}-{k}.json", {"points": list(X.points),
+                                             "sigma": json.loads(sigma_text(X))}))
     pairs = [(a, b) for a, _ in files for b, _ in files]
     files.append(("generators.json", {"points": ["p", "q", "r", "s"],
                                       "generators": [["p", "q"], ["q"]]}))

@@ -93,6 +93,18 @@ def test_shapes_must_agree():
             exactlp.solve_eq_nonneg(A, b, objective)
 
 
+def test_a_string_is_not_a_row_or_vector():
+    # a string has a length and yields its characters, so it passed the
+    # shape check: ["12"] was read as the row [1, 2] and came back
+    # feasible with x = [3, 0], and the other two came back feasible too
+    for A, b, objective in ((["12"], [3], None),
+                            ("1", "1", None),
+                            ([[1, 2]], "3", None),
+                            ([[1, 2]], [3], "12")):
+        with pytest.raises(DomainError):
+            exactlp.solve_eq_nonneg(A, b, objective)
+
+
 def test_integer_rows_must_have_n_plus_one_entries():
     # a short row would shift its right-hand side into a structural column
     for rows, n, objective in (([[1, 1, 1], [1, 2]], 2, None),
