@@ -15,15 +15,21 @@ distributions carry their finite support explicitly with a powerset
 sigma-algebra, which is all the multiplication ever reads, and hold
 their weights in the same integer form (`wnum` over `wden`, `weights`
 the Fraction view); `flatten_oracle` alone reads the Fraction views, so
-it stays an independent route to the multiplication.  A measure caches
-its hash, as its space does, because supports, merges and pushforward
-tables key on measures.
+it stays an independent route to the multiplication.  A three-level
+measure is a tuple of (outer weight, distribution over distributions)
+pairs, and `flatten_outer` and `map_mu` take its weights as integer
+numerators over a `den`, or as rationals with `den` left out.  A measure
+caches its hash, as its space does, because supports, merges and
+pushforward tables key on measures, and its `describe` text, because
+reports describe the same support measures many times.
 
 The monad-law report computes each instance-independent value once: the
 flattening of each two-level measure serves the flatten oracle, the
 inner multiplications of associativity and the right side of
 multiplication naturality, and each support measure is pushed forward
-once per naturality map.  `mu` runs once per distinct side a law
+once per naturality map.  The associativity sides get their outer
+weights as integer numerators over one denominator, so the three-level
+path makes no Fraction.  `mu` runs once per distinct side a law
 constructs: a side is known by a packed integer key before it is built,
 and the memos live for one space, shared by all of its naturality maps.
 Every instance still gets its own verdict; this is sound only because
@@ -96,6 +102,12 @@ class FinDist:
         return Fraction(total, self.den)
 
     def describe(self) -> str:
+        return self._text
+
+    @cached_property
+    def _text(self) -> str:
+        """The text of `describe`, built once: reports describe the same
+        support measures many times."""
         parts = []
         for a, m in zip(self.space.atoms, self.mass):
             names = "|".join(self.space.subset_names(a))
@@ -179,7 +191,7 @@ class DistOverDists:
             pairs = zip(nums, (q for _, q in pairs))
         acc: dict[FinDist, int] = {}
         for w, q in pairs:
-            if w < 0:
+            if _is_negative(w):
                 raise DomainError("weights must be nonnegative")
             if w:
                 acc[q] = acc.get(q, 0) + w
@@ -190,6 +202,15 @@ class DistOverDists:
         parts = [f"{rat_str(w)}@{q.describe()}"
                  for q, w in zip(self.support, self.weights)]
         return "[" + "; ".join(parts) + "]"
+
+
+def _is_negative(w) -> bool:
+    """Whether the integer numerator w is negative; a weight that is not
+    an int (a bool, a float, a Fraction, a string or None) is a
+    `DomainError`."""
+    if w.__class__ is not int:
+        raise DomainError(f"cannot interpret {w!r} as an integer weight")
+    return w < 0
 
 
 def _by_mass(measures) -> tuple[FinDist, ...]:
@@ -256,7 +277,9 @@ def _push_outer(cod: FinMeasSpace, image, PP: DistOverDists) -> DistOverDists:
         cod, [(w, image(q)) for q, w in zip(PP.support, PP.wnum)], PP.wden)
 
 
-ThreeLevel = tuple[tuple[Fraction, DistOverDists], ...]
+# a three-level measure: (outer weight, middle level) pairs, the weights
+# rationals or, where a `den` is given, integer numerators over it
+ThreeLevel = tuple[tuple[Fraction | int, DistOverDists], ...]
 
 
 def _three_level_base(PPP: ThreeLevel) -> FinMeasSpace:
@@ -265,17 +288,21 @@ def _three_level_base(PPP: ThreeLevel) -> FinMeasSpace:
     return PPP[0][1].base
 
 
-def flatten_outer(PPP: ThreeLevel) -> DistOverDists:
+def flatten_outer(PPP: ThreeLevel, den: int | None = None) -> DistOverDists:
     """Multiplication applied at the outer two levels of a three-level
-    measure (the support stays at the middle level).  With the outer
-    weights as a_j over A and D the lcm of the middle denominators, the
-    measure q gets a_j * v * D / wden_j from each middle weight v over
-    wden_j, all over A * D.  A term of outer weight zero drops and a
-    negative outer weight is rejected, as in `DistOverDists.of` and so
-    in `map_mu`."""
+    measure (the support stays at the middle level).  The outer weights
+    are integer numerators over `den`, or rationals with `den` left out.
+    With the outer weights as a_j over A and D the lcm of the middle
+    denominators, the measure q gets a_j * v * D / wden_j from each
+    middle weight v over wden_j, all over A * D.  A term of outer weight
+    zero drops and a negative outer weight is rejected, as in
+    `DistOverDists.of` and so in `map_mu`."""
     base = _three_level_base(PPP)
-    outer, A = int_row([rat(w) for w, _ in PPP])
-    if min(outer) < 0:
+    if den is None:
+        outer, A = int_row([rat(w) for w, _ in PPP])
+    else:
+        outer, A = [w for w, _ in PPP], den
+    if any(_is_negative(a) for a in outer):
         raise DomainError("outer weights must be nonnegative")
     D = lcm(*(PP.wden for _, PP in PPP))
     acc: dict[FinDist, int] = {}
@@ -289,11 +316,13 @@ def flatten_outer(PPP: ThreeLevel) -> DistOverDists:
     return DistOverDists(base, support, [acc[q] for q in support], A * D)
 
 
-def map_mu(PPP: ThreeLevel, mu_fn=mu) -> DistOverDists:
+def map_mu(PPP: ThreeLevel, mu_fn=mu,
+           den: int | None = None) -> DistOverDists:
     """Push a three-level measure down along the multiplication; the
-    weights are checked and merged by `DistOverDists.of`."""
+    weights, integer numerators over `den` or rationals with `den` left
+    out, are checked and merged by `DistOverDists.of`."""
     base = _three_level_base(PPP)
-    return DistOverDists.of(base, [(w, mu_fn(PP)) for w, PP in PPP])
+    return DistOverDists.of(base, [(w, mu_fn(PP)) for w, PP in PPP], den)
 
 
 # ---------------------------------------------------------------------------
@@ -438,10 +467,10 @@ def two_level_dists(X: FinMeasSpace, max_support: int = 3) -> list[DistOverDists
     inner = grid_dists(X)
     out = []
     for size in range(1, max_support + 1):
-        weightings = grid_weightings(size)
+        weightings = [int_row(ws) for ws in grid_weightings(size)]
         for support in itertools.combinations(inner, size):
-            for ws in weightings:
-                out.append(DistOverDists(X, support, ws))
+            for ws, den in weightings:
+                out.append(DistOverDists(X, support, ws, den))
     return out
 
 
@@ -465,7 +494,11 @@ def monad_law_report(X: FinMeasSpace, max_support: int = 3,
     `map_mu` in associativity and, pushed forward once per distinct
     flattening, the right side of multiplication naturality.  Each
     support measure is pushed forward once per naturality map, and P(f)
-    is built from those images.
+    is built from those images.  The diracs of X, and of each codomain,
+    are built once for unit naturality.  The three-level measures of
+    associativity carry their outer weights as integer numerators over
+    one denominator G, the form `flatten_outer` and `map_mu` take with
+    `den=G`.
 
     `mu` runs once per distinct side that a law constructs.  Equal sides
     are found by key, without building them; a key packs the side's
@@ -526,8 +559,6 @@ def monad_law_report(X: FinMeasSpace, max_support: int = 3,
     # keys are exactly equal sides
     pair_weights = grid_weightings(2)
     G = lcm(*(w.denominator for ws in pair_weights for w in ws))
-    # the outer weight that each numerator over G stands for
-    weight = {int(w * G): w for ws in pair_weights for w in ws} | {G: ONE}
     pair_weights = [(int(wa * G), int(wb * G)) for wa, wb in pair_weights]
     outer_base = G * L + 1
     outer_digits = [sum(w * outer_base ** p for p, w in pairs)
@@ -551,12 +582,12 @@ def monad_law_report(X: FinMeasSpace, max_support: int = 3,
         lhs = outer_mu.get(outer_key)
         rhs = inner_mu.get(inner_key)
         if lhs is None or rhs is None:
-            PPP = tuple((weight[w], prefix[a]) for w, a in outer_terms)
+            PPP = tuple((w, prefix[a]) for w, a in outer_terms)
             if lhs is None:
-                lhs = outer_mu[outer_key] = mu(flatten_outer(PPP))
+                lhs = outer_mu[outer_key] = mu(flatten_outer(PPP, den=G))
             if rhs is None:
                 rhs = inner_mu[inner_key] = mu(
-                    map_mu(PPP, mu_fn=flat_of.__getitem__))
+                    map_mu(PPP, mu_fn=flat_of.__getitem__, den=G))
         if lhs == rhs:
             passes += 1
         else:
@@ -569,10 +600,17 @@ def monad_law_report(X: FinMeasSpace, max_support: int = 3,
     # measures, so their P(f)(PP) never share a key
     image_slots: dict[FinDist, int] = {}
     lhs_of: dict[int, FinDist] = {}
+    # the diracs of X, and of each codomain, built once
+    diracs = [atom_dirac(X, k) for k in range(len(X.atoms))]
+    cod_diracs: dict[FinMeasSpace, list[FinDist]] = {}
     for j, f in enumerate(naturality_maps):
+        cod = cod_diracs.get(f.cod)
+        if cod is None:
+            cod = cod_diracs[f.cod] = [atom_dirac(f.cod, k)
+                                       for k in range(len(f.cod.atoms))]
         for x, k, y in zip(X.points, X.point_atom, f.image):
-            lhs = pushforward(f, atom_dirac(X, k))
-            rhs = atom_dirac(f.cod, f.cod.point_atom[y])
+            lhs = pushforward(f, diracs[k])
+            rhs = cod[f.cod.point_atom[y]]
             if lhs == rhs:
                 passes += 1
             else:

@@ -124,6 +124,10 @@ def test_zero_outer_weight_drops_on_both_sides_of_associativity():
     assert flatten_outer(PPP) == PPa
     assert map_mu(PPP) == unit_outer(mu(PPa))
     assert mu(flatten_outer(PPP)) == mu(map_mu(PPP))
+    # the same weights as integer numerators over a den
+    PPP = ((3, PPa), (0, PPb))
+    assert flatten_outer(PPP, den=3) == PPa
+    assert map_mu(PPP, den=3) == unit_outer(mu(PPa))
 
 
 def test_negative_outer_weight_is_a_domain_error_even_when_it_merges():
@@ -134,6 +138,10 @@ def test_negative_outer_weight_is_a_domain_error_even_when_it_merges():
         flatten_outer(PPP)
     with pytest.raises(DomainError, match="nonnegative"):
         map_mu(PPP)
+    PPP = ((-1, PP), (2, PP))  # the same, as numerators over 1
+    for entry in (flatten_outer, map_mu):
+        with pytest.raises(DomainError, match="nonnegative"):
+            entry(PPP, den=1)
 
 
 def test_support_order_is_that_of_the_fraction_tuples():
@@ -317,6 +325,62 @@ def test_mu_wrong_from_four_atoms_is_caught():
     assert wrong and min(wrong) == 4
 
 
+def three_level_cases(seed=1982, count=300):
+    """Seeded three-level measures over the two-level corpus above: 1 to 4
+    middle levels on one base, repeats allowed, each with an integer
+    outer weight, some of them zero, over their positive sum."""
+    rng = random.Random(seed)
+    by_base: dict = {}
+    for PP in wide_two_level_cases():
+        by_base.setdefault(PP.base, []).append(PP)
+    groups = list(by_base.values())
+    cases = []
+    while len(cases) < count:
+        middle = rng.choices(rng.choice(groups), k=rng.randrange(1, 5))
+        raw = [rng.randrange(0, 9) for _ in middle]
+        if sum(raw):
+            cases.append((tuple(zip(raw, middle)), sum(raw)))
+    return cases
+
+
+def test_integer_outer_weights_match_fractions():
+    cases = three_level_cases()
+    assert any(0 in (w for w, _ in PPP) for PPP, _ in cases)
+    assert any(len({PP for _, PP in PPP}) < len(PPP) for PPP, _ in cases)
+    for PPP, den in cases:
+        by_frac = tuple((Fraction(w, den), PP) for w, PP in PPP)
+        assert flatten_outer(PPP, den=den) == flatten_outer(by_frac)
+        assert map_mu(PPP, den=den) == map_mu(by_frac)
+
+
+@pytest.mark.parametrize("weights, den", [
+    ((1, 1), 0),       # zero denominator
+    ((0, 0), 0),       # zero denominator, every term dropped
+    ((1, 1), -2),      # negative denominator
+    ((1, 1), 3),       # does not sum to den
+    ((1, 2), 2),       # does not sum to den
+])
+def test_integer_outer_weights_need_a_positive_den_they_sum_to(weights, den):
+    X = disc(2)
+    PPP = tuple(zip(weights, (unit_outer(dirac(X, "a")),
+                              unit_outer(dirac(X, "b")))))
+    for entry in (flatten_outer, map_mu):
+        with pytest.raises(DomainError):
+            entry(PPP, den=den)
+
+
+@pytest.mark.parametrize("weight", ["1", None, 1.0, HALF, True])
+def test_a_weight_over_a_den_must_be_an_int(weight):
+    X = disc(2)
+    a, b = dirac(X, "a"), dirac(X, "b")
+    with pytest.raises(DomainError, match="integer weight"):
+        DistOverDists.of(X, [(weight, a), (1, b)], 2)
+    PPP = ((weight, unit_outer(a)), (1, unit_outer(b)))
+    for entry in (flatten_outer, map_mu):
+        with pytest.raises(DomainError, match="integer weight"):
+            entry(PPP, den=2)
+
+
 def test_dist_over_dists_merges_and_sorts():
     X = disc(2)
     P = dirac(X, "a")
@@ -471,9 +535,12 @@ def test_associativity_keys_are_exact(monkeypatch):
     built = {"outer": [], "inner": []}
 
     def spy(side, real):
-        def wrapped(PPP, **kw):
-            built[side].append(PPP)
-            return real(PPP, **kw)
+        # the report hands the outer weights as numerators over `den`;
+        # recorded as Fractions, they compare with the triples above
+        def wrapped(PPP, den=None, **kw):
+            built[side].append(PPP if den is None else tuple(
+                (Fraction(w, den), PP) for w, PP in PPP))
+            return real(PPP, den=den, **kw)
         return wrapped
     sides, real_record = [], LawReport.record
 

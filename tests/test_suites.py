@@ -6,7 +6,7 @@ import pytest
 from gcvx import adjunction as adj
 from gcvx import cli, giry, smcc, suites
 from gcvx import convex as cvx
-from gcvx import jsonio
+from gcvx import exactlp, jsonio, kernel
 from gcvx.kernel import CapacityError, DomainError, ZERO, rat
 from gcvx.measurable import FinMeasSpace
 from gcvx.reports import LawReport
@@ -353,6 +353,29 @@ MUTATED_ADJUNCTION_3_3 = (
 )
 
 
+def swapped_outer_weights(real):
+    """A `flatten_outer` that puts each outer weight on the other middle
+    level of a two-term three-level measure whose weights differ."""
+    def crooked(PPP, *args, **kw):
+        if len(PPP) == 2 and PPP[0][0] != PPP[1][0]:
+            (wa, PPa), (wb, PPb) = PPP
+            PPP = ((wb, PPa), (wa, PPb))
+        return real(PPP, *args, **kw)
+    return crooked
+
+
+def test_mutated_flatten_outer_fails_associativity_alone(monkeypatch):
+    # only the left side of associativity runs through flatten_outer, so
+    # associativity alone fails, and only on two-term measures
+    monkeypatch.setattr(giry, "flatten_outer",
+                        swapped_outer_weights(giry.flatten_outer))
+    rep = run_suite("giry-monad", {"maxPoints": 2, "maxSupport": 2})
+    counts: dict[str, int] = {}
+    for f in rep.failures:
+        counts[f.law] = counts.get(f.law, 0) + 1
+    assert (rep.instances, counts) == (1140, {"mu.associativity": 578})
+
+
 def test_mutated_adjunction_at_three_points_is_pinned(monkeypatch):
     monkeypatch.setattr(adj, "counit", first_point_counit(adj.counit))
     rep = run_suite("adjunction", {"maxPoints": 3, "maxSize": 3})
@@ -396,3 +419,26 @@ def test_a_pass_costs_a_count(name, monkeypatch):
     rep = run_suite(name, config)
     assert rep.ok
     assert (rep.instances, laws, calls) == (instances, recorded, described)
+
+
+def test_three_level_weights_stay_integers(monkeypatch):
+    # the associativity sides get their outer weights as integers, so
+    # int_row runs where Fractions come in (the grid and the flatten
+    # oracle), not once per side; a measure's text is built once, so the
+    # atom names of the flatten-oracle details are read once per
+    # distinct support measure
+    calls = {"int_row": 0, "subset_names": 0}
+
+    def counted(owner, attr, key):
+        real = getattr(owner, attr)
+
+        def counting(*args):
+            calls[key] += 1
+            return real(*args)
+        monkeypatch.setattr(owner, attr, counting)
+    for module in (kernel, giry, cvx, adj, exactlp):
+        counted(module, "int_row", "int_row")
+    counted(FinMeasSpace, "subset_names", "subset_names")
+    rep = run_suite("giry-monad", {"maxPoints": 3, "maxSupport": 2})
+    assert rep.ok and rep.instances == 16148
+    assert calls == {"int_row": 521, "subset_names": 176}
