@@ -51,12 +51,20 @@ def counit(A, P):
 
     For a semilattice, P is a FinDist on the generated space and the
     result is the meet of the positions in the atoms carrying positive
-    mass; for a polytope, P is an iterable of (weight, point) pairs and
-    the result is the barycenter.
+    mass; a measure on any other carrier is a `DomainError`.  For a
+    polytope, P is an iterable of (weight, point) pairs and the result
+    is the barycenter.
     """
     if isinstance(A, SemiCvx):
-        mask = sum(a for a, n in zip(P.space.atoms, P.num) if n)  # disjoint
-        return A.meet_all(i for i in range(len(A.elements)) if mask >> i & 1)
+        points = P.space.points
+        # the generated space shares the tuple of A's labels
+        if points is not A.elements and tuple(points) != tuple(A.elements):
+            raise DomainError("measure does not live on the carrier of A")
+        mask = 0
+        for a, n in zip(P.space.atoms, P.num):
+            if n:
+                mask |= a
+        return A.meet_all(i for i in range(len(points)) if mask >> i & 1)
     if isinstance(A, GeomCvx):
         pairs = list(P)
         weights = [rat(w) for w, _ in pairs]

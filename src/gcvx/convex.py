@@ -157,12 +157,18 @@ class SemiCvx:
         return self.meet_table[a][b]
 
     def meet_all(self, items) -> int:
-        items = list(items)
-        if not items:
+        """The meet of a nonempty family of positions, read in one pass;
+        an empty family, or an item that is not a position of the
+        carrier, is a `DomainError`."""
+        positions = range(len(self.elements))
+        table = self.meet_table
+        acc = None
+        for x in items:
+            if x not in positions:
+                raise DomainError(f"{x!r} is not a position of the carrier")
+            acc = x if acc is None else table[acc][x]
+        if acc is None:
             raise DomainError("meet of an empty family")
-        acc = items[0]
-        for x in items[1:]:
-            acc = self.meet_table[acc][x]
         return acc
 
     def leq(self, a: int, b: int) -> bool:

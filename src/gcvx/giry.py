@@ -45,6 +45,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
+from operator import attrgetter
 
 from .convex import MIX_GRID, GeomCvx, SemiCvx, free_convex
 from .kernel import DomainError, ONE, ZERO, int_row, prob_row, rat, rat_str
@@ -213,14 +214,22 @@ def _is_negative(w) -> bool:
     return w < 0
 
 
+_num = attrgetter("num")
+
+
 def _by_mass(measures) -> tuple[FinDist, ...]:
-    """Measures in the order of their `mass` tuples: numerators scaled to
-    one common denominator compare exactly as the Fractions do."""
+    """Measures in the order of their `mass` tuples.  Where they share
+    one denominator the numerators compare as the Fractions do, so they
+    are the key; otherwise the key is the numerators scaled to the lcm
+    of the denominators."""
     if len(measures) == 1:
         return tuple(measures)
-    den = lcm(*(q.den for q in measures))
-    return tuple(sorted(measures,
-                        key=lambda q: [n * (den // q.den) for n in q.num]))
+    dens = {q.den for q in measures}
+    if len(dens) == 1:
+        return tuple(sorted(measures, key=_num))
+    den = lcm(*dens)
+    return tuple(sorted(
+        measures, key=lambda q: tuple([n * (den // q.den) for n in q.num])))
 
 
 def mu(PP: DistOverDists) -> FinDist:
@@ -282,38 +291,36 @@ def _push_outer(cod: FinMeasSpace, image, PP: DistOverDists) -> DistOverDists:
 ThreeLevel = tuple[tuple[Fraction | int, DistOverDists], ...]
 
 
-def _three_level_base(PPP: ThreeLevel) -> FinMeasSpace:
-    if not PPP:
-        raise DomainError("a three-level measure needs a nonempty support")
-    return PPP[0][1].base
-
-
 def flatten_outer(PPP: ThreeLevel, den: int | None = None) -> DistOverDists:
     """Multiplication applied at the outer two levels of a three-level
     measure (the support stays at the middle level).  The outer weights
     are integer numerators over `den`, or rationals with `den` left out.
     With the outer weights as a_j over A and D the lcm of the middle
     denominators, the measure q gets a_j * v * D / wden_j from each
-    middle weight v over wden_j, all over A * D.  A term of outer weight
-    zero drops and a negative outer weight is rejected, as in
-    `DistOverDists.of` and so in `map_mu`."""
-    base = _three_level_base(PPP)
+    middle weight v over wden_j, all over A * D, merged in one pass over
+    the terms.  A term of outer weight zero drops and a negative outer
+    weight is rejected as it is read, as in `DistOverDists.of` and so in
+    `map_mu`."""
+    if not PPP:
+        raise DomainError("a three-level measure needs a nonempty support")
     if den is None:
-        outer, A = int_row([rat(w) for w, _ in PPP])
-    else:
-        outer, A = [w for w, _ in PPP], den
-    if any(_is_negative(a) for a in outer):
-        raise DomainError("outer weights must be nonnegative")
-    D = lcm(*(PP.wden for _, PP in PPP))
+        outer, den = int_row([rat(w) for w, _ in PPP])
+        PPP = [(a, PP) for a, (_, PP) in zip(outer, PPP)]
+    D = 1
+    for _, PP in PPP:
+        D = lcm(D, PP.wden)
     acc: dict[FinDist, int] = {}
-    for a, (_, PP) in zip(outer, PPP):
-        if not a:
-            continue
-        scale = a * (D // PP.wden)
-        for q, v in zip(PP.support, PP.wnum):
-            acc[q] = acc.get(q, 0) + scale * v
+    get = acc.get
+    for a, PP in PPP:
+        if _is_negative(a):
+            raise DomainError("outer weights must be nonnegative")
+        if a:
+            scale = a * (D // PP.wden)
+            for q, v in zip(PP.support, PP.wnum):
+                acc[q] = get(q, 0) + scale * v
     support = _by_mass(acc)
-    return DistOverDists(base, support, [acc[q] for q in support], A * D)
+    return DistOverDists(PPP[0][1].base, support, [acc[q] for q in support],
+                         den * D)
 
 
 def map_mu(PPP: ThreeLevel, mu_fn=mu,
@@ -321,8 +328,10 @@ def map_mu(PPP: ThreeLevel, mu_fn=mu,
     """Push a three-level measure down along the multiplication; the
     weights, integer numerators over `den` or rationals with `den` left
     out, are checked and merged by `DistOverDists.of`."""
-    base = _three_level_base(PPP)
-    return DistOverDists.of(base, [(w, mu_fn(PP)) for w, PP in PPP], den)
+    if not PPP:
+        raise DomainError("a three-level measure needs a nonempty support")
+    return DistOverDists.of(PPP[0][1].base,
+                            [(w, mu_fn(PP)) for w, PP in PPP], den)
 
 
 # ---------------------------------------------------------------------------
@@ -405,16 +414,20 @@ def wa_check(F: WAFunctional, endos, test_fns):
                              "passed": False, "got": rat_str(got)})
     ws, wden = F.weight_row
     values = [F.values(m) for m in test_fns]
+    # each average F(m) = sum_i w_i v_i once, over wden * vden
+    averages = [sum([w * v for w, v in zip(ws, vs)]) for vs, _ in values]
     for e in endos:
         # s = p/q and t = r/u; with m = v/vden at the term points, both
         # sides are numerators over wden * q * u * vden
         p, q = e.s.numerator, e.s.denominator
         r, u = e.t.numerator, e.t.denominator
-        for i, (vs, vden) in enumerate(values):
+        pu, rq = p * u, r * q
+        for i, ((vs, vden), avg) in enumerate(zip(values, averages)):
+            shift = rq * vden
             # F(s*m + t): transform pointwise, then average
-            lhs = sum(w * (p * u * v + r * q * vden) for w, v in zip(ws, vs))
+            lhs = sum([w * (pu * v + shift) for w, v in zip(ws, vs)])
             # s*F(m) + t: average, then transform
-            rhs = p * u * sum(w * v for w, v in zip(ws, vs)) + r * q * wden * vden
+            rhs = pu * avg + shift * wden
             if lhs != rhs:
                 failures.append({"law": "equivariance",
                                  "endo": (rat_str(e.s), rat_str(e.t)),

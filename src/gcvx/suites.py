@@ -86,6 +86,8 @@ def _suite_adjunction(config) -> LawReport:
     # passing instances, none with a detail, handed to the report at the end
     passes = 0
     lattices = _semilattices(config["maxSize"])
+    # sigma(A) once per semilattice, for every n and the phi round trip
+    sigmas = [adj.sigma_functor(A) for A in lattices]
     endos = [cvx.EndoI.of(s, t)
              for s, t in ((1, 0), (Fraction(1, 2), 0), (Fraction(1, 2), Fraction(1, 4)),
                           (-Fraction(1, 2), Fraction(3, 4)), (0, Fraction(1, 2)))]
@@ -96,8 +98,7 @@ def _suite_adjunction(config) -> LawReport:
         diracs = [giry.atom_dirac(X, k) for k in X.point_atom]
         supports = [[x for x, k in enumerate(X.point_atom) if P.num[k]]
                     for P in dists]
-        for j, A in enumerate(lattices):
-            sa = adj.sigma_functor(A)
+        for j, (A, sa) in enumerate(zip(lattices, sigmas)):
             homs = enumerate_meas_fns(X, sa)
             seen_diracs = set()
             for k, f in enumerate(homs):
@@ -123,12 +124,11 @@ def _suite_adjunction(config) -> LawReport:
             else:
                 rep.record(False, "adjunct.injective", f"X{n}-A{j}",
                            witness=len(seen_diracs))
-    for j, A in enumerate(lattices):
+    for j, (A, sa) in enumerate(zip(lattices, sigmas)):
         sub = adj.triangle_check(FinMeasSpace.discrete(("a",)),
                                  semilattices=[A])
         rep.merge(sub)
         # phi round trip: measures <-> weakly averaging functionals
-        sa = adj.sigma_functor(A)
         fns = _indicator_fns(A)
         for i, P in enumerate(giry.grid_dists(sa)):
             F = giry.measure_to_functional(P, A)

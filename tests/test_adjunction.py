@@ -45,6 +45,16 @@ def test_counit_meet_of_support():
     assert adj.counit(A, dirac(sa, "c")) == 2
 
 
+def test_counit_rejects_a_measure_off_the_carrier():
+    A = chain3()
+    # a dirac on an unrelated space, and one at a point A does not have
+    for P in (dirac(FinMeasSpace.discrete(("p", "q")), "q"),
+              dirac(FinMeasSpace.discrete(("a", "b", "c", "d")), "d")):
+        with pytest.raises(DomainError,
+                           match="measure does not live on the carrier of A"):
+            adj.counit(A, P)
+
+
 def test_counit_barycenter():
     seg = GeomCvx.of(1, ((0,), (1,)))
     assert adj.counit(seg, [(HALF, (ZERO,)), (HALF, (ONE,))]) == (HALF,)

@@ -62,8 +62,14 @@ def test_leq_and_meet_all():
     A = chain3()
     assert A.leq(0, 2) and not A.leq(2, 0)
     assert A.meet_all((2, 1, 2)) == 1
-    with pytest.raises(DomainError):
-        A.meet_all(())
+    assert A.meet_all(x for x in (2, 1, 2)) == 1
+    for empty in ((), (x for x in ())):
+        with pytest.raises(DomainError, match="empty family"):
+            A.meet_all(empty)
+    # a negative index would wrap and one past the end would index out
+    for items in ([2, -1], [0, 5], [5]):
+        with pytest.raises(DomainError, match="not a position"):
+            A.meet_all(items)
 
 
 # ---------------------------------------------------------------------------

@@ -163,6 +163,37 @@ def test_support_order_is_that_of_the_fraction_tuples():
             sorted(set(qs) | set(other.support), key=fraction_tuple)
 
 
+def test_by_mass_order_over_equal_and_mixed_denominators():
+    # a seeded corpus of sets of 1 to 6 measures, some on one shared
+    # denominator and some on several, with zero numerators in both
+    def mass(q):
+        return q.mass
+
+    rng = random.Random(27)
+    X = disc(3)
+    seen = {"equal": 0, "mixed": 0, "unsorted equal": 0, "zero": 0}
+    for _ in range(400):
+        # a prime shared denominator reduces only on a dirac
+        shared = rng.choice((5, 7, 11)) if rng.random() < 0.5 else None
+        qs = []
+        for _ in range(rng.randrange(1, 7)):
+            den = shared or rng.randrange(1, 13)
+            first = rng.randrange(den + 1)
+            second = rng.randrange(den - first + 1)
+            qs.append(FinDist(X, (first, second, den - first - second), den))
+        qs = list(dict.fromkeys(qs))
+        PP = DistOverDists.of(X, [(1, q) for q in qs], den=len(qs))
+        assert list(PP.support) == sorted(PP.support, key=mass)
+        if len(qs) > 1:
+            equal = len({q.den for q in qs}) == 1
+            seen["equal" if equal else "mixed"] += 1
+            if equal and qs != sorted(qs, key=mass):
+                seen["unsorted equal"] += 1
+        seen["zero"] += any(0 in q.num for q in qs)
+    # both branches of the sort key, in an order they must change
+    assert min(seen.values()) >= 20, seen
+
+
 def test_push_outer_moves_each_weight_to_its_image_and_merges():
     X, Y = disc(3), disc(2)
     f = MeasFn(X, Y, (0, 0, 1))  # a, b -> a and c -> b
@@ -646,12 +677,22 @@ def test_wa_check_detects_unnormalized_weights():
     bad = object.__new__(giry.WAFunctional)
     object.__setattr__(bad, "base", two)
     object.__setattr__(bad, "terms", ((HALF, 0), (QUARTER, 1)))
-    ok, failures = wa_check(bad, [], [])
+    endos = [EndoI.of(s, t) for s, t in ((1, 0), (HALF, 0), (HALF, QUARTER),
+                                         (-HALF, Fraction(3, 4)), (0, HALF))]
+    fns = [lambda a: ONE if a == 1 else ZERO]
+    ok, failures = wa_check(bad, endos, fns)
     assert not ok
-    # weights summing to 3/4 scale every nonzero constant by 3/4
+    # weights summing to 3/4 scale every nonzero constant by 3/4, and
+    # F(s*m + t) = s*F(m) + 3t/4, so every endomorphism with t != 0 fails
     assert failures == [
         {"law": "constant", "value": "1/2", "passed": False, "got": "3/8"},
         {"law": "constant", "value": "1/1", "passed": False, "got": "3/4"},
+        {"law": "equivariance", "endo": ("1/2", "1/4"), "fn": 0,
+         "passed": False},
+        {"law": "equivariance", "endo": ("-1/2", "3/4"), "fn": 0,
+         "passed": False},
+        {"law": "equivariance", "endo": ("0/1", "1/2"), "fn": 0,
+         "passed": False},
     ]
 
 

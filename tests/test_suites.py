@@ -442,3 +442,18 @@ def test_three_level_weights_stay_integers(monkeypatch):
     rep = run_suite("giry-monad", {"maxPoints": 3, "maxSupport": 2})
     assert rep.ok and rep.instances == 16148
     assert calls == {"int_row": 521, "subset_names": 176}
+
+
+def test_sigma_is_built_once_per_semilattice(monkeypatch):
+    # the suite builds sigma(A) once for every n and the phi round trip,
+    # and triangle_check builds its own: 12 + 12 for the 12 semilattices
+    calls = []
+    real = adj.sigma_functor
+
+    def counting(A):
+        calls.append(A)
+        return real(A)
+    monkeypatch.setattr(adj, "sigma_functor", counting)
+    rep = run_suite("adjunction", {"maxPoints": 3, "maxSize": 3})
+    assert rep.ok and rep.instances == 5157
+    assert len(calls) == 24
