@@ -16,8 +16,8 @@ from functools import cached_property
 from math import lcm
 
 from . import exactlp
-from .kernel import (CapacityError, DomainError, ONE, ZERO, int_row, int_rows,
-                     rat, rat_str)
+from .kernel import (CapacityError, DomainError, ONE, ZERO, check_positions,
+                     int_row, int_rows, prob_row, rat, rat_str)
 
 Point = tuple[Fraction, ...]
 
@@ -142,7 +142,7 @@ class SemiCvx:
         t = self.meet_table
         if len(t) != n or any(len(row) != n for row in t):
             raise DomainError("meet table shape mismatch")
-        _require_positions(self, (v for row in t for v in row))
+        check_positions((v for row in t for v in row), n)
         for i in range(n):
             if t[i][i] != i:
                 raise DomainError("meet must be idempotent")
@@ -157,28 +157,21 @@ class SemiCvx:
         return self.meet_table[a][b]
 
     def meet_all(self, items) -> int:
-        """The meet of a nonempty family of positions, read in one pass;
-        an empty family, or an item that is not a position of the
-        carrier, is a `DomainError`."""
-        positions = range(len(self.elements))
-        table = self.meet_table
-        acc = None
-        for x in items:
-            if x not in positions:
-                raise DomainError(f"{x!r} is not a position of the carrier")
-            acc = x if acc is None else table[acc][x]
-        if acc is None:
+        """The meet of a nonempty family of positions; an empty family,
+        or an item that is not a position of the carrier, is a
+        `DomainError`."""
+        items = tuple(items)
+        if not items:
             raise DomainError("meet of an empty family")
+        check_positions(items, len(self.elements))
+        table = self.meet_table
+        acc = items[0]
+        for x in items:
+            acc = table[acc][x]
         return acc
 
     def leq(self, a: int, b: int) -> bool:
         return self.meet_table[a][b] == a
-
-
-def _require_positions(A: SemiCvx, points) -> None:
-    for p in points:
-        if p not in range(len(A.elements)):
-            raise DomainError(f"{p!r} is not a position of the carrier")
 
 
 def two_space() -> SemiCvx:
@@ -248,7 +241,7 @@ def convex_combine(A, a, b, alpha):
         A.require_member(b)
         return tuple((ONE - alpha) * x + alpha * y for x, y in zip(a, b))
     if isinstance(A, SemiCvx):
-        _require_positions(A, (a, b))
+        check_positions((a, b), len(A.elements))
         if alpha == ZERO:
             return a
         if alpha == ONE:
@@ -258,24 +251,20 @@ def convex_combine(A, a, b, alpha):
 
 
 def combine_many(A, weights, points):
-    """Evaluate a finite convex sum with weights summing to one."""
-    weights = [rat(w) for w in weights]
-    if sum(weights) != ONE or any(w < 0 for w in weights):
-        raise DomainError("weights must be nonnegative and sum to 1")
-    support = [(w, p) for w, p in zip(weights, points) if w > 0]
+    """Evaluate a finite convex sum with weights summing to one; the
+    points of zero weight are not read."""
+    weights, W = prob_row(weights, None, "weights")
+    support = [(w, p) for w, p in zip(weights, points) if w]
     if isinstance(A, GeomCvx):
         pts = [tuple(rat(x) for x in p) for _, p in support]
         for p in pts:
             A.require_member(p)
         # sum_i (w_i / W) (P_i / Q) over integer numerators w_i and P_i
-        wnum, W = int_row([w for w, _ in support])
+        wnum = [w for w, _ in support]
         rows, Q = int_rows(pts)
         return tuple(Fraction(sum(w * x for w, x in zip(wnum, column)), W * Q)
                      for column in zip(*rows))
     if isinstance(A, SemiCvx):
-        _require_positions(A, [p for _, p in support])
-        if len(support) == 1:
-            return support[0][1]
         return A.meet_all(p for _, p in support)
     raise DomainError(f"unknown convex space {A!r}")
 
@@ -323,15 +312,14 @@ def endo_compose(e1: EndoI, e2: EndoI) -> EndoI:
 class HalfspaceSplit:
     """A closed/open halfspace pair on a geometric carrier.
 
-    The subset is {x : normal.x >= threshold} when upper_closed, else
-    {x : normal.x > threshold}; the complement is the opposite open/closed
-    side.  Both sides are convex by construction.
+    The subset is the closed side {x : normal.x >= threshold}, and its
+    complement the open side {x : normal.x < threshold}.  Both sides are
+    convex by construction.
     """
 
     space: GeomCvx
     normal: tuple[Fraction, ...]
     threshold: Fraction
-    upper_closed: bool = True
     row: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -344,7 +332,7 @@ class HalfspaceSplit:
         # normal.p - threshold = (v - t_num q) / (den q) with den, q > 0
         terms, t_num, _ = self.row
         v, q = _sparse_dot(terms, p, self.space.dim)
-        return v >= t_num * q if self.upper_closed else v > t_num * q
+        return v >= t_num * q
 
 
 @dataclass(frozen=True)
@@ -356,7 +344,7 @@ class SemiSubset:
     members: frozenset[int]
 
     def __post_init__(self):
-        _require_positions(self.space, self.members)
+        check_positions(self.members, len(self.space.elements))
 
     def contains(self, a) -> bool:
         return a in self.members
@@ -467,7 +455,7 @@ class SemiToSemi:
     def __post_init__(self):
         if len(self.table) != len(self.dom.elements):
             raise DomainError("a map needs one codomain position per element")
-        _require_positions(self.cod, self.table)
+        check_positions(self.table, len(self.cod.elements))
         for x, y in itertools.combinations_with_replacement(range(len(self.table)), 2):
             if self.table[self.dom.meet(x, y)] != \
                     self.cod.meet(self.table[x], self.table[y]):
@@ -577,7 +565,7 @@ def separate_points(A: GeomCvx, a, b) -> HalfspaceSplit:
     A.require_member(b)
     c = tuple(y - x for x, y in zip(a, b))
     t = sum(ci * y for ci, y in zip(c, b))
-    return HalfspaceSplit(A, c, t, upper_closed=True)
+    return HalfspaceSplit(A, c, t)
 
 
 def geom_spanning_functionals(A: GeomCvx) -> list[GeomToI]:

@@ -364,38 +364,35 @@ def mix_dists(P: FinDist, Q: FinDist, alpha) -> FinDist:
 
 @dataclass(frozen=True)
 class WAFunctional:
-    """A convex combination of evaluation maps over a convex space.
+    """A convex combination of evaluation maps: weight `num[i]` over
+    `den` on the point at position `points[i]`, in the reduced integer
+    form of `FinDist`, every weight positive.
 
-    Acting on a function m (anything with .apply or callable) gives
-    sum_i w_i m(a_i); constants go to themselves because the weights sum
-    to one.
+    Acting on a function m of positions gives sum_i num[i] m(points[i])
+    over den; constants go to themselves because the weights sum to one.
     """
 
-    base: object
-    terms: tuple[tuple[Fraction, object], ...]
+    points: tuple[int, ...]
+    num: tuple[int, ...]
+    den: int
 
     def __post_init__(self):
-        ws, den = self.weight_row
-        if any(w <= 0 for w in ws):
-            raise DomainError("weights must be positive")
-        if sum(ws) != den:
-            raise DomainError("weights must sum to exactly 1")
-
-    @cached_property
-    def weight_row(self) -> tuple[list[int], int]:
-        """The weights as integer numerators over one denominator."""
-        return int_row([rat(w) for w, _ in self.terms])
+        if len(self.points) != len(self.num):
+            raise DomainError("need exactly one weight per point")
+        if any(w.__class__ is not int for w in self.num):
+            raise DomainError("weights must be integer numerators")
+        num, den = prob_row(self.num, self.den, "weights", positive=True)
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
 
     def values(self, m) -> tuple[list[int], int]:
-        """m at the term points, as integer numerators over one
-        denominator."""
-        call = m.apply if hasattr(m, "apply") else m
-        return int_row([rat(call(a)) for _, a in self.terms])
+        """m at the points, as integer numerators over one denominator."""
+        return int_row([rat(m(a)) for a in self.points])
 
     def apply(self, m) -> Fraction:
-        ws, wden = self.weight_row
         vs, vden = self.values(m)
-        return Fraction(sum(w * v for w, v in zip(ws, vs)), wden * vden)
+        return Fraction(sum(w * v for w, v in zip(self.num, vs)),
+                        self.den * vden)
 
 
 def wa_check(F: WAFunctional, endos, test_fns):
@@ -412,7 +409,7 @@ def wa_check(F: WAFunctional, endos, test_fns):
         if got != c:
             failures.append({"law": "constant", "value": rat_str(c),
                              "passed": False, "got": rat_str(got)})
-    ws, wden = F.weight_row
+    ws, wden = F.num, F.den
     values = [F.values(m) for m in test_fns]
     # each average F(m) = sum_i w_i v_i once, over wden * vden
     averages = [sum([w * v for w, v in zip(ws, vs)]) for vs, _ in values]
@@ -437,23 +434,23 @@ def wa_check(F: WAFunctional, endos, test_fns):
 
 def measure_to_functional(P: FinDist, A: SemiCvx) -> WAFunctional:
     """phi: a measure on the generated space of A becomes the weakly
-    averaging functional evaluating indicators at support points, each
-    term at the lowest position of its atom."""
+    averaging functional evaluating indicators at support points: the
+    mass of each atom that carries some, at the lowest position of the
+    atom."""
     if tuple(P.space.points) != tuple(A.elements):
         raise DomainError("measure does not live on the carrier of A")
-    terms = tuple((m, (a & -a).bit_length() - 1)
-                  for a, m in zip(P.space.atoms, P.mass) if m > 0)
-    return WAFunctional(A, terms)
+    points, num = zip(*[((a & -a).bit_length() - 1, n)
+                        for a, n in zip(P.space.atoms, P.num) if n])
+    return WAFunctional(points, num, P.den)
 
 
 def functional_to_measure(F: WAFunctional, space: FinMeasSpace) -> FinDist:
-    """phi inverse: read the measure back off the evaluation terms."""
+    """phi inverse: read the measure back off the evaluation points."""
     atom = space.point_atom
-    ws, den = F.weight_row
     num = [0] * len(space.atoms)
-    for w, (_, a) in zip(ws, F.terms):
+    for a, w in zip(F.points, F.num):
         num[atom[a]] += w
-    return FinDist(space, num, den)
+    return FinDist(space, num, F.den)
 
 
 # ---------------------------------------------------------------------------

@@ -89,6 +89,15 @@ def prob_row(values, den, name: str,
     return values, den
 
 
+def check_positions(values, n: int) -> None:
+    """Each value must be a position among n points: an int, not a bool,
+    in range(n).  A float, a bool, a label, a negative index or one past
+    the end is a `DomainError`."""
+    for v in values:
+        if v.__class__ is not int or not 0 <= v < n:
+            raise DomainError(f"{v!r} is not a position in range({n})")
+
+
 def check_unit(q: Fraction, name: str = "value") -> Fraction:
     if not (ZERO <= q <= ONE):
         raise DomainError(f"{name} = {q} is outside [0, 1]")

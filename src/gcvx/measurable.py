@@ -15,7 +15,7 @@ import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .kernel import CapacityError, DomainError
+from .kernel import CapacityError, DomainError, check_positions
 
 SIGMA_CAPACITY = 2**20
 MAX_ATOMS = 20
@@ -126,13 +126,11 @@ def space_from_members(points, members) -> FinMeasSpace:
     return space
 
 
-def _check_positions(mapping, n_from, n_to):
-    try:
-        bad = len(mapping) != n_from or mapping and not 0 <= min(mapping) <= max(mapping) < n_to
-    except TypeError:  # labels, say, in place of positions
-        bad = True
-    if bad:
+def _check_map(mapping, n_from: int, n_to: int) -> None:
+    """A map is a sequence of n_from positions in range(n_to)."""
+    if not hasattr(mapping, "__len__") or len(mapping) != n_from:
         raise DomainError(f"a map needs {n_from} positions in range({n_to})")
+    check_positions(mapping, n_to)
 
 
 def coinduced_sigma(points, family) -> FinMeasSpace:
@@ -147,7 +145,7 @@ def coinduced_sigma(points, family) -> FinMeasSpace:
     points = tuple(points)
     blocks = [1 << i for i in range(len(points))]
     for src, mapping in family:
-        _check_positions(mapping, len(src.points), len(points))
+        _check_map(mapping, len(src.points), len(points))
         images = [0] * len(src.atoms)
         for k, q in zip(src.point_atom, mapping):
             images[k] |= 1 << q
@@ -171,7 +169,7 @@ def induced_sigma(points, family) -> FinMeasSpace:
     points = tuple(points)
     keys = [()] * len(points)
     for mapping, target in family:
-        _check_positions(mapping, len(points), len(target.points))
+        _check_map(mapping, len(points), len(target.points))
         t_atom = target.point_atom
         keys = [key + (t_atom[j],) for key, j in zip(keys, mapping)]
     classes: dict[tuple[int, ...], int] = {}
@@ -196,7 +194,7 @@ class MeasFn:
     atom_map: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        _check_positions(self.image, len(self.dom.points), len(self.cod.points))
+        _check_map(self.image, len(self.dom.points), len(self.cod.points))
         # measurable exactly when each domain atom lands in one codomain atom
         cod_atom = self.cod.point_atom
         landing: dict[int, int] = {}
@@ -234,7 +232,7 @@ def is_measurable(image, dom: FinMeasSpace, cod: FinMeasSpace):
     not in dom.sigma.  This is the definition, kept as the reference
     oracle for `MeasFn` (test and witness) and `measurable_maps`.
     """
-    _check_positions(image, len(dom.points), len(cod.points))
+    _check_map(image, len(dom.points), len(cod.points))
     for u in sorted(cod.sigma):
         pre = 0
         for i, j in enumerate(image):

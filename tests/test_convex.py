@@ -164,7 +164,7 @@ def test_endo_region_and_composition():
 
 def test_halfspace_boolean_and_contains():
     sq = square()
-    S = cvx.HalfspaceSplit(sq, (ONE, ZERO), HALF, upper_closed=True)
+    S = cvx.HalfspaceSplit(sq, (ONE, ZERO), HALF)
     assert S.contains((HALF, ZERO))
     assert not S.contains((Fraction(1, 4), ZERO))
     assert cvx.is_boolean_subobject(S) == (True, None)
@@ -210,8 +210,8 @@ def test_semilattice_intersection_can_fail():
 
 def test_lshape_intersection_fails_in_dimension_two():
     sq = square()
-    S1 = cvx.HalfspaceSplit(sq, (ONE, ZERO), HALF, upper_closed=True)
-    S2 = cvx.HalfspaceSplit(sq, (ZERO, ONE), HALF, upper_closed=True)
+    S1 = cvx.HalfspaceSplit(sq, (ONE, ZERO), HALF)
+    S2 = cvx.HalfspaceSplit(sq, (ZERO, ONE), HALF)
     ok, (x, y, alpha) = cvx.boolean_intersection_check(sq, S1, S2)
     assert not ok
     mid = tuple((ONE - alpha) * u + alpha * v for u, v in zip(x, y))
@@ -224,7 +224,7 @@ def test_halfspace_split_is_probed_like_an_intersection(monkeypatch):
     # probes that: with the upper quadrant as its side, the split fails
     # at the L-shape's witness
     sq = square()
-    S = cvx.HalfspaceSplit(sq, (ONE, ZERO), HALF, upper_closed=True)
+    S = cvx.HalfspaceSplit(sq, (ONE, ZERO), HALF)
     assert cvx.is_boolean_subobject(S) == (True, None)
     monkeypatch.setattr(cvx.HalfspaceSplit, "contains",
                         lambda self, p: p[0] >= HALF and p[1] >= HALF)
@@ -338,19 +338,19 @@ def affine_forms(draw):
                  default=ZERO)
     shift = draw(st.fractions(min_value=Fraction(-1, 2),
                               max_value=Fraction(3, 2), max_denominator=9))
-    return gens, c, shift - lowest, draw(vec), draw(st.booleans())
+    return gens, c, shift - lowest, draw(vec)
 
 
 @given(affine_forms())
 def test_affine_forms_match_a_fraction_oracle(case):
-    gens, c, t, p, upper_closed = case
+    gens, c, t, p = case
     A = cvx.GeomCvx(len(c), tuple(gens))
 
     def oracle(q):
         return sum((ci * qi for ci, qi in zip(c, q)), ZERO) + t
 
-    S = cvx.HalfspaceSplit(A, c, -t, upper_closed)
-    assert S.contains(p) == (oracle(p) >= 0 if upper_closed else oracle(p) > 0)
+    S = cvx.HalfspaceSplit(A, c, -t)
+    assert S.contains(p) == (oracle(p) >= 0)
     if not all(ZERO <= oracle(g) <= ONE for g in gens):
         with pytest.raises(DomainError):
             cvx.GeomToI(A, c, t)

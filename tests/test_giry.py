@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from gcvx import giry
-from gcvx.convex import EndoI, SemiCvx, two_space
+from gcvx.convex import EndoI, SemiCvx
 from gcvx.giry import (
     DistOverDists,
     FinDist,
@@ -664,19 +664,18 @@ def test_mix_dists_rejects_weights_outside_the_unit_interval(alpha):
 
 
 def test_wa_functional_constants_and_equivariance():
-    two = two_space()
-    F = giry.WAFunctional(two, ((HALF, 0), (HALF, 1)))
+    F = giry.WAFunctional((0, 1), (1, 1), 2)
     endos = [EndoI.of(HALF, QUARTER), EndoI.of(-HALF, Fraction(3, 4))]
     fns = [lambda a: ONE if a == 1 else ZERO]
     assert wa_check(F, endos, fns) == (True, None)
 
 
 def test_wa_check_detects_unnormalized_weights():
-    two = two_space()
     # the constructor rejects these weights, so bypass it
     bad = object.__new__(giry.WAFunctional)
-    object.__setattr__(bad, "base", two)
-    object.__setattr__(bad, "terms", ((HALF, 0), (QUARTER, 1)))
+    object.__setattr__(bad, "points", (0, 1))
+    object.__setattr__(bad, "num", (2, 1))
+    object.__setattr__(bad, "den", 4)
     endos = [EndoI.of(s, t) for s, t in ((1, 0), (HALF, 0), (HALF, QUARTER),
                                          (-HALF, Fraction(3, 4)), (0, HALF))]
     fns = [lambda a: ONE if a == 1 else ZERO]
@@ -701,7 +700,7 @@ def test_measure_functional_roundtrip():
     space = FinMeasSpace.discrete(("a", "b"))
     P = FinDist(space, (QUARTER, Fraction(3, 4)))
     F = measure_to_functional(P, A)
-    assert F.terms == ((QUARTER, 0), (Fraction(3, 4), 1))
+    assert (F.points, F.num, F.den) == ((0, 1), (1, 3), 4)
     assert functional_to_measure(F, space) == P
     # the functional evaluates indicators to the measure of the set
     chi_b = lambda x: ONE if x == 1 else ZERO

@@ -3,6 +3,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from gcvx.convex import (SemiCvx, SemiSubset, SemiToSemi, combine_many,
+                         convex_combine)
+from gcvx.giry import WAFunctional
 from gcvx.kernel import (
     DomainError,
     ONE,
@@ -12,6 +15,8 @@ from gcvx.kernel import (
     rat_str,
     step_integrate,
 )
+from gcvx.measurable import (FinMeasSpace, MeasFn, coinduced_sigma,
+                             induced_sigma, is_measurable)
 
 
 def frac(max_den=12):
@@ -74,3 +79,57 @@ def test_integral_is_affine_in_mixtures(b, u1, u2, v, alpha):
     mixed = StepFn.of(pieces, [mix(lo) for lo in pieces[:-1]], mix(ONE))
     assert step_integrate(mixed) == \
         (ONE - alpha) * step_integrate(f) + alpha * step_integrate(g)
+
+
+# ---------------------------------------------------------------------------
+# the position rule and the weighting rule
+
+
+X2 = FinMeasSpace.discrete(("a", "b"))
+CHAIN2 = SemiCvx(("a", "b"), ((0, 0), (0, 1)))
+
+# every entry point that takes positions, with the value v in one
+# position slot of a two-point carrier
+POSITION_ENTRIES = {
+    "MeasFn": lambda v: MeasFn(X2, X2, (0, v)),
+    "coinduced_sigma": lambda v: coinduced_sigma(X2.points, [(X2, (0, v))]),
+    "induced_sigma": lambda v: induced_sigma(X2.points, [((0, v), X2)]),
+    "is_measurable": lambda v: is_measurable((0, v), X2, X2),
+    "meet-table": lambda v: SemiCvx(("a", "b"), ((0, 0), (0, v))),
+    "SemiSubset": lambda v: SemiSubset(CHAIN2, frozenset({v})),
+    "SemiToSemi": lambda v: SemiToSemi(CHAIN2, CHAIN2, (0, v)),
+    "convex_combine": lambda v: convex_combine(CHAIN2, v, 1, ONE),
+    "combine_many": lambda v: combine_many(CHAIN2, (ONE,), (v,)),
+    "meet_all": lambda v: CHAIN2.meet_all([v]),
+}
+
+# a position is an int, not a bool, in range(2); 1.0 and True equal 1
+NOT_POSITIONS = {"float": 1.0, "bool": True, "negative": -1, "past-end": 2,
+                 "label": "b"}
+
+
+@pytest.mark.parametrize("value", sorted(NOT_POSITIONS))
+@pytest.mark.parametrize("entry", sorted(POSITION_ENTRIES))
+def test_every_entry_point_rejects_what_is_not_a_position(entry, value):
+    POSITION_ENTRIES[entry](1)  # the slot takes a position
+    with pytest.raises(DomainError):
+        POSITION_ENTRIES[entry](NOT_POSITIONS[value])
+
+
+# (points, num, den) that are not a positive weighting
+BAD_WEIGHTINGS = {
+    "zero-weight": ((0, 1), (0, 1), 1),
+    "negative-weight": ((0, 1), (-1, 2), 1),
+    "wrong-sum": ((0, 1), (1, 1), 3),
+    "bool-numerator": ((0, 1), (True, True), 2),
+    "fraction-numerator": ((0, 1), (Fraction(1, 2), Fraction(1, 2)), 1),
+    "length-mismatch": ((0, 1), (1,), 1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_WEIGHTINGS))
+def test_wa_functional_rejects_what_is_not_a_weighting(case):
+    # a weighting comes back reduced, as a measure's masses do
+    assert WAFunctional((0, 1), (2, 2), 4) == WAFunctional((0, 1), (1, 1), 2)
+    with pytest.raises(DomainError):
+        WAFunctional(*BAD_WEIGHTINGS[case])

@@ -457,3 +457,19 @@ def test_sigma_is_built_once_per_semilattice(monkeypatch):
     rep = run_suite("adjunction", {"maxPoints": 3, "maxSize": 3})
     assert rep.ok and rep.instances == 5157
     assert len(calls) == 24
+
+
+def test_injective_reads_the_transposes_once(monkeypatch):
+    # `adjunct.injective` reads the values at the diracs off the inverse
+    # transpose, which has already computed them, so the counit runs
+    # once, not twice, at each dirac for each map
+    calls = []
+    real = adj.counit
+
+    def counting(A, P):
+        calls.append(A)
+        return real(A, P)
+    monkeypatch.setattr(adj, "counit", counting)
+    rep = run_suite("adjunction", {"maxPoints": 3, "maxSize": 3})
+    assert rep.ok and rep.instances == 5157
+    assert len(calls) == 5406

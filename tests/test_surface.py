@@ -7,7 +7,8 @@ used when another part of `src/gcvx` refers to it, when the benchmark in
 tests call is dead surface: delete it, or document it.
 
 A point is its position, and its name is only a label: no library code
-looks a point up by name.
+looks a point up by name.  A position is checked by one rule,
+`kernel.check_positions`, and no module keeps a copy of it.
 
 A law check returns `(ok, witness)`, with `(True, None)` for a pass: no
 library code puts a verdict into a dict, apart from the few dicts whose
@@ -81,6 +82,31 @@ def test_points_are_not_looked_up_by_name():
     lookups = {path.name: found for path in sorted(SRC.glob("*.py"))
                if (found := _name_lookups(ast.parse(path.read_text())))}
     assert lookups == {}
+
+
+def _position_rule_copies(tree) -> list[str]:
+    """Every comparison with a `range(...)` call, the old position test
+    `x in range(n)`, and every definition of a `check_positions`, as
+    "line: source"."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Compare):
+            operands = (node.left, *node.comparators)
+            if any(isinstance(o, ast.Call) and getattr(o.func, "id", None) == "range"
+                   for o in operands):
+                found.append(f"{node.lineno}: {ast.unparse(node)}")
+        elif isinstance(node, ast.FunctionDef) and \
+                node.name.lstrip("_") == "check_positions":
+            found.append(f"{node.lineno}: def {node.name}")
+    return found
+
+
+def test_positions_are_checked_by_one_rule():
+    copies = {path.name: found for path in sorted(SRC.glob("*.py"))
+              if (found := _position_rule_copies(ast.parse(path.read_text())))}
+    assert list(copies) == ["kernel.py"]
+    assert [line.split(": ")[1] for line in copies["kernel.py"]] == \
+        ["def check_positions"]
 
 
 VERDICT_KEYS = {"passed", "injective", "entries"}
