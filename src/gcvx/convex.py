@@ -251,9 +251,12 @@ def convex_combine(A, a, b, alpha):
 
 
 def combine_many(A, weights, points):
-    """Evaluate a finite convex sum with weights summing to one; the
-    points of zero weight are not read."""
+    """Evaluate a finite convex sum with weights summing to one, one
+    weight per point; the points of zero weight are not read."""
     weights, W = prob_row(weights, None, "weights")
+    points = tuple(points)
+    if len(points) != len(weights):
+        raise DomainError(f"{len(weights)} weights for {len(points)} points")
     support = [(w, p) for w, p in zip(weights, points) if w]
     if isinstance(A, GeomCvx):
         pts = [tuple(rat(x) for x in p) for _, p in support]

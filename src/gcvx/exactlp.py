@@ -33,6 +33,17 @@ with T[s][-1] / T[s][c] as T[r][-1] * T[s][c] against T[s][-1] * T[r][c],
 where D cancels.  Every sign and comparison is therefore that of the
 Fraction tableau of the unscaled problem, so Bland's rule picks the same
 pivots; solutions, values and certificates are returned as Fractions.
+
+Without an objective, phase 1 ends as soon as minus the artificial sum
+reaches 0, its maximum, and the basic solution is returned.  From there
+every Bland pivot has ratio 0, since a positive ratio would raise the
+phase-1 objective past its maximum, and so would every drive-out pivot,
+whose row has right-hand side 0: no pivot after that point moves a value
+of x, so the answer is the one a full phase 1 would give.  An infeasible
+problem ends phase 1 with a positive artificial sum, so its certificate
+is untouched.  The drive-out runs only before phase 2, which needs the
+artificials out of the basis; phase 1 then runs to Bland's optimum as
+before, since an earlier stop would change the basis phase 2 starts from.
 """
 
 from __future__ import annotations
@@ -69,17 +80,21 @@ def _pivot(tab, basis, den, p, c):
     return a
 
 
-def _simplex(tab, basis, den, ncols):
+def _simplex(tab, basis, den, ncols, stop_at_zero=False):
     """Maximize over the tableau by Bland's rule; the first `ncols`
     columns may enter.
 
     The last row of `tab` holds den times the reduced costs
     c_j - c_B . B^-1 A_j, scaled by a positive constant, and last the
     same multiple of minus the objective value.  Returns (status, den),
-    status "optimal" or "unbounded".
+    status "optimal" or "unbounded".  With `stop_at_zero` the objective
+    is known to be at most 0, and an objective value of 0 is returned as
+    optimal at once.
     """
     red = tab[-1]
     while True:
+        if stop_at_zero and not red[-1]:
+            return OPTIMAL, den
         enter = -1
         for j in range(ncols):
             if red[j] > 0:
@@ -138,8 +153,6 @@ def solve_eq_nonneg(A, b, objective=None):
                           "and n in the objective")
     rows = [int_row([rat(v) for v in A[i]] + [rat(b[i])]) for i in range(m)]
     scale = lcm(*(den for _, den in rows))
-    if objective is not None:
-        objective = [rat(v) for v in objective]
     return solve_int_rows([[v * (scale // den) for v in nums]
                            for nums, den in rows], n, objective)
 
@@ -149,18 +162,27 @@ def solve_int_rows(rows, n, objective=None):
 
     Each row is row i of the problem times one common positive factor,
     which changes no answer: the result is that of `solve_eq_nonneg` on
-    the problem, in the same form.  `objective` holds n ints or
-    Fractions.  Raises DomainError for a row without n + 1 entries or an
-    objective without n.
+    the problem, in the same form.  `objective` holds n rationals, read
+    by `kernel.rat`.  Raises DomainError for a row without n + 1 entries,
+    a row entry that is not an int (a bool or a Fraction included) or an
+    objective without n entries.
+
+    Without an objective, phase 1 ends as soon as the artificial sum is
+    zero, and the basic solution is returned: every pivot after that
+    point, Bland's and the drive-out's alike, would be degenerate and
+    move no value of x.
     """
     m = len(rows)
     if (any(len(row) != n + 1 for row in rows)
-            or objective is not None and len(objective) != n):
+            or objective is not None
+            and (isinstance(objective, str) or len(objective) != n)):
         raise DomainError(f"each row must have {n + 1} entries and the "
                           f"objective {n}")
+    if not {v.__class__ for row in rows for v in row} <= {int}:
+        raise DomainError("each row entry must be an int")
     flipped = [row[-1] < 0 for row in rows]
     if objective is not None:
-        cost, cost_den = int_row(objective)
+        cost, cost_den = int_row([rat(v) for v in objective])
 
     # tableau columns: n structural + m artificial + rhs; D = 1
     tab = []
@@ -176,7 +198,8 @@ def solve_int_rows(rows, n, objective=None):
     red = [sum(col) for col in zip(*tab)] if m else [0]
     red[n:n + m] = [0] * m
     tab.append(red)
-    status, den = _simplex(tab, basis, 1, n + m)
+    status, den = _simplex(tab, basis, 1, n + m,
+                           stop_at_zero=objective is None)
     assert status == OPTIMAL
     red = tab[-1]
     if red[-1] > 0:
@@ -186,8 +209,10 @@ def solve_int_rows(rows, n, objective=None):
         y = [Fraction(red[n + i] + den, den) for i in range(m)]
         y = [(-v if fl else v) for v, fl in zip(y, flipped)]
         return {"status": INFEASIBLE, "farkas": y}
+    if objective is None:
+        return {"status": FEASIBLE, "x": _basic_solution(tab, basis, den, n)}
 
-    # drive any degenerate artificials out of the basis
+    # drive any degenerate artificials out of the basis before phase 2
     for r in range(m):
         if basis[r] >= n:
             for j in range(n):
@@ -196,8 +221,6 @@ def solve_int_rows(rows, n, objective=None):
                     break
     # artificials that could not be driven out sit on all-zero redundant
     # rows and can never re-enter; they are simply left in place
-    if objective is None:
-        return {"status": FEASIBLE, "x": _basic_solution(tab, basis, den, n)}
 
     # phase 2: den * cost - sum of cost[basis[r]] * tab[r], over
     # den * cost_den; basic artificials cost nothing

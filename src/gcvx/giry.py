@@ -48,7 +48,8 @@ from math import lcm
 from operator import attrgetter
 
 from .convex import MIX_GRID, GeomCvx, SemiCvx, free_convex
-from .kernel import DomainError, ONE, ZERO, int_row, prob_row, rat, rat_str
+from .kernel import (DomainError, ONE, ZERO, check_positions, int_row,
+                     prob_row, rat, rat_str)
 from .measurable import FinMeasSpace, MeasFn, mask_of
 from .reports import LawReport
 
@@ -445,7 +446,9 @@ def measure_to_functional(P: FinDist, A: SemiCvx) -> WAFunctional:
 
 
 def functional_to_measure(F: WAFunctional, space: FinMeasSpace) -> FinDist:
-    """phi inverse: read the measure back off the evaluation points."""
+    """phi inverse: read the measure back off the evaluation points,
+    which must be positions of `space`."""
+    check_positions(F.points, len(space.points))
     atom = space.point_atom
     num = [0] * len(space.atoms)
     for a, w in zip(F.points, F.num):

@@ -11,6 +11,7 @@ from hypothesis import given, strategies as st
 from gcvx import adjunction as adj, convex as cvx, exactlp
 from gcvx.adjunction import eval_hull_identity
 from gcvx.kernel import DomainError, ONE, ZERO, int_row, rat_str
+from test_exactlp import counted_pivots
 
 HALF = Fraction(1, 2)
 
@@ -138,6 +139,20 @@ def test_combine_semilattice_weight_independent():
     for bad in (-1, 3):  # a negative position must not wrap around
         with pytest.raises(DomainError):
             cvx.combine_many(A, (HALF, HALF), (1, bad))
+
+
+@pytest.mark.parametrize("space", ("geometric", "semilattice"))
+def test_combine_many_needs_one_weight_per_point(space):
+    # zip dropped what was left over: two weights on one point gave a
+    # point of total weight 1/2, (1/2,) on the unit interval and 1 on a
+    # chain, and one weight on two points gave (0,)
+    if space == "geometric":
+        A, one, two = cvx.unit_interval(), ((1,),), ((0,), (1,))
+    else:
+        A, one, two = vee(), (1,), (1, 2)
+    for weights, points in (((HALF, HALF), one), ((ONE,), two)):
+        with pytest.raises(DomainError):
+            cvx.combine_many(A, weights, points)
 
 
 # ---------------------------------------------------------------------------
@@ -631,6 +646,15 @@ def test_hull_corpus_answers_are_pinned():
     assert min(inside, outside) >= HULL_CORPUS_SIZE // 5, (inside, outside)
     blob = json.dumps(results, sort_keys=True)
     assert hashlib.sha256(blob.encode()).hexdigest() == HULL_CORPUS_DIGEST
+
+
+def test_hull_corpus_pivot_count_is_pinned(monkeypatch):
+    # membership has no objective, so phase 1 ends at a zero artificial
+    # sum; running on to Bland's optimum and the drive-out made 2,594
+    pivots = counted_pivots(monkeypatch)
+    for A, p in hull_corpus():
+        cvx.hull_member(A, p)
+    assert len(pivots) == 2174
 
 
 def reference_hull_member(A, p):

@@ -114,6 +114,23 @@ def test_integer_rows_must_have_n_plus_one_entries():
             exactlp.solve_int_rows(rows, n, objective)
 
 
+@pytest.mark.parametrize("bad", (Fraction(1, 2), 0.5, True, "1", None))
+def test_integer_row_entries_must_be_ints(bad):
+    # a Fraction entry gave an x that fails A x = b, a float raised
+    # TypeError and a bool was read as 1
+    for rows in ([[bad, 1, 1]], [[1, 1, bad]], [[1, 1, 1], [1, bad, 2]]):
+        with pytest.raises(DomainError):
+            exactlp.solve_int_rows(rows, 2)
+
+
+def test_integer_rows_read_the_objective_as_rationals():
+    assert exactlp.solve_int_rows([[3, 1, 2]], 2, ["3", 0]) == \
+        exactlp.solve_eq_nonneg([["1", "1/3"]], ["2/3"], ["3", 0])
+    for objective in ([0.5, 0], [True, 0], "12"):
+        with pytest.raises(DomainError):
+            exactlp.solve_int_rows([[3, 1, 2]], 2, objective)
+
+
 @pytest.mark.parametrize("bad", (0.5, "abc", None, "1/0"))
 def test_entries_must_be_rationals(bad):
     # a float was read as a binary fraction, "abc" raised ValueError and
@@ -246,3 +263,30 @@ def test_integer_rows_at_any_common_scale_give_the_same_answer():
         for k in (scale, 6 * scale):
             int_rows = [[v * (k // den) for v in nums] for nums, den in rows]
             assert exactlp.solve_int_rows(int_rows, len(A[0]), c) == expected
+
+
+def counted_pivots(monkeypatch) -> list:
+    """Patch `exactlp._pivot` with a counter; the list collects the
+    (row, column) of each pivot."""
+    pivots, real = [], exactlp._pivot
+
+    def counting(tab, basis, den, p, c):
+        pivots.append((p, c))
+        return real(tab, basis, den, p, c)
+    monkeypatch.setattr(exactlp, "_pivot", counting)
+    return pivots
+
+
+@pytest.mark.parametrize("with_objective, expected",
+                         ((False, 2387), (True, 3684)))
+def test_corpus_pivot_counts_are_pinned(monkeypatch, with_objective,
+                                        expected):
+    # without an objective phase 1 ends at a zero artificial sum: the
+    # degenerate Bland pivots and the drive-out after it made 3,392
+    # pivots; with one, the drive-out and phase 2 run as before
+    corpus = [(A, b, c) for A, b, c in lp_corpus()
+              if (c is not None) == with_objective]
+    pivots = counted_pivots(monkeypatch)
+    for A, b, c in corpus:
+        exactlp.solve_eq_nonneg(A, b, objective=c)
+    assert len(pivots) == expected

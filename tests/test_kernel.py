@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 from gcvx.convex import (SemiCvx, SemiSubset, SemiToSemi, combine_many,
                          convex_combine)
-from gcvx.giry import WAFunctional
+from gcvx.giry import WAFunctional, functional_to_measure
 from gcvx.kernel import (
     DomainError,
     ONE,
@@ -101,6 +101,8 @@ POSITION_ENTRIES = {
     "convex_combine": lambda v: convex_combine(CHAIN2, v, 1, ONE),
     "combine_many": lambda v: combine_many(CHAIN2, (ONE,), (v,)),
     "meet_all": lambda v: CHAIN2.meet_all([v]),
+    "functional_to_measure": lambda v: functional_to_measure(
+        WAFunctional((0, v), (1, 1), 2), X2),
 }
 
 # a position is an int, not a bool, in range(2); 1.0 and True equal 1
