@@ -129,7 +129,7 @@ def unit_generator_measurability(X: FinMeasSpace) -> LawReport:
     """The unit is measurable at generator level: preimages of the sets
     {P : P(U) >= t} under x -> dirac(x) land in the sigma-algebra."""
     rep = LawReport("adjunction")
-    for u in sorted(X.sigma):
+    for u in X.members:
         for t in MIX_GRID:
             pre = 0
             for i, k in enumerate(X.point_atom):

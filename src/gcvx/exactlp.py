@@ -187,8 +187,7 @@ def solve_int_rows(rows, n, objective=None):
     # tableau columns: n structural + m artificial + rhs; D = 1
     tab = []
     for i, row in enumerate(rows):
-        if flipped[i]:
-            row = [-v for v in row]
+        row = [-v for v in row] if flipped[i] else list(row)
         tab.append(row[:n] + [int(j == i) for j in range(m)] + [row[n]])
     basis = [n + i for i in range(m)]
 

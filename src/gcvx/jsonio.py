@@ -15,7 +15,7 @@ import json
 from fractions import Fraction
 
 from .kernel import DomainError, rat_str
-from .measurable import FinMeasSpace, generate_sigma, mask_of, space_from_members
+from .measurable import FinMeasSpace, generate_sigma, masks_of, space_from_members
 
 
 def sigma_text(X: FinMeasSpace) -> str:
@@ -28,7 +28,7 @@ def sigma_text(X: FinMeasSpace) -> str:
     encoded names it selects, so a member costs one lookup per run and
     the tables hold at most one entry per member."""
     names = [json.dumps(p) for p in X.points]
-    members = sorted(X.sigma)
+    members = X.members
     texts = [""] * len(members)
     for s in range(0, len(names), 8):
         run = names[s:s + 8]
@@ -63,18 +63,19 @@ def space_from_json(data) -> FinMeasSpace:
         if key in data:
             if not isinstance(data[key], list):
                 raise DomainError(f"{key} must be a list of subsets")
-            return build(points, [mask_of(points, _names(s)) for s in data[key]])
+            return build(points, masks_of(points, map(_names, data[key])))
     return FinMeasSpace.discrete(points)
 
 
 def load_json(path: str):
     """The JSON value in a file; text that is not UTF-8 JSON is a
     DomainError."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
-            raise DomainError(f"{path} does not hold JSON: {exc}") from None
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return json.loads(data.decode("utf-8"))
+    except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
+        raise DomainError(f"{path} does not hold JSON: {exc}") from None
 
 
 def json_default(obj):

@@ -3,10 +3,12 @@
 Subsets of a carrier are bitmasks over the (fixed, input-order) point
 list.  On a finite carrier a sigma-algebra is exactly a partition, so a
 `FinMeasSpace` stores its atoms, the blocks of the partition, and nothing
-else; the member set `sigma`, every union of atoms, is a derived view for
-output and for the reference oracles.  Generation, induction and
-coinduction only have to find the atoms, with no closure loop and no scan
-over members or subsets.
+else; the members, every union of atoms, are a derived view for output
+and for the reference oracles: `members` lists them in mask order and
+`sigma` is their set.  Generation, induction and coinduction only have
+to find the atoms, with no closure loop and no scan over members or
+subsets; coinduction joins images through a point-to-block table
+(`join_sigma`).
 """
 
 from __future__ import annotations
@@ -21,14 +23,22 @@ SIGMA_CAPACITY = 2**20
 MAX_ATOMS = 20
 
 
+def masks_of(points: tuple[str, ...], subsets) -> list[int]:
+    """The mask of each subset of point names, through one name index."""
+    index = {p: 1 << i for i, p in enumerate(points)}
+    masks = []
+    for subset in subsets:
+        m = 0
+        for p in subset:
+            if p not in index:
+                raise DomainError(f"point {p!r} is not in the carrier")
+            m |= index[p]
+        masks.append(m)
+    return masks
+
+
 def mask_of(points: tuple[str, ...], subset) -> int:
-    m = 0
-    index = {p: i for i, p in enumerate(points)}
-    for p in subset:
-        if p not in index:
-            raise DomainError(f"point {p!r} is not in the carrier")
-        m |= 1 << index[p]
-    return m
+    return masks_of(points, (subset,))[0]
 
 
 def names_of(points: tuple[str, ...], mask: int) -> tuple[str, ...]:
@@ -77,15 +87,23 @@ class FinMeasSpace:
         return cls(points, ((1 << len(points)) - 1,) if points else ())
 
     @cached_property
-    def sigma(self) -> frozenset[int]:
-        """Every measurable set: all unions of the atoms, 2^|atoms| of
-        them, so more than MAX_ATOMS atoms is a CapacityError."""
+    def members(self) -> tuple[int, ...]:
+        """Every measurable set, in mask order: all unions of the atoms,
+        2^|atoms| of them, so more than MAX_ATOMS atoms is a
+        CapacityError.  Disjoint masks order by their highest point, so
+        each atom in increasing order exceeds the union of those before
+        it, and doubling the list over them keeps it sorted."""
         if len(self.atoms) > MAX_ATOMS:
             raise CapacityError("sigma-algebra exceeds capacity")
         members = [0]
-        for a in self.atoms:
+        for a in sorted(self.atoms):
             members += [u | a for u in members]
-        return frozenset(members)
+        return tuple(members)
+
+    @cached_property
+    def sigma(self) -> frozenset[int]:
+        """`members` as a set, for membership tests."""
+        return frozenset(self.members)
 
     @cached_property
     def point_atom(self) -> tuple[int, ...]:
@@ -133,30 +151,54 @@ def _check_map(mapping, n_from: int, n_to: int) -> None:
     check_positions(mapping, n_to)
 
 
+def join_sigma(points, images) -> FinMeasSpace:
+    """Largest sigma-algebra on `points` that splits no mask in `images`.
+
+    Its atoms are the classes the images join.  `block` maps each point
+    to the mask of its block so far, so an image inside the block of its
+    lowest point costs one test, and a join relabels the points of the
+    merged block (the set-union table of Tarjan, JACM 22, 1975).  No image yields the
+    powerset."""
+    points = tuple(points)
+    full = (1 << len(points)) - 1
+    block = [1 << i for i in range(len(points))]
+    for img in images:
+        if img & ~full:
+            raise DomainError("image is not a subset of the carrier")
+        if not img:
+            continue
+        joined = block[(img & -img).bit_length() - 1]
+        rest = img & ~joined
+        if not rest:
+            continue
+        while rest:
+            b = block[(rest & -rest).bit_length() - 1]
+            joined |= b
+            rest &= ~b
+        for i in range(len(points)):
+            if joined >> i & 1:
+                block[i] = joined
+    return FinMeasSpace(points, set(block))
+
+
 def coinduced_sigma(points, family) -> FinMeasSpace:
     """Largest sigma-algebra on `points` making every family map measurable.
 
     `family` is a list of (source_space, mapping) with mapping a tuple
     giving, for each source point, a carrier position.  An empty family
     yields the powerset.  A set is measurable for a map exactly when it
-    splits the image of no source atom, so the atoms are the classes those
-    images join.
+    splits the image of no source atom, so this is `join_sigma` of those
+    images.
     """
     points = tuple(points)
-    blocks = [1 << i for i in range(len(points))]
+    images = []
     for src, mapping in family:
         _check_map(mapping, len(src.points), len(points))
-        images = [0] * len(src.atoms)
+        atom_images = [0] * len(src.atoms)
         for k, q in zip(src.point_atom, mapping):
-            images[k] |= 1 << q
-        for img in images:
-            if img & (img - 1):  # an image of one point joins nothing
-                joined = 0
-                for b in blocks:
-                    if b & img:
-                        joined |= b
-                blocks = [b for b in blocks if not b & img] + [joined]
-    return FinMeasSpace(points, blocks)
+            atom_images[k] |= 1 << q
+        images += atom_images
+    return join_sigma(points, images)
 
 
 def induced_sigma(points, family) -> FinMeasSpace:
@@ -233,7 +275,7 @@ def is_measurable(image, dom: FinMeasSpace, cod: FinMeasSpace):
     oracle for `MeasFn` (test and witness) and `measurable_maps`.
     """
     _check_map(image, len(dom.points), len(cod.points))
-    for u in sorted(cod.sigma):
+    for u in cod.members:
         pre = 0
         for i, j in enumerate(image):
             if u >> j & 1:

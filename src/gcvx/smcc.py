@@ -2,12 +2,13 @@
 
 The monoidal product X (x) Y is `product_space`, whose atoms are the
 rectangles of atoms; on finite spaces it equals the tensor sigma-algebra,
-which `tensor_space` builds by its definition, coinduced from the graph
-of each map from an atom into an atom, and the `smcc` suite checks
-against the product.  Also function spaces with the evaluation-induced
-sigma-algebra, currying, and the lower-indicator map on the unit
-interval, whose step-function integral is its level (the section
-property the `lebesgue` suite checks).
+which `tensor_space` builds by its definition, the coinduced one: the
+graph of each map from an atom into an atom is a mask, and `join_sigma`
+joins those masks through its point-to-block table.  The `smcc` suite
+checks it against the product.  Also function spaces with the
+evaluation-induced sigma-algebra, currying, and the lower-indicator map
+on the unit interval, whose step-function integral is its level (the
+section property the `lebesgue` suite checks).
 
 A measurable map is the tuple of its codomain positions
 (`measurable_maps`), so hom-sets are lists of position tuples.  The pair
@@ -25,11 +26,10 @@ from __future__ import annotations
 
 import itertools
 import json
-import operator
 from dataclasses import dataclass, field
 
 from .kernel import CapacityError, DomainError, ONE, ZERO, StepFn, rat
-from .measurable import FinMeasSpace, MeasFn, coinduced_sigma, induced_sigma, measurable_maps
+from .measurable import FinMeasSpace, MeasFn, induced_sigma, join_sigma, measurable_maps
 
 TENSOR_POINT_GUARD = 16
 
@@ -43,7 +43,9 @@ def pair_name(x: str, y: str) -> str:
 
 
 def product_points(X: FinMeasSpace, Y: FinMeasSpace) -> tuple[str, ...]:
-    return tuple(pair_name(x, y) for x, y in itertools.product(X.points, Y.points))
+    """`pair_name` of every pair, in carrier order, escaping each name once."""
+    ys = [_component(y) for y in Y.points]
+    return tuple([f"({x},{y})" for x in map(_component, X.points) for y in ys])
 
 
 @dataclass(frozen=True)
@@ -62,36 +64,35 @@ def tensor_space(X: FinMeasSpace, Y: FinMeasSpace) -> FinMeasSpace:
     such image.  As f ranges over the measurable maps, f restricted to a
     ranges over every map from a into a single atom b of Y, independently
     for each atom.  So the images are exactly the graphs of the maps
-    g: a -> b, and the coinduction runs over one piece per such g,
-    sum over a, b of |b|^|a| pieces rather than the product over a of
-    the sum over b of |b|^|a| maps; likewise for maps Y -> X.  An atom
-    of one point has a one-point image, which joins nothing, so its
-    pieces are skipped.
+    g: a -> b, and `join_sigma` joins one mask per such g, sum over a, b
+    of |b|^|a| masks rather than the product over a of the sum over b of
+    |b|^|a| maps; likewise for maps Y -> X.  An atom of one point has a
+    one-point image, which joins nothing, so its graphs are skipped.
+    A graph already inside one block costs one test of the block table.
 
     This is the definition, kept to be checked against `product_space`,
     which it equals; the carrier is still bounded by TENSOR_POINT_GUARD."""
     if len(X.points) * len(Y.points) > TENSOR_POINT_GUARD:
         raise CapacityError("product carrier exceeds the tensor guard")
     ny = len(Y.points)
-    family = _graph_pieces(X, Y, ny, 1) + _graph_pieces(Y, X, 1, ny)
-    return coinduced_sigma(product_points(X, Y), family)
+    graphs = _graph_masks(X, Y, ny, 1) + _graph_masks(Y, X, 1, ny)
+    return join_sigma(product_points(X, Y), graphs)
 
 
-def _graph_pieces(A: FinMeasSpace, B: FinMeasSpace, a_step: int, b_step: int) -> list:
+def _graph_masks(A: FinMeasSpace, B: FinMeasSpace, a_step: int, b_step: int) -> list[int]:
     """The graph of every map g from an atom of A with two or more points
-    into an atom of B, as a (source, mapping) family entry whose source
-    is that atom as a one-atom space; (A_i, B_j) is carrier position
+    into an atom of B, as a mask: one bit per point of the atom, chosen
+    among the points of B's atom; (A_i, B_j) is carrier position
     i*a_step + j*b_step."""
-    family = []
+    masks = []
     for a in A.atoms:
         if a & (a - 1):
-            source = FinMeasSpace.trivial(A.subset_names(a))
             dom = [i * a_step for i in range(len(A.points)) if a >> i & 1]
             for b in B.atoms:
                 cod = [j * b_step for j in range(len(B.points)) if b >> j & 1]
-                family += [(source, tuple(map(operator.add, dom, g)))
-                           for g in itertools.product(cod, repeat=len(dom))]
-    return family
+                choices = [[1 << (i + j) for j in cod] for i in dom]
+                masks += map(sum, itertools.product(*choices))
+    return masks
 
 
 def product_space(X: FinMeasSpace, Y: FinMeasSpace) -> FinMeasSpace:

@@ -17,7 +17,7 @@ from . import giry, smcc
 from .convex import MIX_GRID
 from .jsonio import witness_text
 from .kernel import DomainError, ONE, ZERO, rat, rat_str, step_integrate
-from .measurable import (FinMeasSpace, enumerate_meas_fns, is_separated, mask_of,
+from .measurable import (FinMeasSpace, enumerate_meas_fns, is_separated, masks_of,
                          measurable_maps)
 from .reports import LawReport
 
@@ -37,9 +37,9 @@ def _partitions(items):
 def all_sigma_spaces(points) -> list[FinMeasSpace]:
     """Every sigma-algebra on the carrier, one per set partition."""
     points = tuple(points)
-    spaces = [FinMeasSpace(points, [mask_of(points, b) for b in part])
+    spaces = [FinMeasSpace(points, masks_of(points, part))
               for part in _partitions(points)]
-    return sorted(spaces, key=lambda s: sorted(s.sigma))
+    return sorted(spaces, key=lambda s: s.members)
 
 
 def _point_names(n: int) -> tuple[str, ...]:

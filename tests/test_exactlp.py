@@ -131,6 +131,17 @@ def test_integer_rows_read_the_objective_as_rationals():
             exactlp.solve_int_rows([[3, 1, 2]], 2, objective)
 
 
+def test_integer_rows_may_be_tuples():
+    # a tuple row with a nonnegative right-hand side raised TypeError
+    # (only a negative one was copied into a list)
+    for rows in ([[1, 1, 1]], [[-1, 1, -1]], [[1, 0, 2], [0, -1, -3]],
+                 [[1, 1, 0], [1, -1, -1]], [[1, 1, -1]]):
+        as_tuples = [tuple(row) for row in rows]
+        for objective in (None, [1, 0]):
+            assert exactlp.solve_int_rows(as_tuples, 2, objective) == \
+                exactlp.solve_int_rows(rows, 2, objective)
+
+
 @pytest.mark.parametrize("bad", (0.5, "abc", None, "1/0"))
 def test_entries_must_be_rationals(bad):
     # a float was read as a binary fraction, "abc" raised ValueError and

@@ -1,7 +1,10 @@
 import json
 from fractions import Fraction
 
+import pytest
+
 from gcvx import jsonio
+from gcvx.kernel import DomainError
 from gcvx.measurable import FinMeasSpace
 from gcvx.smcc import product_space
 from gcvx.suites import all_sigma_spaces
@@ -72,3 +75,16 @@ def test_dump_encodes_fractions_and_sets(tmp_path):
                      str(out))
     data = json.loads(out.read_text())
     assert data == {"w": "1/3", "s": ["a", "b"]}
+
+
+def test_load_json_reads_utf8_json_only(tmp_path):
+    path = tmp_path / "space.json"
+    path.write_bytes('{"points": ["\u00e9", "x"]}'.encode("utf-8"))
+    assert jsonio.load_json(str(path)) == {"points": ["\u00e9", "x"]}
+    # bytes that are not UTF-8, JSON in another encoding, a UTF-8 byte
+    # order mark and text that is not JSON
+    for data in (b"\xff{}", '{"points": []}'.encode("utf-16"),
+                 "\ufeff{}".encode("utf-8"), b"not json", b""):
+        path.write_bytes(data)
+        with pytest.raises(DomainError, match="does not hold JSON"):
+            jsonio.load_json(str(path))

@@ -5,6 +5,7 @@ import pytest
 
 from gcvx.kernel import CapacityError, DomainError
 from gcvx.measurable import (
+    MAX_ATOMS,
     FinMeasSpace,
     MeasFn,
     coinduced_sigma,
@@ -13,7 +14,9 @@ from gcvx.measurable import (
     induced_sigma,
     is_measurable,
     is_separated,
+    join_sigma,
     mask_of,
+    masks_of,
     measurable_maps,
     space_from_members,
 )
@@ -345,3 +348,84 @@ def test_is_separated_matches_a_pair_scan():
             assert is_separated(X) == want
             checked += 1
     assert checked == 23
+
+
+def join_by_fixpoint(n, images):
+    """The partition into singletons, with the blocks an image meets
+    merged, over every image again until a whole pass merges nothing."""
+    blocks = {1 << i for i in range(n)}
+    changed = True
+    while changed:
+        changed = False
+        for img in images:
+            hit = {b for b in blocks if b & img}
+            if len(hit) > 1:
+                blocks = (blocks - hit) | {sum(hit)}
+                changed = True
+    return blocks
+
+
+def test_join_sigma_matches_a_fixpoint_reference():
+    rng = random.Random(30)
+    cases = [(0, []), (3, []), (4, [0b1111]), (4, [0b0001, 0b0100, 0b1000]),
+             (5, [0b00011, 0b11000, 0b01010])]
+    for _ in range(300):
+        n = rng.randrange(1, 17)
+        full = (1 << n) - 1
+        pool = [1 << rng.randrange(n), full, rng.randrange(1, full + 1)]
+        images = [rng.choice(pool) if rng.random() < 0.3
+                  else rng.randrange(1, full + 1) & rng.randrange(1, full + 1)
+                  for _ in range(rng.randrange(6))]
+        cases.append((n, images))
+    for n, images in cases:
+        points = tuple(f"p{i}" for i in range(n))
+        got = join_sigma(points, images)
+        assert set(got.atoms) == join_by_fixpoint(n, images)
+        assert got == join_sigma(points, reversed(images))
+        # every image lies inside one atom
+        assert all(any(not img & ~a for a in got.atoms) for img in images if img)
+    assert join_sigma(("a", "b"), []) == FinMeasSpace.discrete(("a", "b"))
+    assert join_sigma(("a", "b"), [0b11]) == FinMeasSpace.trivial(("a", "b"))
+
+
+def test_join_sigma_rejects_a_mask_off_the_carrier():
+    with pytest.raises(DomainError):
+        join_sigma(("a", "b"), [0b100])
+
+
+def seeded_spaces():
+    """Every space on up to 4 points and seeded ones on up to 16."""
+    rng = random.Random(31)
+    spaces = [X for n in range(5) for X in all_sigma_spaces(tuple("abcd"[:n]))]
+    for _ in range(60):
+        n = rng.randrange(5, 17)
+        labels = [rng.randrange(rng.randint(1, n)) for _ in range(n)]
+        atoms = {}
+        for i, k in enumerate(labels):
+            atoms[k] = atoms.get(k, 0) | 1 << i
+        spaces.append(FinMeasSpace(tuple(f"p{i}" for i in range(n)), atoms.values()))
+    return spaces
+
+
+def test_members_are_listed_in_mask_order():
+    for X in seeded_spaces():
+        members = X.members
+        assert all(u < v for u, v in zip(members, members[1:]))
+        assert list(members) == sorted(X.sigma)
+        assert len(members) == 1 << len(X.atoms)
+
+
+def test_members_past_max_atoms_raise_capacity_error():
+    X = FinMeasSpace.discrete(tuple(f"p{i}" for i in range(MAX_ATOMS + 1)))
+    for view in ("members", "sigma"):
+        with pytest.raises(CapacityError):
+            getattr(X, view)
+
+
+def test_masks_of_reads_every_subset_through_one_index():
+    points = ("a", "b", "c")
+    subsets = [(), ("c",), ("a", "c"), ("b", "b")]
+    assert masks_of(points, subsets) == [mask_of(points, s) for s in subsets]
+    assert masks_of(points, subsets) == [0, 0b100, 0b101, 0b010]
+    with pytest.raises(DomainError):
+        masks_of(points, [("a",), ("z",)])

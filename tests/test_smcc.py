@@ -72,6 +72,33 @@ def test_tensor_from_graph_pieces_matches_the_definition():
         assert smcc.tensor_space(X, Y) == literal_tensor(X, Y)
 
 
+def test_product_points_escape_each_name_once(monkeypatch):
+    X = FinMeasSpace.discrete(("a", "b,c", "(d)", 'e"f'))
+    Y = FinMeasSpace.discrete(("x", ")", '"'))
+    want = [smcc.pair_name(x, y) for x in X.points for y in Y.points]
+    assert want[5] == '("b,c","\\"")'
+    calls = []
+    component = smcc._component
+    monkeypatch.setattr(smcc, "_component",
+                        lambda name: calls.append(name) or component(name))
+    assert list(smcc.product_points(X, Y)) == want
+    assert sorted(calls) == sorted(X.points + Y.points)
+
+
+def test_tensor_space_builds_one_space(monkeypatch):
+    # the graph masks go straight to the join: no one-atom source space
+    # per atom and no checked family entry per graph
+    X = FinMeasSpace.trivial(("a", "b", "c", "d"))
+    Y = FinMeasSpace.trivial(("x", "y", "z"))
+    built = []
+    post_init = FinMeasSpace.__post_init__
+    monkeypatch.setattr(FinMeasSpace, "__post_init__",
+                        lambda self: built.append(self) or post_init(self))
+    T = smcc.tensor_space(X, Y)
+    assert built == [T]
+    assert T.atoms == ((1 << 12) - 1,)
+
+
 def test_product_space_is_generated_by_rectangles():
     spaces = [X for n in (1, 2, 3) for X in all_sigma_spaces(("a", "b", "c")[:n])]
     for X in spaces:
