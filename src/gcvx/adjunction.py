@@ -41,8 +41,7 @@ from .reports import LawReport
 def sigma_functor(A: SemiCvx) -> FinMeasSpace:
     """The measurable space on the elements of A whose sigma-algebra is
     generated by all Boolean subobjects of A."""
-    gens = [sum(1 << i for i in S.members) for S in all_boolean_subobjects(A)]
-    return generate_sigma(A.elements, gens)
+    return generate_sigma(A.elements, [S.mask for S in all_boolean_subobjects(A)])
 
 
 def counit(A, P):
@@ -123,22 +122,6 @@ def mu_matches_counit(X: FinMeasSpace, PP: DistOverDists) -> bool:
     simplex = P_as_convex(X)
     bary = counit(simplex, [(w, q.mass) for q, w in zip(PP.support, PP.weights)])
     return FinDist(X, tuple(bary)) == mu(PP)
-
-
-def unit_generator_measurability(X: FinMeasSpace) -> LawReport:
-    """The unit is measurable at generator level: preimages of the sets
-    {P : P(U) >= t} under x -> dirac(x) land in the sigma-algebra."""
-    rep = LawReport("adjunction")
-    for u in X.members:
-        for t in MIX_GRID:
-            pre = 0
-            for i, k in enumerate(X.point_atom):
-                if atom_dirac(X, k).measure(u) >= t:
-                    pre |= 1 << i
-            rep.record(pre in X.sigma, "unit.generator-measurable",
-                       f"U{u}-t{rat_str(rat(t))}",
-                       witness=X.subset_names(pre))
-    return rep
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,8 @@ Boolean subobjects.
 Geometric spaces are rational polytopes given by generator lists;
 discrete spaces are finite meet-semilattices, where every interior
 convex combination collapses to the meet.  The two-element semilattice
-plays the role of the classifier for Boolean subobjects.
+plays the role of the classifier for Boolean subobjects.  A subset of a
+semilattice is an int mask over its elements, as in `gcvx.measurable`.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from math import lcm
 from . import exactlp
 from .kernel import (CapacityError, DomainError, ONE, ZERO, check_positions,
                      int_row, int_rows, prob_row, rat, rat_str)
+from .measurable import names_of
 
 Point = tuple[Fraction, ...]
 
@@ -340,22 +342,17 @@ class HalfspaceSplit:
 
 @dataclass(frozen=True)
 class SemiSubset:
-    """A set of positions of a semilattice carrier, as a candidate Boolean
-    subobject."""
+    """A candidate Boolean subobject: a mask over `space.elements`, checked
+    as a position among the 2^n subsets of the n-point carrier."""
 
     space: SemiCvx
-    members: frozenset[int]
+    mask: int
 
     def __post_init__(self):
-        check_positions(self.members, len(self.space.elements))
+        check_positions((self.mask,), 1 << len(self.space.elements))
 
     def contains(self, a) -> bool:
-        return a in self.members
-
-
-def labels(A: SemiCvx, positions) -> list[str]:
-    """The labels of a set of positions of A, in carrier order."""
-    return [A.elements[i] for i in sorted(positions)]
+        return self.mask >> a & 1 == 1
 
 
 def is_boolean_subobject(S):
@@ -368,12 +365,11 @@ def is_boolean_subobject(S):
     """
     if isinstance(S, HalfspaceSplit):
         return _probe_both_sides(S.space, S.contains)
-    A, members = S.space, S.members
-    inside = sorted(members)
-    outside = [e for e in range(len(A.elements)) if e not in members]
-    for side in (inside, outside):
+    A, mask = S.space, S.mask
+    for bit in (1, 0):
+        side = [e for e in range(len(A.elements)) if mask >> e & 1 == bit]
         for x, y in itertools.combinations_with_replacement(side, 2):
-            if (A.meet(x, y) in members) != (x in members):
+            if mask >> A.meet(x, y) & 1 != bit:
                 return False, (A.elements[x], A.elements[y], Fraction(1, 2))
     return True, None
 
@@ -385,19 +381,20 @@ def chi_is_affine(S: SemiSubset):
     filter (meet-closed and up-closed); this is strictly stronger than the
     complementary-pair condition and is reported, never assumed.
     """
-    A, members = S.space, S.members
+    A, mask = S.space, S.mask
     for x, y in itertools.combinations_with_replacement(range(len(A.elements)), 2):
-        if (A.meet(x, y) in members) != (x in members and y in members):
+        if mask >> A.meet(x, y) & 1 != mask >> x & mask >> y & 1:
             return False, (A.elements[x], A.elements[y], Fraction(1, 2))
     return True, None
 
 
-def generated_subobject(A: SemiCvx, a: int) -> frozenset[int]:
-    """All b that can carry positive weight in a decomposition of a.
+def generated_subobject(A: SemiCvx, a: int) -> int:
+    """The mask of all b that can carry positive weight in a decomposition
+    of a: b with meet(b, c) = a for some c, whose meet-table row holds a.
 
     On a semilattice this is the principal up-set of a.
     """
-    return frozenset(b for b in range(len(A.elements)) if A.meet(a, b) == a)
+    return sum(1 << b for b, row in enumerate(A.meet_table) if a in row)
 
 
 def _probe_both_sides(A: GeomCvx, member):
@@ -428,7 +425,7 @@ def boolean_intersection_check(A, S1, S2):
     intersection can genuinely fail (see the two-dimensional L-shape).
     """
     if isinstance(A, SemiCvx):
-        return is_boolean_subobject(SemiSubset(A, S1.members & S2.members))
+        return is_boolean_subobject(SemiSubset(A, S1.mask & S2.mask))
     return _probe_both_sides(A, lambda p: S1.contains(p) and S2.contains(p))
 
 
@@ -439,34 +436,15 @@ def boolean_union_identity(A: SemiCvx, S: SemiSubset):
     The identity is a theorem for subobjects whose indicator is affine
     (filters); for merely complementary pairs it can fail.
     """
-    union: set[int] = set()
-    for a in S.members:
-        union |= generated_subobject(A, a)
-    return (True, None) if union == S.members else (False, labels(A, union))
+    union = 0
+    for a in range(len(A.elements)):
+        if S.mask >> a & 1:
+            union |= generated_subobject(A, a)
+    return (True, None) if union == S.mask else (False, names_of(A.elements, union))
 
 
 # ---------------------------------------------------------------------------
 # affine maps
-
-
-@dataclass(frozen=True)
-class SemiToSemi:
-    dom: SemiCvx
-    cod: SemiCvx
-    table: tuple[int, ...]  # codomain position of each dom position
-
-    def __post_init__(self):
-        if len(self.table) != len(self.dom.elements):
-            raise DomainError("a map needs one codomain position per element")
-        check_positions(self.table, len(self.cod.elements))
-        for x, y in itertools.combinations_with_replacement(range(len(self.table)), 2):
-            if self.table[self.dom.meet(x, y)] != \
-                    self.cod.meet(self.table[x], self.table[y]):
-                raise DomainError("map does not preserve meets at "
-                                  f"({self.dom.elements[x]}, {self.dom.elements[y]})")
-
-    def apply(self, a: int) -> int:
-        return self.table[a]
 
 
 @dataclass(frozen=True)
@@ -608,7 +586,7 @@ def all_boolean_subobjects(A: SemiCvx) -> list[SemiSubset]:
         raise CapacityError("too many subsets to scan")
     out = []
     for mask in range(1 << n):
-        S = SemiSubset(A, frozenset(i for i in range(n) if mask >> i & 1))
+        S = SemiSubset(A, mask)
         ok, _ = is_boolean_subobject(S)
         if ok:
             out.append(S)

@@ -24,10 +24,13 @@ MAX_ATOMS = 20
 
 
 def masks_of(points: tuple[str, ...], subsets) -> list[int]:
-    """The mask of each subset of point names, through one name index."""
+    """The mask of each subset of point names, through one name index; a
+    subset that is a string or not iterable is a `DomainError`."""
     index = {p: 1 << i for i, p in enumerate(points)}
     masks = []
     for subset in subsets:
+        if isinstance(subset, str) or not hasattr(subset, "__iter__"):
+            raise DomainError(f"subset {subset!r} is not a set of point names")
         m = 0
         for p in subset:
             if p not in index:
@@ -116,13 +119,14 @@ class FinMeasSpace:
 
 
 def generate_sigma(points, generators) -> FinMeasSpace:
-    """Least sigma-algebra on `points` containing every generator.
+    """Least sigma-algebra on `points` containing every generator, each a
+    mask whose class is `int` or a collection of point names.
 
     Its atoms are the membership classes: points lying in exactly the
     same generators.
     """
     points = tuple(points)
-    masks = [mask_of(points, g) if not isinstance(g, int) else g for g in generators]
+    masks = [g if g.__class__ is int else mask_of(points, g) for g in generators]
     full = (1 << len(points)) - 1
     for m in masks:
         if m & ~full:
@@ -158,26 +162,30 @@ def join_sigma(points, images) -> FinMeasSpace:
     to the mask of its block so far, so an image inside the block of its
     lowest point costs one test, and a join relabels the points of the
     merged block (the set-union table of Tarjan, JACM 22, 1975).  No image yields the
-    powerset."""
+    powerset.  An image that is not an int is a `DomainError` (a bool
+    still reads as the mask 0 or 1)."""
     points = tuple(points)
     full = (1 << len(points)) - 1
     block = [1 << i for i in range(len(points))]
-    for img in images:
-        if img & ~full:
-            raise DomainError("image is not a subset of the carrier")
-        if not img:
-            continue
-        joined = block[(img & -img).bit_length() - 1]
-        rest = img & ~joined
-        if not rest:
-            continue
-        while rest:
-            b = block[(rest & -rest).bit_length() - 1]
-            joined |= b
-            rest &= ~b
-        for i in range(len(points)):
-            if joined >> i & 1:
-                block[i] = joined
+    try:
+        for img in images:
+            if img & ~full:
+                raise DomainError("image is not a subset of the carrier")
+            if not img:
+                continue
+            joined = block[(img & -img).bit_length() - 1]
+            rest = img & ~joined
+            if not rest:
+                continue
+            while rest:
+                b = block[(rest & -rest).bit_length() - 1]
+                joined |= b
+                rest &= ~b
+            for i in range(len(points)):
+                if joined >> i & 1:
+                    block[i] = joined
+    except TypeError:  # a non-int image fails its first bit operation
+        raise DomainError("an image is not an int mask") from None
     return FinMeasSpace(points, set(block))
 
 

@@ -18,7 +18,7 @@ from .convex import MIX_GRID
 from .jsonio import witness_text
 from .kernel import DomainError, ONE, ZERO, rat, rat_str, step_integrate
 from .measurable import (FinMeasSpace, enumerate_meas_fns, is_separated, masks_of,
-                         measurable_maps)
+                         measurable_maps, names_of)
 from .reports import LawReport
 
 def _partitions(items):
@@ -231,7 +231,7 @@ def _suite_boolean(config) -> LawReport:
         for k, S in enumerate(subs):
             ok, wit = cvx.is_boolean_subobject(S)
             rep.record(ok, "boolean.verified", f"L{j}-S{k}", witness=wit,
-                       detail=cvx.labels(A, S.members))
+                       detail=names_of(A.elements, S.mask))
             if is_filter[k]:
                 ok, union = cvx.boolean_union_identity(A, S)
                 rep.record(ok, "boolean.union-of-generated",
@@ -243,9 +243,10 @@ def _suite_boolean(config) -> LawReport:
                        f"L{j}-F{k1}F{k2}", witness=wit)
         for a, name in enumerate(A.elements):
             gen = cvx.generated_subobject(A, a)
-            up = frozenset(b for b in range(len(A.elements)) if A.leq(a, b))
+            up = sum(1 << b for b in range(len(A.elements)) if A.leq(a, b))
             rep.record(gen == up, "boolean.generated-is-upset", f"L{j}-{name}",
-                       witness=lambda: (cvx.labels(A, gen), cvx.labels(A, up)))
+                       witness=lambda: (names_of(A.elements, gen),
+                                        names_of(A.elements, up)))
     return rep
 
 

@@ -85,12 +85,6 @@ def test_mu_is_the_barycenter_counit():
         assert adj.mu_matches_counit(X, PP)
 
 
-def test_unit_generator_measurability():
-    for X in (FinMeasSpace.discrete(("x", "y")),
-              FinMeasSpace.trivial(("x", "y", "z"))):
-        assert adj.unit_generator_measurability(X).ok
-
-
 # ---------------------------------------------------------------------------
 # telescoping
 

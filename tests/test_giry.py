@@ -281,6 +281,67 @@ def test_pushforward_matches_preimage_definition():
     assert checked > 10000
 
 
+def seeded_pushforwards(seed=4099, per_count=40):
+    """Seeded (map, measure) pairs onto codomains of 4 to 6 atoms: the
+    codomain's 4 to 8 points are split into that many atoms, the domain
+    is a seeded partition of 1 to 6 points, each domain atom lands in one
+    codomain atom and each point on a point of it."""
+    rng = random.Random(seed)
+
+    def partition(n, k):
+        labels = list(range(k)) + [rng.randrange(k) for _ in range(n - k)]
+        rng.shuffle(labels)
+        atoms = [0] * k
+        for i, a in enumerate(labels):
+            atoms[a] |= 1 << i
+        return FinMeasSpace(tuple(f"p{i}" for i in range(n)), atoms)
+
+    cases = []
+    for k in range(4, 7):
+        for _ in range(per_count):
+            Y = partition(rng.randrange(k, 9), k)
+            n = rng.randrange(1, 7)
+            X = partition(n, rng.randrange(1, n + 1))
+            blocks = [[j for j in range(len(Y.points)) if b >> j & 1]
+                      for b in Y.atoms]
+            lands = [rng.choice(blocks) for _ in X.atoms]
+            image = tuple(rng.choice(lands[a]) for a in X.point_atom)
+            P = sparse_measure(rng, X, rng.randrange(1, 65))
+            cases.append((MeasFn(X, Y, image), P))
+    return cases
+
+
+def pushforward_disagreements(push) -> list[int]:
+    """The codomain atom counts of the seeded cases where `push` and the
+    measure of each preimage differ on some measurable set."""
+    out = []
+    for f, P in seeded_pushforwards():
+        Q = push(f, P)
+        for V in f.cod.members:
+            pre = sum(1 << i for i, j in enumerate(f.image) if V >> j & 1)
+            if Q.measure(V) != P.measure(pre):
+                out.append(len(f.cod.atoms))
+                break
+    return out
+
+
+def test_pushforward_onto_four_to_six_atoms_matches_preimages():
+    cases = seeded_pushforwards()
+    assert {len(f.cod.atoms) for f, _ in cases} == {4, 5, 6}
+    assert any(len(f.dom.atoms) < len(f.dom.points) for f, _ in cases)
+    assert pushforward_disagreements(pushforward) == []
+
+
+def test_pushforward_wrong_from_four_atoms_is_caught():
+    # swaps the masses of the third and fourth codomain atom
+    def crooked(f, P):
+        good = pushforward(f, P)
+        num = list(good.num)
+        num[2], num[3] = num[3], num[2]
+        return FinDist(good.space, num, good.den)
+    assert pushforward_disagreements(crooked)
+
+
 def test_mu_matches_weighted_sum_of_measures():
     for X in small_spaces():
         for PP in two_level_dists(X, max_support=2):
@@ -356,14 +417,16 @@ def test_mu_wrong_from_four_atoms_is_caught():
     assert wrong and min(wrong) == 4
 
 
-def three_level_cases(seed=1982, count=300):
-    """Seeded three-level measures over the two-level corpus above: 1 to 4
-    middle levels on one base, repeats allowed, each with an integer
-    outer weight, some of them zero, over their positive sum."""
+def three_level_cases(seed=1982, count=300, min_support=1):
+    """Seeded three-level measures over the two-level corpus above, those
+    of at least `min_support` measures: 1 to 4 middle levels on one base,
+    repeats allowed, each with an integer outer weight, some of them
+    zero, over their positive sum."""
     rng = random.Random(seed)
     by_base: dict = {}
     for PP in wide_two_level_cases():
-        by_base.setdefault(PP.base, []).append(PP)
+        if len(PP.support) >= min_support:
+            by_base.setdefault(PP.base, []).append(PP)
     groups = list(by_base.values())
     cases = []
     while len(cases) < count:
@@ -382,6 +445,44 @@ def test_integer_outer_weights_match_fractions():
         by_frac = tuple((Fraction(w, den), PP) for w, PP in PPP)
         assert flatten_outer(PPP, den=den) == flatten_outer(by_frac)
         assert map_mu(PPP, den=den) == map_mu(by_frac)
+
+
+def flatten_disagreements(flatten, cases) -> int:
+    """How many cases `flatten` gets wrong against the definition in
+    Fractions: measure q weighs the sum over the middle levels of the
+    outer weight times q's weight there."""
+    wrong = 0
+    for PPP, den in cases:
+        ref: dict = {}
+        for a, PP in PPP:
+            for q, w in zip(PP.support, PP.weights):
+                if a:  # a zero outer weight leaves no term
+                    ref[q] = ref.get(q, ZERO) + Fraction(a, den) * w
+        got = flatten(PPP, den=den)
+        if got.base != PPP[0][1].base or \
+                dict(zip(got.support, got.weights)) != ref:
+            wrong += 1
+    return wrong
+
+
+def test_flatten_outer_on_middle_levels_of_three_measures():
+    cases = three_level_cases(seed=7, count=200, min_support=3)
+    assert {len(PP.support) for PPP, _ in cases for _, PP in PPP} == \
+        {3, 4, 5, 6}
+    assert any(len(PPP) > 1 for PPP, _ in cases)
+    assert flatten_disagreements(flatten_outer, cases) == 0
+
+
+def test_flatten_outer_wrong_past_two_middle_measures_is_caught():
+    # swaps the first two result weights; every case has a middle level
+    # of 3 or more measures
+    def crooked(PPP, den):
+        good = flatten_outer(PPP, den=den)
+        w = list(good.wnum)
+        w[0], w[1] = w[1], w[0]
+        return DistOverDists(good.base, good.support, w, good.wden)
+    assert flatten_disagreements(
+        crooked, three_level_cases(seed=7, count=200, min_support=3))
 
 
 @pytest.mark.parametrize("weights, den", [

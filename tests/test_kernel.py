@@ -1,10 +1,10 @@
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from gcvx.convex import (SemiCvx, SemiSubset, SemiToSemi, combine_many,
-                         convex_combine)
+from gcvx.convex import SemiCvx, SemiSubset, combine_many, convex_combine
 from gcvx.giry import WAFunctional, functional_to_measure
 from gcvx.kernel import (
     DomainError,
@@ -81,12 +81,59 @@ def test_integral_is_affine_in_mixtures(b, u1, u2, v, alpha):
         (ONE - alpha) * step_integrate(f) + alpha * step_integrate(g)
 
 
+def seeded_step_fns(seed=97, per_count=12):
+    """Seeded step functions of 4 to 8 pieces: breakpoints over
+    denominators up to 48 and twelfths as values, adjacent values
+    distinct so that no pieces merge."""
+    rng = random.Random(seed)
+    fns = []
+    for pieces in range(4, 9):
+        for _ in range(per_count):
+            den = rng.randrange(pieces, 49)
+            cuts = sorted(rng.sample(range(1, den), pieces - 1))
+            values = [rng.randrange(13)]
+            while len(values) < pieces:
+                v = rng.randrange(13)
+                if v != values[-1]:
+                    values.append(v)
+            fns.append(StepFn.of([0, *(Fraction(c, den) for c in cuts), 1],
+                                 [Fraction(v, 12) for v in values],
+                                 Fraction(rng.randrange(13), 12)))
+    return fns
+
+
+def integral_disagreements(integrate) -> list[int]:
+    """The piece counts of the seeded step functions on which `integrate`
+    differs from the sum of f(left end) * width over the pieces."""
+    out = []
+    for f in seeded_step_fns():
+        bps = f.breakpoints
+        by_pieces = sum((f(lo) * (hi - lo) for lo, hi in zip(bps, bps[1:])),
+                        ZERO)
+        if integrate(f) != by_pieces:
+            out.append(len(f.values))
+    return out
+
+
+def test_integral_matches_the_pieces_from_four_to_eight():
+    assert {len(f.values) for f in seeded_step_fns()} == set(range(4, 9))
+    assert integral_disagreements(step_integrate) == []
+
+
+def test_integral_wrong_past_three_pieces_is_caught():
+    def crooked(f):
+        extra = Fraction(1, 97) if len(f.values) > 3 else ZERO
+        return step_integrate(f) + extra
+    assert set(integral_disagreements(crooked)) == set(range(4, 9))
+
+
 # ---------------------------------------------------------------------------
 # the position rule and the weighting rule
 
 
 X2 = FinMeasSpace.discrete(("a", "b"))
 CHAIN2 = SemiCvx(("a", "b"), ((0, 0), (0, 1)))
+POINT = SemiCvx(("a",), ((0,),))
 
 # every entry point that takes positions, with the value v in one
 # position slot of a two-point carrier
@@ -96,8 +143,8 @@ POSITION_ENTRIES = {
     "induced_sigma": lambda v: induced_sigma(X2.points, [((0, v), X2)]),
     "is_measurable": lambda v: is_measurable((0, v), X2, X2),
     "meet-table": lambda v: SemiCvx(("a", "b"), ((0, 0), (0, v))),
-    "SemiSubset": lambda v: SemiSubset(CHAIN2, frozenset({v})),
-    "SemiToSemi": lambda v: SemiToSemi(CHAIN2, CHAIN2, (0, v)),
+    # a mask of a one-point carrier is a position among its two subsets
+    "SemiSubset": lambda v: SemiSubset(POINT, v),
     "convex_combine": lambda v: convex_combine(CHAIN2, v, 1, ONE),
     "combine_many": lambda v: combine_many(CHAIN2, (ONE,), (v,)),
     "meet_all": lambda v: CHAIN2.meet_all([v]),

@@ -393,6 +393,34 @@ def test_join_sigma_rejects_a_mask_off_the_carrier():
         join_sigma(("a", "b"), [0b100])
 
 
+# a call over the carrier ("a", "b") with one subset that is neither
+# an int mask nor a collection of point names
+AB = ("a", "b")
+BAD_SUBSETS = {
+    "generate-float": lambda: generate_sigma(AB, [1.0]),
+    "generate-none": lambda: generate_sigma(AB, [None]),
+    "generate-bool": lambda: generate_sigma(AB, [True]),
+    "generate-string": lambda: generate_sigma(AB, ["ab"]),
+    "members-float": lambda: space_from_members(AB, [0, 3, 1.0, 2]),
+    "join-float": lambda: join_sigma(AB, [1.0]),
+    "join-none": lambda: join_sigma(AB, [None]),
+    "join-string": lambda: join_sigma(AB, ["ab"]),
+    "masks-of-string": lambda: masks_of(AB, ["ab"]),
+    "masks-of-int": lambda: masks_of(AB, [1]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_SUBSETS))
+def test_what_is_not_a_subset_is_a_domain_error(case):
+    # the same subsets as int masks and as name collections build
+    space = FinMeasSpace(AB, [0b01, 0b10])
+    assert generate_sigma(AB, [0b01]) == generate_sigma(AB, [("a",)]) == space
+    assert space_from_members(AB, [0, 3, 1, 2]) == space
+    assert join_sigma(AB, [0b01]) == space
+    with pytest.raises(DomainError):
+        BAD_SUBSETS[case]()
+
+
 def seeded_spaces():
     """Every space on up to 4 points and seeded ones on up to 16."""
     rng = random.Random(31)

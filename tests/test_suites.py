@@ -174,7 +174,7 @@ def quarter_rejecting_hull(real):
 
 def generator_dropping_subobject(real):
     """A generated subobject that drops its own generator."""
-    return lambda A, a: real(A, a) - {a}
+    return lambda A, a: real(A, a) & ~(1 << a)
 
 
 def section_swapping_curry(real):
