@@ -6,7 +6,11 @@ and atom masses make equality decidable and canonical.  On a finite space
 the measures form a rational simplex, and a measure is a point of it held
 exactly: one integer numerator per atom over one positive denominator,
 reduced by their gcd, so equal measures have equal integers.  `mass` is
-the same point as Fractions, for output and for the API.  The monad acts
+the same point as Fractions, for output and for the API.  A row is
+checked where it enters: by `kernel.prob_row` in the public constructors,
+and on the inputs of `DistOverDists.of`, `flatten_outer` and `map_mu`.
+The measures the monad computes are valid by construction, so they are
+only reduced (`kernel.reduce_row`).  The monad acts
 linearly on these vectors, in integer arithmetic: pushforward adds each
 domain atom's numerator into the codomain atom it lands in
 (`MeasFn.atom_map`), and the multiplication is the weighted sum of the
@@ -49,7 +53,7 @@ from operator import attrgetter
 
 from .convex import MIX_GRID, GeomCvx, SemiCvx, free_convex
 from .kernel import (DomainError, ONE, ZERO, check_positions, int_row,
-                     prob_row, rat, rat_str)
+                     prob_row, rat, rat_str, reduce_row)
 from .measurable import FinMeasSpace, MeasFn, mask_of
 from .reports import LawReport
 
@@ -117,12 +121,22 @@ class FinDist:
         return "{" + ", ".join(parts) + "}"
 
 
+def _fin_dist(space: FinMeasSpace, num, den: int) -> FinDist:
+    """The measure of a row valid by construction (nonnegative ints, one
+    per atom, summing to the positive `den`), reduced and not checked."""
+    P = object.__new__(FinDist)
+    fields = P.__dict__
+    fields["space"] = space
+    fields["num"], fields["den"] = reduce_row(num, den)
+    return P
+
+
 def atom_dirac(X: FinMeasSpace, k: int) -> FinDist:
     """Unit mass on atom k; the dirac at point i is atom_dirac(X,
     X.point_atom[i])."""
     num = [0] * len(X.atoms)
     num[k] = 1
-    return FinDist(X, num, 1)
+    return _fin_dist(X, num, 1)
 
 
 def dirac(X: FinMeasSpace, x: str) -> FinDist:
@@ -137,7 +151,7 @@ def pushforward(f: MeasFn, P: FinDist) -> FinDist:
     num = [0] * len(f.cod.atoms)
     for k, n in zip(f.atom_map, P.num):
         num[k] += n
-    return FinDist(f.cod, num, P.den)
+    return _fin_dist(f.cod, num, P.den)
 
 
 # ---------------------------------------------------------------------------
@@ -184,9 +198,9 @@ class DistOverDists:
     @classmethod
     def of(cls, base, pairs, den: int | None = None) -> "DistOverDists":
         """Build from (weight, measure) pairs, merging duplicate measures;
-        with `den` the weights are integer numerators over it.  A zero
-        weight drops, and a negative one is rejected even where merging
-        would cancel it."""
+        with `den` the weights are integer numerators over it, a positive
+        int they sum to.  A zero weight drops, and a negative one is
+        rejected even where merging would cancel it."""
         if den is None:
             pairs = list(pairs)
             nums, den = int_row([rat(w) for w, _ in pairs])
@@ -197,13 +211,29 @@ class DistOverDists:
                 raise DomainError("weights must be nonnegative")
             if w:
                 acc[q] = acc.get(q, 0) + w
+        _check_total(sum(acc.values()), den)
+        for q in acc:
+            if q.space is not base and q.space != base:
+                raise DomainError("mixed base spaces in support")
         support = _by_mass(acc)
-        return cls(base, support, [acc[q] for q in support], den)
+        return _dist_over_dists(base, support, [acc[q] for q in support], den)
 
     def describe(self) -> str:
         parts = [f"{rat_str(w)}@{q.describe()}"
                  for q, w in zip(self.support, self.weights)]
         return "[" + "; ".join(parts) + "]"
+
+
+def _dist_over_dists(base: FinMeasSpace, support: tuple[FinDist, ...],
+                     wnum, wden: int) -> DistOverDists:
+    """Weight `wnum[i]` over `wden` on the measure `support[i]` on `base`:
+    distinct measures, positive ints summing to `wden` > 0, reduced and
+    not checked."""
+    PP = object.__new__(DistOverDists)
+    fields = PP.__dict__
+    fields["base"], fields["support"] = base, support
+    fields["wnum"], fields["wden"] = reduce_row(wnum, wden)
+    return PP
 
 
 def _is_negative(w) -> bool:
@@ -213,6 +243,14 @@ def _is_negative(w) -> bool:
     if w.__class__ is not int:
         raise DomainError(f"cannot interpret {w!r} as an integer weight")
     return w < 0
+
+
+def _check_total(total: int, den) -> None:
+    """Weights summing to `total` must sum to `den`, a positive int."""
+    if den.__class__ is not int or den <= 0:
+        raise DomainError("the weights' denominator must be a positive int")
+    if total != den:
+        raise DomainError("weights must sum to exactly 1")
 
 
 _num = attrgetter("num")
@@ -238,16 +276,16 @@ def mu(PP: DistOverDists) -> FinDist:
     so each atom's mass is the weighted sum of the support's masses there.
     Over wden * D, with D the lcm of the support's denominators, support
     element i contributes wnum_i * D / d_i per unit of its numerators:
-    one pass over the support adds each nonzero numerator, so scaled,
-    into its atom's total."""
-    D = lcm(*(q.den for q in PP.support))
-    num = [0] * len(PP.base.atoms)
-    for w, q in zip(PP.wnum, PP.support):
+    one pass per support measure adds its row, so scaled, to the total."""
+    D = lcm(*[q.den for q in PP.support])
+    rows = zip(PP.wnum, PP.support)
+    w, q = next(rows)
+    scale = w * (D // q.den)
+    num = [scale * n for n in q.num]
+    for w, q in rows:
         scale = w * (D // q.den)
-        for k, n in enumerate(q.num):
-            if n:
-                num[k] += scale * n
-    return FinDist(PP.base, num, PP.wden * D)
+        num = [t + scale * n for t, n in zip(num, q.num)]
+    return _fin_dist(PP.base, num, PP.wden * D)
 
 
 def flatten_oracle(PP: DistOverDists) -> FinDist:
@@ -265,14 +303,15 @@ def flatten_oracle(PP: DistOverDists) -> FinDist:
 
 def unit_outer(P: FinDist) -> DistOverDists:
     """The dirac at P, one level up."""
-    return DistOverDists(P.space, (P,), (1,), 1)
+    return _dist_over_dists(P.space, (P,), (1,), 1)
 
 
 def map_unit(P: FinDist) -> DistOverDists:
     """Push P forward along x -> dirac(x); constant on atoms, so the
     resulting support is one dirac per atom with positive mass."""
-    pairs = [(n, atom_dirac(P.space, k)) for k, n in enumerate(P.num) if n]
-    return DistOverDists.of(P.space, pairs, P.den)
+    acc = {atom_dirac(P.space, k): n for k, n in enumerate(P.num) if n}
+    support = _by_mass(acc)
+    return _dist_over_dists(P.space, support, [acc[q] for q in support], P.den)
 
 
 def push_outer(f: MeasFn, PP: DistOverDists) -> DistOverDists:
@@ -301,27 +340,33 @@ def flatten_outer(PPP: ThreeLevel, den: int | None = None) -> DistOverDists:
     middle weight v over wden_j, all over A * D, merged in one pass over
     the terms.  A term of outer weight zero drops and a negative outer
     weight is rejected as it is read, as in `DistOverDists.of` and so in
-    `map_mu`."""
+    `map_mu`; the base of each middle level of positive weight must be
+    that of the first."""
     if not PPP:
         raise DomainError("a three-level measure needs a nonempty support")
     if den is None:
         outer, den = int_row([rat(w) for w, _ in PPP])
         PPP = [(a, PP) for a, (_, PP) in zip(outer, PPP)]
+    base = PPP[0][1].base
     D = 1
     for _, PP in PPP:
         D = lcm(D, PP.wden)
     acc: dict[FinDist, int] = {}
     get = acc.get
+    total = 0
     for a, PP in PPP:
         if _is_negative(a):
             raise DomainError("outer weights must be nonnegative")
         if a:
+            if PP.base is not base and PP.base != base:
+                raise DomainError("mixed base spaces in support")
+            total += a
             scale = a * (D // PP.wden)
             for q, v in zip(PP.support, PP.wnum):
                 acc[q] = get(q, 0) + scale * v
+    _check_total(total, den)
     support = _by_mass(acc)
-    return DistOverDists(PPP[0][1].base, support, [acc[q] for q in support],
-                         den * D)
+    return _dist_over_dists(base, support, [acc[q] for q in support], den * D)
 
 
 def map_mu(PPP: ThreeLevel, mu_fn=mu,
@@ -355,8 +400,8 @@ def mix_dists(P: FinDist, Q: FinDist, alpha) -> FinDist:
     a, b = alpha.numerator, alpha.denominator
     den = lcm(P.den, Q.den)
     sp, sq = (b - a) * (den // P.den), a * (den // Q.den)
-    return FinDist(P.space, [sp * p + sq * q for p, q in zip(P.num, Q.num)],
-                   b * den)
+    return _fin_dist(
+        P.space, [sp * p + sq * q for p, q in zip(P.num, Q.num)], b * den)
 
 
 # ---------------------------------------------------------------------------
@@ -380,8 +425,6 @@ class WAFunctional:
     def __post_init__(self):
         if len(self.points) != len(self.num):
             raise DomainError("need exactly one weight per point")
-        if any(w.__class__ is not int for w in self.num):
-            raise DomainError("weights must be integer numerators")
         num, den = prob_row(self.num, self.den, "weights", positive=True)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
@@ -453,7 +496,7 @@ def functional_to_measure(F: WAFunctional, space: FinMeasSpace) -> FinDist:
     num = [0] * len(space.atoms)
     for a, w in zip(F.points, F.num):
         num[atom[a]] += w
-    return FinDist(space, num, F.den)
+    return _fin_dist(space, num, F.den)
 
 
 # ---------------------------------------------------------------------------
@@ -463,7 +506,7 @@ def functional_to_measure(F: WAFunctional, space: FinMeasSpace) -> FinDist:
 def grid_dists(X: FinMeasSpace) -> list[FinDist]:
     """All measures on X whose atom masses come from DEFAULT_GRID."""
     nums, den = int_row(DEFAULT_GRID)
-    return [FinDist(X, combo, den)
+    return [_fin_dist(X, combo, den)
             for combo in itertools.product(nums, repeat=len(X.atoms))
             if sum(combo) == den]
 
@@ -483,7 +526,7 @@ def two_level_dists(X: FinMeasSpace, max_support: int = 3) -> list[DistOverDists
         weightings = [int_row(ws) for ws in grid_weightings(size)]
         for support in itertools.combinations(inner, size):
             for ws, den in weightings:
-                out.append(DistOverDists(X, support, ws, den))
+                out.append(_dist_over_dists(X, support, ws, den))
     return out
 
 

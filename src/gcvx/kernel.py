@@ -62,20 +62,19 @@ def int_rows(rows) -> tuple[tuple[tuple[int, ...], ...], int]:
 
 def prob_row(values, den, name: str,
              positive: bool = False) -> tuple[tuple[int, ...], int]:
-    """A probability vector as reduced integers: `values` are integer
-    numerators over `den`, or, with `den` None, the entries themselves
-    as rationals.  The denominator must be positive and the numerators
-    must sum to it and be nonnegative, or positive with `positive`;
-    both come back divided by their gcd.  `name` names the entries in
-    the `DomainError` for a row that breaks a rule."""
+    """A probability vector, checked where it enters, as reduced integers:
+    `values` are integer numerators over `den`, or, with `den` None, the
+    entries themselves as rationals.  All must be ints, not bools; the
+    denominator must be positive and the numerators must sum to it and
+    be nonnegative, or positive with `positive`.  `name` names the
+    entries in the `DomainError` for a row that breaks a rule."""
     if den is None:
         values, den = int_row([rat(v) for v in values])
     values = tuple(values)
-    try:
-        g = gcd(den, *values)
-    except TypeError:
+    if den.__class__ is not int or any(v.__class__ is not int
+                                       for v in values):
         raise DomainError(f"{name} must be integer numerators over an "
-                          f"integer denominator") from None
+                          f"integer denominator")
     if den <= 0:
         raise DomainError(f"the denominator of the {name} must be positive")
     if sum(values) != den:
@@ -83,10 +82,17 @@ def prob_row(values, den, name: str,
     if min(values) < positive:
         raise DomainError(f"{name} must be "
                           f"{'positive' if positive else 'nonnegative'}")
+    return reduce_row(values, den)
+
+
+def reduce_row(values, den: int) -> tuple[tuple[int, ...], int]:
+    """Integer numerators and their positive denominator divided by their
+    gcd, unchecked: the end of `prob_row`, and all that a row valid by
+    construction needs."""
+    g = gcd(den, *values)
     if g > 1:
-        values = tuple(v // g for v in values)
-        den //= g
-    return values, den
+        return tuple([v // g for v in values]), den // g
+    return tuple(values), den
 
 
 def check_positions(values, n: int) -> None:

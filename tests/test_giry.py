@@ -256,6 +256,21 @@ def test_space_checks_accept_equal_copies_and_reject_other_spaces():
         pushforward(f, dirac(Y, "a"))
     with pytest.raises(DomainError):
         mix_dists(dirac(X, "a"), dirac(Y, "a"), HALF)
+    # three-level measures: the base spaces are checked on the inputs
+    a, c = dirac(X, "a"), dirac(X_copy, "c")
+    PP, PP_copy, PP_other = unit_outer(a), unit_outer(c), unit_outer(
+        dirac(Y, "a"))
+    halves = DistOverDists(X, (c, a), (1, 1), 2)  # support in mass order
+    assert DistOverDists.of(X, [(1, a), (1, c)], 2) == halves
+    PPP = ((1, PP), (1, PP_copy))
+    assert flatten_outer(PPP, den=2) == halves
+    assert map_mu(PPP, den=2) == halves
+    with pytest.raises(DomainError):
+        DistOverDists.of(X, [(1, a), (1, dirac(Y, "a"))], 2)
+    for PPP in (((1, PP), (1, PP_other)), ((1, PP_other), (1, PP_copy))):
+        for entry in (flatten_outer, map_mu):
+            with pytest.raises(DomainError):
+                entry(PPP, den=2)
 
 
 def small_spaces():
@@ -417,6 +432,70 @@ def test_mu_wrong_from_four_atoms_is_caught():
     assert wrong and min(wrong) == 4
 
 
+def assert_canonical(R):
+    """R holds exactly the fields the checked constructor makes of its
+    own row, so it is reduced, and that row is nonnegative and sums to
+    its denominator; the support of a distribution over distributions is
+    checked too."""
+    if isinstance(R, FinDist):
+        row, den = R.num, R.den
+        again = FinDist(R.space, R.num, R.den)
+        assert (again.space, again.num, again.den) == (R.space, row, den)
+    else:
+        row, den = R.wnum, R.wden
+        again = DistOverDists(R.base, R.support, R.wnum, R.wden)
+        assert (again.base, again.support, again.wnum, again.wden) == \
+            (R.base, R.support, row, den)
+        for q in R.support:
+            assert_canonical(q)
+    assert min(row) >= 0 and sum(row) == den
+
+
+def built_results():
+    """Seeded results of every builder that skips the row checks, on the
+    small spaces and on spaces of 4 to 6 atoms."""
+    rng = random.Random(3)
+    alphas = (ZERO, QUARTER, Fraction(1, 3), HALF, Fraction(5, 6), ONE)
+    for X in small_spaces():
+        dists = grid_dists(X)
+        two = two_level_dists(X, max_support=2)
+        yield from dists
+        yield from two
+        for Y in small_spaces():
+            for f in enumerate_meas_fns(X, Y):
+                yield pushforward(f, rng.choice(dists))
+                yield push_outer(f, rng.choice(two))
+        for PP in two:
+            yield mu(PP)
+            yield map_unit(mu(PP))
+            yield mix_dists(rng.choice(dists), rng.choice(dists),
+                            rng.choice(alphas))
+    for f, P in seeded_pushforwards():
+        yield pushforward(f, P)
+        yield map_unit(P)
+        Q = sparse_measure(rng, P.space, rng.randrange(1, 65))
+        yield mix_dists(P, Q, rng.choice(alphas))
+        w = (rng.randrange(1, 9), rng.randrange(1, 9))
+        PP = DistOverDists.of(P.space, zip(w, (P, Q)), sum(w))
+        yield PP
+        yield push_outer(f, PP)
+    for PP in wide_two_level_cases():
+        yield PP
+        yield mu(PP)
+    for PPP, den in three_level_cases():
+        yield flatten_outer(PPP, den=den)
+        yield map_mu(PPP, den=den)
+
+
+def test_built_results_are_in_canonical_form():
+    results = list(built_results())
+    assert len(results) > 2000
+    assert {len(R.space.atoms) for R in results
+            if isinstance(R, FinDist)} >= set(range(1, 7))
+    for R in results:
+        assert_canonical(R)
+
+
 def three_level_cases(seed=1982, count=300, min_support=1):
     """Seeded three-level measures over the two-level corpus above, those
     of at least `min_support` measures: 1 to 4 middle levels on one base,
@@ -499,6 +578,27 @@ def test_integer_outer_weights_need_a_positive_den_they_sum_to(weights, den):
     for entry in (flatten_outer, map_mu):
         with pytest.raises(DomainError):
             entry(PPP, den=den)
+
+
+BOOL_ROWS = {
+    "FinDist-num": lambda X, P, Q: FinDist(X, (True, False), 1),
+    "FinDist-den": lambda X, P, Q: FinDist(X, (1, 0), True),
+    "DistOverDists-weights": lambda X, P, Q: DistOverDists(
+        X, (P, Q), (True, True), 2),
+    "DistOverDists-den": lambda X, P, Q: DistOverDists(X, (P,), (1,), True),
+    "of-den": lambda X, P, Q: DistOverDists.of(X, [(1, P)], True),
+    "map_mu-den": lambda X, P, Q: map_mu(((1, unit_outer(P)),), den=True),
+    "flatten_outer-den": lambda X, P, Q: flatten_outer(
+        ((1, unit_outer(P)),), den=True),
+    "WAFunctional-den": lambda X, P, Q: giry.WAFunctional((0,), (1,), True),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(BOOL_ROWS))
+def test_a_bool_is_no_integer_at_any_row_entry(entry):
+    X = disc(2)
+    with pytest.raises(DomainError):
+        BOOL_ROWS[entry](X, dirac(X, "a"), dirac(X, "b"))
 
 
 @pytest.mark.parametrize("weight", ["1", None, 1.0, HALF, True])

@@ -444,6 +444,29 @@ def test_three_level_weights_stay_integers(monkeypatch):
     assert calls == {"int_row": 521, "subset_names": 176}
 
 
+@pytest.mark.parametrize("name, config, checked", [
+    ("giry-monad", {"maxPoints": 3, "maxSupport": 2}, 473),
+    ("adjunction", {"maxPoints": 3, "maxSize": 3}, 146),
+])
+def test_rows_are_checked_where_they_enter(name, config, checked,
+                                           monkeypatch):
+    # the monad builds its own results reduced, not re-checked, so
+    # prob_row runs where a row enters from outside the monad: the
+    # Fraction masses of the flatten oracle (giry-monad) and the weakly
+    # averaging functionals of phi (adjunction)
+    calls = []
+    real = kernel.prob_row
+
+    def counting(*args, **kw):
+        calls.append(args)
+        return real(*args, **kw)
+    for module in (kernel, giry, cvx):
+        monkeypatch.setattr(module, "prob_row", counting)
+    rep = run_suite(name, config)
+    assert rep.ok
+    assert len(calls) == checked
+
+
 def test_sigma_is_built_once_per_semilattice(monkeypatch):
     # the suite builds sigma(A) once for every n and the phi round trip,
     # and triangle_check builds its own: 12 + 12 for the 12 semilattices
