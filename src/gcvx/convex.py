@@ -48,6 +48,8 @@ class GeomCvx:
     generator_den: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if self.dim.__class__ is not int or self.dim < 0:
+            raise DomainError(f"dimension {self.dim!r} is not an int >= 0")
         for g in self.generators:
             if len(g) != self.dim:
                 raise DomainError("generator dimension mismatch")
@@ -78,22 +80,33 @@ class GeomCvx:
 
     @classmethod
     def of(cls, dim, generators) -> "GeomCvx":
-        seen = []
-        for g in generators:
-            p = tuple(rat(x) for x in g)
-            if p not in seen:
-                seen.append(p)
-        return cls(int(dim), tuple(seen))
+        # each point once, at its first place
+        seen = dict.fromkeys(tuple(rat(x) for x in g) for g in generators)
+        return cls(dim, tuple(seen))
 
-    def require_member(self, p: Point) -> None:
+    def require_member(self, p) -> Point:
+        """p read by `_coords`, checked to lie in the hull and returned;
+        a point outside is a `DomainError` naming a separating
+        functional."""
+        p = _coords(p, self.dim)
         if p in self.generators:
-            return  # a generator lies in its own hull
+            return p  # a generator lies in its own hull
         ok, cert = hull_member(self, p)
         if not ok:
             c, t = cert
             raise DomainError(
-                f"point {_vec_str(rat(x) for x in p)} is outside the hull; "
+                f"point {_vec_str(p)} is outside the hull; "
                 f"separating functional c = {_vec_str(c)}, t = {rat_str(t)}")
+        return p
+
+
+def _coords(p, dim: int) -> Point:
+    """A point of Q^dim, each coordinate read by `rat`; a point of
+    another dimension is a `DomainError`."""
+    p = tuple([rat(x) for x in p])
+    if len(p) != dim:
+        raise DomainError("point dimension mismatch")
+    return p
 
 
 def _vec_str(v) -> str:
@@ -119,9 +132,7 @@ def _sparse_row(c, t) -> tuple[tuple[tuple[int, int], ...], int, int]:
 def _sparse_dot(terms, p, dim: int) -> tuple[int, int]:
     """sum(n * p[i] for (i, n) in terms) as (numerator, denominator) for
     a point p of Q^dim; only the coordinates under terms are multiplied."""
-    p = tuple(rat(x) for x in p)
-    if len(p) != dim:
-        raise DomainError("point dimension mismatch")
+    p = _coords(p, dim)
     q = lcm(*(p[i].denominator for i, _ in terms))
     return sum(n * p[i].numerator * (q // p[i].denominator)
                for i, n in terms), q
@@ -214,9 +225,7 @@ def hull_member(A: GeomCvx, p):
     Fraction row times the same L, so `exactlp.solve_int_rows` returns
     what `exactlp.solve_eq_nonneg` does on the Fraction rows.
     """
-    p = tuple(rat(x) for x in p)
-    if len(p) != A.dim:
-        raise DomainError("point dimension mismatch")
+    p = _coords(p, A.dim)
     n = len(A.generators)
     P, Q = int_row(p)
     L = lcm(A.generator_den, Q)
@@ -237,10 +246,7 @@ def convex_combine(A, a, b, alpha):
     if not (ZERO <= alpha <= ONE):
         raise DomainError(f"weight {alpha} outside [0, 1]")
     if isinstance(A, GeomCvx):
-        a = tuple(rat(x) for x in a)
-        b = tuple(rat(x) for x in b)
-        A.require_member(a)
-        A.require_member(b)
+        a, b = A.require_member(a), A.require_member(b)
         return tuple((ONE - alpha) * x + alpha * y for x, y in zip(a, b))
     if isinstance(A, SemiCvx):
         check_positions((a, b), len(A.elements))
@@ -261,12 +267,9 @@ def combine_many(A, weights, points):
         raise DomainError(f"{len(weights)} weights for {len(points)} points")
     support = [(w, p) for w, p in zip(weights, points) if w]
     if isinstance(A, GeomCvx):
-        pts = [tuple(rat(x) for x in p) for _, p in support]
-        for p in pts:
-            A.require_member(p)
         # sum_i (w_i / W) (P_i / Q) over integer numerators w_i and P_i
         wnum = [w for w, _ in support]
-        rows, Q = int_rows(pts)
+        rows, Q = int_rows([A.require_member(p) for _, p in support])
         return tuple(Fraction(sum(w * x for w, x in zip(wnum, column)), W * Q)
                      for column in zip(*rows))
     if isinstance(A, SemiCvx):
@@ -538,12 +541,9 @@ def affine_semi_to_interval_maps(A: SemiCvx, values) -> list[SemiToI]:
 
 def separate_points(A: GeomCvx, a, b) -> HalfspaceSplit:
     """A halfspace split containing b on its closed side but not a."""
-    a = tuple(rat(x) for x in a)
-    b = tuple(rat(x) for x in b)
+    a, b = A.require_member(a), A.require_member(b)
     if a == b:
         raise DomainError("cannot separate a point from itself")
-    A.require_member(a)
-    A.require_member(b)
     c = tuple(y - x for x, y in zip(a, b))
     t = sum(ci * y for ci, y in zip(c, b))
     return HalfspaceSplit(A, c, t)
@@ -564,15 +564,14 @@ def injectivity_check(A):
     semilattice maps are the affine maps with values 0, 1/2 and 1.
     """
     if isinstance(A, GeomCvx):
+        points = labels = A.generators
         fns = geom_spanning_functionals(A)
-        for a, b in itertools.combinations(A.generators, 2):
-            if all(m.apply(a) == m.apply(b) for m in fns):
-                return False, (a, b)
-        return True, None
-    fns = affine_semi_to_interval_maps(A, (ZERO, Fraction(1, 2), ONE))
-    for a, b in itertools.combinations(range(len(A.elements)), 2):
-        if all(m.apply(a) == m.apply(b) for m in fns):
-            return False, (A.elements[a], A.elements[b])
+    else:
+        points, labels = range(len(A.elements)), A.elements
+        fns = affine_semi_to_interval_maps(A, (ZERO, Fraction(1, 2), ONE))
+    for i, j in itertools.combinations(range(len(points)), 2):
+        if all(m.apply(points[i]) == m.apply(points[j]) for m in fns):
+            return False, (labels[i], labels[j])
     return True, None
 
 

@@ -164,7 +164,9 @@ class DistOverDists:
 
     The carrier is the support itself with the powerset sigma-algebra.
     Weight `wnum[i]` over `wden` belongs to `support[i]`, in the reduced
-    integer form of `FinDist`, so equal distributions have equal fields.
+    integer form of `FinDist`, and every constructor lists the support in
+    the order of the measures' `mass` tuples, so equal distributions have
+    equal fields.
     """
 
     base: FinMeasSpace
@@ -182,13 +184,10 @@ class DistOverDists:
         if len(set(support)) != len(support):
             raise DomainError("support elements must be distinct")
         weights, den = prob_row(weights, den, "weights", positive=True)
-        for q in support:
-            # the support usually shares the base object itself, and the
-            # identity test skips the field-by-field comparison
-            if q.space is not base and q.space != base:
-                raise DomainError("mixed base spaces in support")
-        self.__dict__.update(base=base, support=support, wnum=weights,
-                             wden=den)
+        # frozen: `of` checks the base of each measure, and the fields of
+        # its result, in mass order, go in in one step
+        self.__dict__.update(
+            DistOverDists.of(base, zip(weights, support), den).__dict__)
 
     @cached_property
     def weights(self) -> tuple[Fraction, ...]:
@@ -215,8 +214,7 @@ class DistOverDists:
         for q in acc:
             if q.space is not base and q.space != base:
                 raise DomainError("mixed base spaces in support")
-        support = _by_mass(acc)
-        return _dist_over_dists(base, support, [acc[q] for q in support], den)
+        return _merged(base, acc, den)
 
     def describe(self) -> str:
         parts = [f"{rat_str(w)}@{q.describe()}"
@@ -234,6 +232,14 @@ def _dist_over_dists(base: FinMeasSpace, support: tuple[FinDist, ...],
     fields["base"], fields["support"] = base, support
     fields["wnum"], fields["wden"] = reduce_row(wnum, wden)
     return PP
+
+
+def _merged(base: FinMeasSpace, acc: dict[FinDist, int],
+            den: int) -> DistOverDists:
+    """Weight `acc[q]` over `den` on each measure q on `base`, valid by
+    construction, with the support in mass order: the one merge step."""
+    support = _by_mass(acc)
+    return _dist_over_dists(base, support, [acc[q] for q in support], den)
 
 
 def _is_negative(w) -> bool:
@@ -309,9 +315,8 @@ def unit_outer(P: FinDist) -> DistOverDists:
 def map_unit(P: FinDist) -> DistOverDists:
     """Push P forward along x -> dirac(x); constant on atoms, so the
     resulting support is one dirac per atom with positive mass."""
-    acc = {atom_dirac(P.space, k): n for k, n in enumerate(P.num) if n}
-    support = _by_mass(acc)
-    return _dist_over_dists(P.space, support, [acc[q] for q in support], P.den)
+    return _merged(P.space, {atom_dirac(P.space, k): n
+                             for k, n in enumerate(P.num) if n}, P.den)
 
 
 def push_outer(f: MeasFn, PP: DistOverDists) -> DistOverDists:
@@ -348,9 +353,7 @@ def flatten_outer(PPP: ThreeLevel, den: int | None = None) -> DistOverDists:
         outer, den = int_row([rat(w) for w, _ in PPP])
         PPP = [(a, PP) for a, (_, PP) in zip(outer, PPP)]
     base = PPP[0][1].base
-    D = 1
-    for _, PP in PPP:
-        D = lcm(D, PP.wden)
+    D = lcm(*[PP.wden for _, PP in PPP])
     acc: dict[FinDist, int] = {}
     get = acc.get
     total = 0
@@ -365,8 +368,7 @@ def flatten_outer(PPP: ThreeLevel, den: int | None = None) -> DistOverDists:
             for q, v in zip(PP.support, PP.wnum):
                 acc[q] = get(q, 0) + scale * v
     _check_total(total, den)
-    support = _by_mass(acc)
-    return _dist_over_dists(base, support, [acc[q] for q in support], den * D)
+    return _merged(base, acc, den * D)
 
 
 def map_mu(PPP: ThreeLevel, mu_fn=mu,
@@ -429,46 +431,44 @@ class WAFunctional:
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
-    def values(self, m) -> tuple[list[int], int]:
-        """m at the points, as integer numerators over one denominator."""
-        return int_row([rat(m(a)) for a in self.points])
-
-    def apply(self, m) -> Fraction:
-        vs, vden = self.values(m)
-        return Fraction(sum(w * v for w, v in zip(self.num, vs)),
-                        self.den * vden)
+    def apply(self, mask: int) -> Fraction:
+        """The value on the indicator of the int `mask`, 1 at position a
+        when bit a is set: the weight of the points whose bit is set."""
+        return Fraction(sum([w for a, w in zip(self.points, self.num)
+                             if mask >> a & 1]), self.den)
 
 
-def wa_check(F: WAFunctional, endos, test_fns):
+def wa_check(F: WAFunctional, endos, masks):
     """Verify that the constants 0, 1/2 and 1 map to themselves, and
     scaling equivariance.
 
-    For each interval endomorphism <s,t> and test function m the identity
-    F(s*m + t) = s*F(m) + t must hold exactly.  Returns (True, None) or
-    (False, failures), one entry per failing identity in check order.
+    For each interval endomorphism <s,t> and the indicator m of each
+    mask the identity F(s*m + t) = s*F(m) + t must hold exactly.  Returns
+    (True, None) or (False, failures), one entry per failing identity in
+    check order.
     """
     failures = []
+    ws, wden = F.num, F.den
+    # F(c) = c * sum_i w_i / wden, read off F's own integer weights
     for c in (ZERO, Fraction(1, 2), ONE):
-        got = F.apply(lambda _a, c=c: c)
+        got = c * Fraction(sum(ws), wden)
         if got != c:
             failures.append({"law": "constant", "value": rat_str(c),
                              "passed": False, "got": rat_str(got)})
-    ws, wden = F.num, F.den
-    values = [F.values(m) for m in test_fns]
-    # each average F(m) = sum_i w_i v_i once, over wden * vden
-    averages = [sum([w * v for w, v in zip(ws, vs)]) for vs, _ in values]
+    # each indicator at the term points, and its average F(m) = sum_i w_i
+    # m_i over wden, once
+    values = [[m >> a & 1 for a in F.points] for m in masks]
+    averages = [sum([w * v for w, v in zip(ws, vs)]) for vs in values]
     for e in endos:
-        # s = p/q and t = r/u; with m = v/vden at the term points, both
-        # sides are numerators over wden * q * u * vden
+        # s = p/q and t = r/u: both sides are numerators over wden * q * u
         p, q = e.s.numerator, e.s.denominator
         r, u = e.t.numerator, e.t.denominator
         pu, rq = p * u, r * q
-        for i, ((vs, vden), avg) in enumerate(zip(values, averages)):
-            shift = rq * vden
+        for i, (vs, avg) in enumerate(zip(values, averages)):
             # F(s*m + t): transform pointwise, then average
-            lhs = sum([w * (pu * v + shift) for w, v in zip(ws, vs)])
+            lhs = sum([w * (pu * v + rq) for w, v in zip(ws, vs)])
             # s*F(m) + t: average, then transform
-            rhs = pu * avg + shift * wden
+            rhs = pu * avg + rq * wden
             if lhs != rhs:
                 failures.append({"law": "equivariance",
                                  "endo": (rat_str(e.s), rat_str(e.t)),
@@ -511,21 +511,24 @@ def grid_dists(X: FinMeasSpace) -> list[FinDist]:
             if sum(combo) == den]
 
 
-def grid_weightings(n: int) -> list[tuple[Fraction, ...]]:
-    """Strictly positive grid weight vectors of length n summing to one."""
-    pos = [g for g in DEFAULT_GRID if g > 0]
-    return [c for c in itertools.product(pos, repeat=n) if sum(c, ZERO) == ONE]
+def grid_weightings(n: int) -> tuple[list[tuple[int, ...]], int]:
+    """Strictly positive grid weight vectors of length n summing to one,
+    as integer rows over the one denominator of DEFAULT_GRID."""
+    nums, den = int_row(DEFAULT_GRID)
+    pos = [g for g in nums if g]
+    return [c for c in itertools.product(pos, repeat=n) if sum(c) == den], den
 
 
 def two_level_dists(X: FinMeasSpace, max_support: int = 3) -> list[DistOverDists]:
     """All grid-weighted distributions over grid measures on X, with
-    support size up to `max_support`."""
+    support size up to `max_support`; each support is in mass order, as
+    `grid_dists` lists the measures."""
     inner = grid_dists(X)
     out = []
     for size in range(1, max_support + 1):
-        weightings = [int_row(ws) for ws in grid_weightings(size)]
+        weightings, den = grid_weightings(size)
         for support in itertools.combinations(inner, size):
-            for ws, den in weightings:
+            for ws in weightings:
                 out.append(_dist_over_dists(X, support, ws, den))
     return out
 
@@ -613,9 +616,7 @@ def monad_law_report(X: FinMeasSpace, max_support: int = 3,
     # sums are the digits of the two keys, base G * L + 1 and base G + 1:
     # the digits of a side sum to G * L or to G, so none carries, and equal
     # keys are exactly equal sides
-    pair_weights = grid_weightings(2)
-    G = lcm(*(w.denominator for ws in pair_weights for w in ws))
-    pair_weights = [(int(wa * G), int(wb * G)) for wa, wb in pair_weights]
+    pair_weights, G = grid_weightings(2)
     outer_base = G * L + 1
     outer_digits = [sum(w * outer_base ** p for p, w in pairs)
                     for pairs in terms[:25]]

@@ -140,6 +140,8 @@ class StepFn:
         """Build a canonical StepFn, merging adjacent pieces of equal value."""
         bps = [rat(b) for b in breakpoints]
         vals = [rat(v) for v in values]
+        if len(vals) != len(bps) - 1:
+            raise DomainError("need exactly one value per piece")
         merged_b = [bps[0]]
         merged_v = []
         for i, v in enumerate(vals):

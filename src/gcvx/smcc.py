@@ -146,6 +146,8 @@ def curry(f: MeasFn, X: FinMeasSpace, Z: FinMeasSpace, Y: FinMeasSpace) -> MeasF
     """Transpose a map on the tensor of X and Z into a map Z -> Y^X."""
     if f.dom != product_space(X, Z):
         raise DomainError("map is not defined on the tensor of X and Z")
+    if f.cod != Y:
+        raise DomainError("map does not land in Y")
     F = function_space(X, Y)
     g = curry_positions(f.image, F, len(Z.points))
     if None in g:

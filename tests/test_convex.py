@@ -322,6 +322,37 @@ def test_affine_forms_reject_entries_that_are_not_rationals(entry, value):
         AFFINE_FORM_ENTRIES[entry](NOT_RATIONAL[value])
 
 
+@pytest.mark.parametrize("build", [
+    lambda: cvx.GeomCvx(-2, ()),
+    lambda: cvx.GeomCvx(1.5, ()),
+    lambda: cvx.GeomCvx(True, ((1,),)),
+    lambda: cvx.GeomCvx.of(2.7, [(0, 0)]),
+    lambda: cvx.GeomCvx.of(True, [(1,)]),
+], ids=["negative", "float", "bool", "of-float", "of-bool"])
+def test_geomcvx_dimension_is_an_int_at_least_zero(build):
+    # `of` read the dimension through int(), so 2.7 became 2 and True 1
+    with pytest.raises(DomainError, match="dimension"):
+        build()
+
+
+def test_a_point_is_read_by_one_rule():
+    # every entry that takes a point of a polytope reads it as
+    # require_member does, "p/q" strings included, with one error for a
+    # point of another dimension
+    sq = square()
+    assert sq.require_member(("1/2", 1)) == (HALF, ONE)
+    assert cvx.convex_combine(sq, ("0", 0), (1, "1"), HALF) == (HALF, HALF)
+    assert cvx.combine_many(sq, (HALF, HALF), [("1/2", 0), (0, 0)]) == \
+        (Fraction(1, 4), ZERO)
+    entries = [sq.require_member, lambda p: cvx.hull_member(sq, p),
+               lambda p: cvx.convex_combine(sq, p, (0, 0), HALF),
+               lambda p: cvx.combine_many(sq, (1,), [p]),
+               lambda p: cvx.separate_points(sq, p, (0, 0))]
+    for entry in entries:
+        with pytest.raises(DomainError, match="^point dimension mismatch$"):
+            entry((0, 0, 0))
+
+
 def test_geomcvx_of_rejects_bool_coordinates():
     # True and False read as 1 and 0 built the unit interval
     with pytest.raises(DomainError):

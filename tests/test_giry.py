@@ -629,8 +629,45 @@ def test_dist_over_dists_integer_form_is_canonical():
     QQ = DistOverDists(X, (P, Q), (3, 9), 12)  # not reduced
     assert PP == QQ
     assert hash(PP) == hash(QQ)
-    assert PP.weights == QQ.weights == (QUARTER, Fraction(3, 4))
-    assert (QQ.wnum, QQ.wden) == ((1, 3), 4)
+    # the support goes in mass order: Q's (1/2, 1/2) before P's (1, 0)
+    assert PP.support == QQ.support == (Q, P)
+    assert PP.weights == QQ.weights == (Fraction(3, 4), QUARTER)
+    assert (QQ.wnum, QQ.wden) == ((3, 1), 4)
+
+
+def test_every_constructor_lists_the_support_in_mass_order():
+    # one distribution, its support listed in every order, built by the
+    # checked constructor, by `of`, by a one-term flatten_outer and by
+    # map_mu over the units of its measures: all one value, in one form
+    rng = random.Random(33)
+    for X in small_spaces():
+        dists = grid_dists(X)
+        for _ in range(4):
+            support = rng.sample(dists, min(len(dists), rng.randrange(1, 4)))
+            weights = [rng.randrange(1, 6) for _ in support]
+            den = sum(weights)
+            built = []
+            for order in itertools.permutations(range(len(support))):
+                qs = [support[i] for i in order]
+                ws = [weights[i] for i in order]
+                PP = DistOverDists(X, qs, ws, den)
+                built += [PP, DistOverDists.of(X, zip(ws, qs), den),
+                          flatten_outer(((1, PP),), den=1),
+                          map_mu(tuple((w, unit_outer(q))
+                                       for w, q in zip(ws, qs)), den=den)]
+            first = built[0]
+            assert first.support == tuple(sorted(support,
+                                                 key=lambda q: q.mass))
+            for PP in built:
+                assert PP == first and hash(PP) == hash(first)
+                assert (PP.support, PP.wnum, PP.wden) == \
+                    (first.support, first.wnum, first.wden)
+    # the grid family builds its supports in mass order directly
+    family = [PP for X in small_spaces() for PP in two_level_dists(X)]
+    assert len(family) == 1958
+    for PP in family:
+        assert PP == DistOverDists.of(PP.base, zip(PP.wnum, PP.support),
+                                      PP.wden)
 
 
 def test_dist_over_dists_integer_form_validation():
@@ -751,10 +788,12 @@ def test_associativity_keys_are_exact(monkeypatch):
     # triple's side, and one that split a side would build it twice
     X = disc(3)
     prefix = two_level_dists(X, 2)[:25]
+    pair_weights, G = grid_weightings(2)
+    assert G == 4
     triples = [((ONE, PP),) for PP in prefix] + [
-        ((wa, PPa), (wb, PPb))
+        ((Fraction(wa, G), PPa), (Fraction(wb, G), PPb))
         for PPa, PPb in itertools.combinations(prefix, 2)
-        for wa, wb in grid_weightings(2)]
+        for wa, wb in pair_weights]
     assert len(triples) == 925
     tag_of, input_of = {}, {}
 
@@ -867,8 +906,8 @@ def test_mix_dists_rejects_weights_outside_the_unit_interval(alpha):
 def test_wa_functional_constants_and_equivariance():
     F = giry.WAFunctional((0, 1), (1, 1), 2)
     endos = [EndoI.of(HALF, QUARTER), EndoI.of(-HALF, Fraction(3, 4))]
-    fns = [lambda a: ONE if a == 1 else ZERO]
-    assert wa_check(F, endos, fns) == (True, None)
+    # the indicator of {1}
+    assert wa_check(F, endos, [0b10]) == (True, None)
 
 
 def test_wa_check_detects_unnormalized_weights():
@@ -879,8 +918,7 @@ def test_wa_check_detects_unnormalized_weights():
     object.__setattr__(bad, "den", 4)
     endos = [EndoI.of(s, t) for s, t in ((1, 0), (HALF, 0), (HALF, QUARTER),
                                          (-HALF, Fraction(3, 4)), (0, HALF))]
-    fns = [lambda a: ONE if a == 1 else ZERO]
-    ok, failures = wa_check(bad, endos, fns)
+    ok, failures = wa_check(bad, endos, [0b10])
     assert not ok
     # weights summing to 3/4 scale every nonzero constant by 3/4, and
     # F(s*m + t) = s*F(m) + 3t/4, so every endomorphism with t != 0 fails
@@ -904,5 +942,4 @@ def test_measure_functional_roundtrip():
     assert (F.points, F.num, F.den) == ((0, 1), (1, 3), 4)
     assert functional_to_measure(F, space) == P
     # the functional evaluates indicators to the measure of the set
-    chi_b = lambda x: ONE if x == 1 else ZERO
-    assert F.apply(chi_b) == Fraction(3, 4)
+    assert F.apply(0b10) == Fraction(3, 4)  # the indicator of {b}

@@ -47,6 +47,16 @@ def test_stepfn_validation():
         StepFn((ZERO, ONE), (Fraction(3, 2),), ZERO)  # value outside [0,1]
 
 
+@pytest.mark.parametrize("breakpoints, values", [
+    ((0, 1), (0, 1)),  # two values for one piece
+    ((), ()),  # no breakpoints at all
+    ((0, "1/2", 1), (1,)),  # one value for two pieces
+])
+def test_stepfn_of_needs_one_value_per_piece(breakpoints, values):
+    with pytest.raises(DomainError, match="need exactly one value per piece"):
+        StepFn.of(breakpoints, values, 0)
+
+
 def test_stepfn_of_merges_equal_adjacent_pieces():
     f = StepFn.of((0, "1/4", "1/2", 1), ("1/3", "1/3", 0), 0)
     assert f.breakpoints == (ZERO, Fraction(1, 2), ONE)

@@ -207,6 +207,17 @@ def test_curry_rejects_a_map_off_the_tensor():
         smcc.curry(MeasFn(W, Y, (0, 1, 0, 1)), X, Z, Y)
 
 
+def test_curry_rejects_a_map_into_another_space():
+    # a map into a 2-point space that is not Y used to be read as a map
+    # into Y, its positions taken as Y's
+    X, Z = two_discrete(), FinMeasSpace.discrete(("u", "v"))
+    Y = FinMeasSpace.discrete(("0", "1"))
+    V = FinMeasSpace.trivial(("u", "v"))
+    f = MeasFn(smcc.product_space(X, Z), V, (0, 1, 0, 1))
+    with pytest.raises(DomainError, match="does not land in Y"):
+        smcc.curry(f, X, Z, Y)
+
+
 def test_labels_stay_distinct_when_names_hold_delimiters():
     # (a, "b,c") and ("a,b", c) would both read "(a,b,c)" unquoted
     X = FinMeasSpace.discrete(("a", "a,b"))

@@ -441,7 +441,7 @@ def test_three_level_weights_stay_integers(monkeypatch):
     counted(FinMeasSpace, "subset_names", "subset_names")
     rep = run_suite("giry-monad", {"maxPoints": 3, "maxSupport": 2})
     assert rep.ok and rep.instances == 16148
-    assert calls == {"int_row": 521, "subset_names": 176}
+    assert calls == {"int_row": 513, "subset_names": 176}
 
 
 @pytest.mark.parametrize("name, config, checked", [

@@ -10,6 +10,9 @@ A point is its position, and its name is only a label: no library code
 looks a point up by name.  A position is checked by one rule,
 `kernel.check_positions`, and no module keeps a copy of it.
 
+A distribution over distributions lists its support in mass order, and
+one merge step, `giry._merged`, is the only code that sorts a support.
+
 A law check returns `(ok, witness)`, with `(True, None)` for a pass: no
 library code puts a verdict into a dict, apart from the few dicts whose
 format is fixed from outside (`VERDICT_DICTS_KEPT`).
@@ -107,6 +110,29 @@ def test_positions_are_checked_by_one_rule():
     assert list(copies) == ["kernel.py"]
     assert [line.split(": ")[1] for line in copies["kernel.py"]] == \
         ["def check_positions"]
+
+
+def _uses(tree, name: str) -> list[str]:
+    """The innermost function or method around every use of `name`,
+    called or passed on."""
+    found = []
+
+    def visit(node, function):
+        if isinstance(node, ast.FunctionDef):
+            function = node.name
+        elif getattr(node, "id", getattr(node, "attr", None)) == name:
+            found.append(function)
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(tree, None)
+    return found
+
+
+def test_supports_are_sorted_by_one_merge_step():
+    users = {path.stem: found for path in sorted(SRC.glob("*.py"))
+             if (found := _uses(ast.parse(path.read_text()), "_by_mass"))}
+    assert users == {"giry": ["_merged"]}
 
 
 VERDICT_KEYS = {"passed", "injective", "entries"}
