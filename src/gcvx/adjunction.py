@@ -21,11 +21,11 @@ from .convex import (
     SemiCvx,
     all_boolean_subobjects,
     combine_many,
+    free_convex,
 )
 from .giry import (
     DistOverDists,
     FinDist,
-    P_as_convex,
     atom_dirac,
     grid_dists,
     map_unit,
@@ -33,7 +33,8 @@ from .giry import (
     mu,
     pushforward,
 )
-from .kernel import DomainError, ONE, ZERO, int_row, int_rows, rat, rat_str
+from .kernel import (DomainError, ONE, ZERO, check_unit, int_row, int_rows,
+                     rat, rat_str)
 from .measurable import FinMeasSpace, MeasFn, generate_sigma
 from .reports import LawReport
 
@@ -119,7 +120,7 @@ def triangle_check(X: FinMeasSpace, semilattices=()) -> LawReport:
 def mu_matches_counit(X: FinMeasSpace, PP: DistOverDists) -> bool:
     """The multiplication agrees with the barycenter counit on the
     simplex of measures."""
-    simplex = P_as_convex(X)
+    simplex = free_convex(len(X.atoms))  # one coordinate per atom
     bary = counit(simplex, [(w, q.mass) for q, w in zip(PP.support, PP.weights)])
     return FinDist(X, tuple(bary)) == mu(PP)
 
@@ -136,15 +137,12 @@ def telescope(coefficients, blocks):
     pairs (weight, set) have nonnegative weights summing to exactly one,
     ending with the weight on the empty set.
     """
-    coeffs = [rat(c) for c in coefficients]
+    coeffs = [check_unit(rat(c), "coefficient") for c in coefficients]
     sets = [frozenset(b) for b in blocks]
     if len(coeffs) != len(sets) or not coeffs:
         raise DomainError("need one coefficient per block")
     if any(c2 < c1 for c1, c2 in zip(coeffs, coeffs[1:])):
         raise DomainError("coefficients must be sorted ascending")
-    for c in coeffs:
-        if not (ZERO <= c <= ONE):
-            raise DomainError("coefficients must lie in [0, 1]")
     for s1, s2 in itertools.combinations(sets, 2):
         if s1 & s2:
             raise DomainError("blocks must be pairwise disjoint")
@@ -175,12 +173,13 @@ def eval_hull_identity(A: GeomCvx, weights, points, spanning_fns) -> dict:
     benchmark's polytope workload reads both keys.  With the weights as
     w_i / W, and the points P_i and the combination C over one common
     denominator Q, each functional m compares two integers:
-    sum_i w_i m(P_i / Q) and W m(C / Q), both scaled by m's apply_num."""
+    sum_i w_i m(P_i / Q) and W m(C / Q), both scaled by m's apply_num.
+    As in `combine_many`, a point of weight zero is not read."""
     weights = [rat(w) for w in weights]
     combined = combine_many(A, weights, points)
-    wnum, W = int_row(weights)
-    pts = [tuple(rat(x) for x in p) for _, p in zip(weights, points)]
-    (*rows, C), Q = int_rows([*pts, combined])
+    support = [(w, A.require_member(p)) for w, p in zip(weights, points) if w]
+    wnum, W = int_row([w for w, _ in support])
+    (*rows, C), Q = int_rows([*(p for _, p in support), combined])
     passed = all(
         sum(w * m.apply_num(P, Q) for w, P in zip(wnum, rows))
         == W * m.apply_num(C, Q) for m in spanning_fns)

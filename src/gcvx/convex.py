@@ -18,7 +18,7 @@ from math import lcm
 
 from . import exactlp
 from .kernel import (CapacityError, DomainError, ONE, ZERO, check_positions,
-                     int_row, int_rows, prob_row, rat, rat_str)
+                     check_unit, int_row, int_rows, prob_row, rat, rat_str)
 from .measurable import names_of
 
 Point = tuple[Fraction, ...]
@@ -129,13 +129,12 @@ def _sparse_row(c, t) -> tuple[tuple[tuple[int, int], ...], int, int]:
     return tuple((i, n) for i, n in enumerate(nums[:-1]) if n), nums[-1], den
 
 
-def _sparse_dot(terms, p, dim: int) -> tuple[int, int]:
-    """sum(n * p[i] for (i, n) in terms) as (numerator, denominator) for
-    a point p of Q^dim; only the coordinates under terms are multiplied."""
-    p = _coords(p, dim)
-    q = lcm(*(p[i].denominator for i, _ in terms))
-    return sum(n * p[i].numerator * (q // p[i].denominator)
-               for i, n in terms), q
+def _form_num(row, P, Q: int) -> int:
+    """A `_sparse_row` form at the point P / Q times its denominator and Q,
+    for integer numerators P over a positive Q: values over one Q compare
+    as integers."""
+    terms, t_num, _ = row
+    return sum(n * P[i] for i, n in terms) + t_num * Q
 
 
 @dataclass(frozen=True)
@@ -196,10 +195,8 @@ def free_convex(n: int) -> GeomCvx:
     """Free convex space on n generators: the standard simplex in Q^n."""
     if n < 0:
         raise DomainError("n must be nonnegative")
-    gens = []
-    for i in range(n):
-        gens.append(tuple(ONE if j == i else ZERO for j in range(n)))
-    return GeomCvx.of(n, gens)
+    return GeomCvx.of(n, [tuple(ONE if j == i else ZERO for j in range(n))
+                          for i in range(n)])
 
 
 def unit_interval() -> GeomCvx:
@@ -240,14 +237,16 @@ def hull_member(A: GeomCvx, p):
     return False, (tuple(y[:A.dim]), -y[A.dim])
 
 
+def _mix(x: Point, y: Point, alpha: Fraction) -> Point:
+    """(1 - alpha) x + alpha y, coordinate by coordinate."""
+    return tuple((ONE - alpha) * u + alpha * v for u, v in zip(x, y))
+
+
 def convex_combine(A, a, b, alpha):
     """The binary operation a +_alpha b = (1-alpha) a + alpha b."""
-    alpha = rat(alpha)
-    if not (ZERO <= alpha <= ONE):
-        raise DomainError(f"weight {alpha} outside [0, 1]")
+    alpha = check_unit(rat(alpha), "weight")
     if isinstance(A, GeomCvx):
-        a, b = A.require_member(a), A.require_member(b)
-        return tuple((ONE - alpha) * x + alpha * y for x, y in zip(a, b))
+        return _mix(A.require_member(a), A.require_member(b), alpha)
     if isinstance(A, SemiCvx):
         check_positions((a, b), len(A.elements))
         if alpha == ZERO:
@@ -278,41 +277,6 @@ def combine_many(A, weights, points):
 
 
 # ---------------------------------------------------------------------------
-# interval endomorphisms
-
-
-@dataclass(frozen=True)
-class EndoI:
-    """The affine endomorphism alpha -> s*alpha + t of the unit interval."""
-
-    s: Fraction
-    t: Fraction
-
-    def __post_init__(self):
-        if not (-ONE <= self.s <= ONE) or not (ZERO <= self.t <= ONE):
-            raise DomainError("parameters outside the legal region")
-        if not (ZERO <= self.s + self.t <= ONE):
-            raise DomainError("s + t must lie in [0, 1]")
-
-    @classmethod
-    def of(cls, s, t) -> "EndoI":
-        return cls(rat(s), rat(t))
-
-
-def endo_apply(e: EndoI, alpha) -> Fraction:
-    alpha = rat(alpha)
-    if not (ZERO <= alpha <= ONE):
-        raise DomainError(f"argument {alpha} outside [0, 1]")
-    return e.s * alpha + e.t
-
-
-def endo_compose(e1: EndoI, e2: EndoI) -> EndoI:
-    # (e1 . e2)(a) = s1*(s2*a + t2) + t1; closure follows from e1, e2
-    # mapping [0,1] into itself, and is re-validated by the constructor
-    return EndoI(e1.s * e2.s, e1.s * e2.t + e1.t)
-
-
-# ---------------------------------------------------------------------------
 # Boolean subobjects
 
 
@@ -333,14 +297,13 @@ class HalfspaceSplit:
     def __post_init__(self):
         if len(self.normal) != self.space.dim:
             raise DomainError("normal dimension mismatch")
-        object.__setattr__(self, "row",
-                           _sparse_row(self.normal, self.threshold))
+        # the form normal.x - threshold, whose sign is the side
+        terms, t_num, den = _sparse_row(self.normal, self.threshold)
+        object.__setattr__(self, "row", (terms, -t_num, den))
 
     def contains(self, p) -> bool:
-        # normal.p - threshold = (v - t_num q) / (den q) with den, q > 0
-        terms, t_num, _ = self.row
-        v, q = _sparse_dot(terms, p, self.space.dim)
-        return v >= t_num * q
+        P, Q = int_row(_coords(p, self.space.dim))
+        return _form_num(self.row, P, Q) >= 0
 
 
 @dataclass(frozen=True)
@@ -407,15 +370,13 @@ def _probe_both_sides(A: GeomCvx, member):
     probes = list(A.generators)
     for g, h in itertools.combinations(A.generators, 2):
         for alpha in MIX_GRID:
-            probes.append(tuple((ONE - alpha) * x + alpha * y
-                                for x, y in zip(g, h)))
+            probes.append(_mix(g, h, alpha))
     for x, y in itertools.combinations(probes, 2):
         side = member(x)
         if member(y) != side:
             continue
         for alpha in MIX_GRID:
-            z = tuple((ONE - alpha) * u + alpha * v for u, v in zip(x, y))
-            if member(z) != side:
+            if member(_mix(x, y, alpha)) != side:
                 return False, (x, y, alpha)
     return True, None
 
@@ -482,18 +443,25 @@ class GeomToI:
                                   f"{_vec_str(g)}")
 
     def apply(self, p) -> Fraction:
-        terms, t_num, den = self.row
-        v, q = _sparse_dot(terms, p, self.dom.dim)
-        return Fraction(v + t_num * q, den * q)
+        P, Q = int_row(_coords(p, self.dom.dim))
+        return Fraction(_form_num(self.row, P, Q), self.row[2] * Q)
 
     def apply_num(self, P, Q: int) -> int:
         """apply(P / Q) times den * Q, for integer numerators P over a
-        positive Q and den the denominator of row: one scale for every
-        point over Q, so such values compare as integers."""
-        terms, t_num, _ = self.row
+        positive Q and den the denominator of row (see `_form_num`)."""
         if len(P) != self.dom.dim:
             raise DomainError("point dimension mismatch")
-        return sum(n * P[i] for i, n in terms) + t_num * Q
+        return _form_num(self.row, P, Q)
+
+
+def compose(e: GeomToI, m: GeomToI) -> GeomToI:
+    """e after m, the action of End(I) on the maps m: A -> I, built and
+    checked as a `GeomToI` on A: e(x) = s x + t gives (s c).p + s t_m + t.
+    An e whose domain is not `unit_interval()` is a `DomainError`."""
+    if e.dom != unit_interval():
+        raise DomainError("e is not an endomorphism of the unit interval")
+    (s,), t = e.c, e.t
+    return GeomToI(m.dom, tuple(s * x for x in m.c), s * m.t + t)
 
 
 @dataclass(frozen=True)

@@ -51,9 +51,9 @@ from functools import cached_property
 from math import lcm
 from operator import attrgetter
 
-from .convex import MIX_GRID, GeomCvx, SemiCvx, free_convex
-from .kernel import (DomainError, ONE, ZERO, check_positions, int_row,
-                     prob_row, rat, rat_str, reduce_row)
+from .convex import MIX_GRID, SemiCvx
+from .kernel import (DomainError, ONE, ZERO, check_positions, check_unit,
+                     int_row, prob_row, rat, rat_str, reduce_row)
 from .measurable import FinMeasSpace, MeasFn, mask_of
 from .reports import LawReport
 
@@ -386,17 +386,10 @@ def map_mu(PPP: ThreeLevel, mu_fn=mu,
 # measures as a convex space
 
 
-def P_as_convex(X: FinMeasSpace) -> GeomCvx:
-    """The simplex of measures on X, one coordinate per atom."""
-    return free_convex(len(X.atoms))
-
-
 def mix_dists(P: FinDist, Q: FinDist, alpha) -> FinDist:
     """(1 - alpha) P + alpha Q for alpha in [0, 1], over alpha's
     denominator times the lcm of the two measures' denominators."""
-    alpha = rat(alpha)
-    if not ZERO <= alpha <= ONE:
-        raise DomainError("the weight must lie in [0, 1]")
+    alpha = check_unit(rat(alpha), "weight")
     if P.space is not Q.space and P.space != Q.space:
         raise DomainError("cannot mix measures on different spaces")
     a, b = alpha.numerator, alpha.denominator
@@ -442,8 +435,9 @@ def wa_check(F: WAFunctional, endos, masks):
     """Verify that the constants 0, 1/2 and 1 map to themselves, and
     scaling equivariance.
 
-    For each interval endomorphism <s,t> and the indicator m of each
-    mask the identity F(s*m + t) = s*F(m) + t must hold exactly.  Returns
+    For each endomorphism e(x) = s*x + t of the unit interval (a `GeomToI`
+    on `unit_interval()`) and the indicator m of each mask the identity
+    F(e . m) = e(F(m)) must hold exactly.  Returns
     (True, None) or (False, failures), one entry per failing identity in
     check order.
     """
@@ -460,18 +454,18 @@ def wa_check(F: WAFunctional, endos, masks):
     values = [[m >> a & 1 for a in F.points] for m in masks]
     averages = [sum([w * v for w, v in zip(ws, vs)]) for vs in values]
     for e in endos:
-        # s = p/q and t = r/u: both sides are numerators over wden * q * u
-        p, q = e.s.numerator, e.s.denominator
-        r, u = e.t.numerator, e.t.denominator
-        pu, rq = p * u, r * q
+        # s = sn / den and t = tn / den off e's own integer row (no terms
+        # when s = 0): both sides are numerators over wden * den
+        terms, tn, den = e.row
+        sn = terms[0][1] if terms else 0
         for i, (vs, avg) in enumerate(zip(values, averages)):
             # F(s*m + t): transform pointwise, then average
-            lhs = sum([w * (pu * v + rq) for w, v in zip(ws, vs)])
+            lhs = sum([w * (sn * v + tn) for w, v in zip(ws, vs)])
             # s*F(m) + t: average, then transform
-            rhs = pu * avg + rq * wden
+            rhs = sn * avg + tn * wden
             if lhs != rhs:
                 failures.append({"law": "equivariance",
-                                 "endo": (rat_str(e.s), rat_str(e.t)),
+                                 "endo": (rat_str(e.c[0]), rat_str(e.t)),
                                  "fn": i, "passed": False})
     return (False, failures) if failures else (True, None)
 

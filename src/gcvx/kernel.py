@@ -105,6 +105,8 @@ def check_positions(values, n: int) -> None:
 
 
 def check_unit(q: Fraction, name: str = "value") -> Fraction:
+    """q, checked to be a point of the unit interval [0, 1]; the one such
+    rule, so a value outside is the same `DomainError` everywhere."""
     if not (ZERO <= q <= ONE):
         raise DomainError(f"{name} = {q} is outside [0, 1]")
     return q

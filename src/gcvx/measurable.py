@@ -131,9 +131,14 @@ def generate_sigma(points, generators) -> FinMeasSpace:
     for m in masks:
         if m & ~full:
             raise DomainError("generator is not a subset of the carrier")
+    return _space_of_classes(points, [tuple(m >> i & 1 for m in masks)
+                                      for i in range(len(points))])
+
+
+def _space_of_classes(points: tuple[str, ...], keys) -> FinMeasSpace:
+    """The space whose atoms are the classes of points with equal keys."""
     classes: dict[tuple[int, ...], int] = {}
-    for i in range(len(points)):
-        key = tuple(m >> i & 1 for m in masks)
+    for i, key in enumerate(keys):
         classes[key] = classes.get(key, 0) | (1 << i)
     return FinMeasSpace(points, classes.values())
 
@@ -222,10 +227,7 @@ def induced_sigma(points, family) -> FinMeasSpace:
         _check_map(mapping, len(points), len(target.points))
         t_atom = target.point_atom
         keys = [key + (t_atom[j],) for key, j in zip(keys, mapping)]
-    classes: dict[tuple[int, ...], int] = {}
-    for i, key in enumerate(keys):
-        classes[key] = classes.get(key, 0) | (1 << i)
-    return FinMeasSpace(points, classes.values())
+    return _space_of_classes(points, keys)
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,7 @@ import itertools
 import json
 from dataclasses import dataclass, field
 
-from .kernel import CapacityError, DomainError, ONE, ZERO, StepFn, rat
+from .kernel import CapacityError, DomainError, ONE, ZERO, StepFn, check_unit, rat
 from .measurable import FinMeasSpace, MeasFn, induced_sigma, join_sigma, measurable_maps
 
 TENSOR_POINT_GUARD = 16
@@ -174,9 +174,7 @@ def down_map(u) -> StepFn:
     the value of the following piece; this differs from the closed
     indicator on a set of measure zero and is invisible to integration.
     """
-    u = rat(u)
-    if not (ZERO <= u <= ONE):
-        raise DomainError("argument must lie in [0, 1]")
+    u = check_unit(rat(u), "argument")
     if u == ONE:
         return StepFn.constant(ONE)
     if u == ZERO:

@@ -16,7 +16,7 @@ from . import convex as cvx
 from . import giry, smcc
 from .convex import MIX_GRID
 from .jsonio import witness_text
-from .kernel import DomainError, ONE, ZERO, rat, rat_str, step_integrate
+from .kernel import DomainError, ONE, ZERO, rat_str, step_integrate
 from .measurable import (FinMeasSpace, enumerate_meas_fns, is_separated,
                          measurable_maps, names_of)
 from .reports import LawReport
@@ -82,7 +82,7 @@ def _suite_adjunction(config) -> LawReport:
     lattices = _semilattices(config["maxSize"])
     # sigma(A) once per semilattice, for every n and the phi round trip
     sigmas = [adj.sigma_functor(A) for A in lattices]
-    endos = [cvx.EndoI.of(s, t)
+    endos = [cvx.GeomToI(cvx.unit_interval(), (s,), t)
              for s, t in ((1, 0), (Fraction(1, 2), 0), (Fraction(1, 2), Fraction(1, 4)),
                           (-Fraction(1, 2), Fraction(3, 4)), (0, Fraction(1, 2)))]
     for n in range(1, config["maxPoints"] + 1):
@@ -205,13 +205,14 @@ def _suite_convex(config) -> LawReport:
             rep.record(half.contains(b) and not half.contains(a),
                        "separation.witness", inst,
                        witness=(half.normal, half.threshold))
+    interval = cvx.unit_interval()
     for s1, t1 in ((1, 0), (-Fraction(1, 2), Fraction(1, 2)), (Fraction(1, 4), Fraction(1, 2))):
         for s2, t2 in ((0, 1), (Fraction(1, 2), 0), (-Fraction(1, 4), Fraction(3, 4))):
-            e1, e2 = cvx.EndoI.of(s1, t1), cvx.EndoI.of(s2, t2)
-            comp = cvx.endo_compose(e1, e2)
-            inst = f"endo-{rat_str(rat(s1))},{rat_str(rat(t1))}-{rat_str(rat(s2))},{rat_str(rat(t2))}"
-            ok = all(cvx.endo_apply(comp, al) ==
-                     cvx.endo_apply(e1, cvx.endo_apply(e2, al))
+            e1 = cvx.GeomToI(interval, (s1,), t1)
+            e2 = cvx.GeomToI(interval, (s2,), t2)
+            comp = cvx.compose(e1, e2)
+            inst = f"endo-{rat_str(s1)},{rat_str(t1)}-{rat_str(s2)},{rat_str(t2)}"
+            ok = all(comp.apply((al,)) == e1.apply((e2.apply((al,)),))
                      for al in giry.DEFAULT_GRID)
             rep.record(ok, "endo.composition", inst)
     return rep

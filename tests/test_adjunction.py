@@ -7,6 +7,7 @@ from gcvx import adjunction as adj
 from gcvx.convex import (
     GeomCvx,
     SemiCvx,
+    combine_many,
     geom_spanning_functionals,
     two_space,
 )
@@ -139,6 +140,18 @@ def test_eval_hull_identity():
     rep = adj.eval_hull_identity(
         sq, (HALF, QUARTER, QUARTER), ((0, 0), (1, 0), (1, 1)), fns)
     assert rep["passed"]
+
+
+def test_eval_hull_identity_does_not_read_points_of_weight_zero():
+    # as in combine_many, an entry of weight zero is skipped unread: one
+    # of the wrong dimension, one that is not rational, one off the hull
+    sq = GeomCvx.of(2, ((0, 0), (1, 0), (0, 1), (1, 1)))
+    fns = geom_spanning_functionals(sq)
+    for stray in ((5,), ("abc", 0), (2, 2)):
+        weights, points = (HALF, HALF, ZERO), ((0, 0), (1, 1), stray)
+        assert combine_many(sq, weights, points) == (HALF, HALF)
+        assert adj.eval_hull_identity(sq, weights, points, fns) == \
+            {"passed": True, "point": ("1/2", "1/2")}
 
 
 # ---------------------------------------------------------------------------

@@ -159,18 +159,40 @@ def test_combine_many_needs_one_weight_per_point(space):
 # interval endomorphisms
 
 
+def endo(s, t):
+    """x -> s*x + t, an endomorphism of the unit interval."""
+    return cvx.GeomToI(cvx.unit_interval(), (s,), t)
+
+
 def test_endo_region_and_composition():
-    e = cvx.EndoI.of("1/2", "1/4")
-    assert cvx.endo_apply(e, HALF) == HALF
+    e = endo(HALF, Fraction(1, 4))
+    assert e.apply((HALF,)) == HALF
     with pytest.raises(DomainError):
-        cvx.EndoI.of(2, 0)  # leaves [0,1]
+        endo(2, 0)  # leaves [0,1]
     with pytest.raises(DomainError):
-        cvx.EndoI.of("1/2", "3/4")  # s + t > 1
-    e1 = cvx.EndoI.of("-1/2", "3/4")
-    e2 = cvx.EndoI.of("1/2", "1/4")
-    comp = cvx.endo_compose(e1, e2)
+        endo(HALF, Fraction(3, 4))  # s + t > 1
+    e1 = endo(-HALF, Fraction(3, 4))
+    e2 = endo(HALF, Fraction(1, 4))
+    comp = cvx.compose(e1, e2)
     for x in (ZERO, Fraction(1, 3), ONE):
-        assert cvx.endo_apply(comp, x) == cvx.endo_apply(e1, cvx.endo_apply(e2, x))
+        assert comp.apply((x,)) == e1.apply((e2.apply((x,)),))
+
+
+def test_compose_acts_on_every_map_into_the_interval():
+    # e after m on the square, against e applied to m's values by hand:
+    # m(x, y) = (x + y) / 4 + 1/4 and e(v) = 3/4 - v/2
+    sq = square()
+    m = cvx.GeomToI(sq, (Fraction(1, 4), Fraction(1, 4)), Fraction(1, 4))
+    em = cvx.compose(endo(-HALF, Fraction(3, 4)), m)
+    assert em.dom == sq
+    for p in ((0, 0), (1, 0), (1, 1), (HALF, Fraction(1, 3))):
+        v = (p[0] + p[1]) / Fraction(4) + Fraction(1, 4)
+        assert em.apply(p) == Fraction(3, 4) - v / 2
+    # the outer map must be an endomorphism of I, not any map into I
+    with pytest.raises(DomainError, match="unit interval"):
+        cvx.compose(m, endo(HALF, 0))
+    with pytest.raises(DomainError, match="unit interval"):
+        cvx.compose(cvx.GeomToI(cvx.free_convex(1), (HALF,), 0), m)
 
 
 # ---------------------------------------------------------------------------

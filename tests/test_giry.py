@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from gcvx import giry
-from gcvx.convex import EndoI, SemiCvx
+from gcvx.convex import SemiCvx
 from gcvx.giry import (
     DistOverDists,
     FinDist,
@@ -34,6 +34,7 @@ from gcvx.kernel import DomainError, ONE, ZERO
 from gcvx.measurable import FinMeasSpace, MeasFn, enumerate_meas_fns
 from gcvx.reports import LawReport
 from gcvx.suites import all_sigma_spaces, run_suite
+from test_convex import endo
 from test_suites import swapped_mu
 
 HALF = Fraction(1, 2)
@@ -242,6 +243,24 @@ def test_dirac_and_pushforward():
     assert dirac(X, "c") == giry.atom_dirac(X, 2)
     with pytest.raises(DomainError):
         dirac(X, "z")
+
+
+def test_pushforward_adds_each_preimage_onto_four_and_five_atoms():
+    # looked up in gcvx.giry on every call, so a patched library function
+    # is the one checked; the masses 1/21, ..., 6/21 of the points a to f
+    # are added by hand over each codomain atom
+    X = FinMeasSpace.discrete(tuple("abcdef"))
+    P = FinDist(X, [Fraction(k, 21) for k in range(1, 7)])
+    # atoms {u, v}, {w}, {x}, {y}, {z}; a and f land in {u, v}
+    Y = FinMeasSpace(tuple("uvwxyz"), (0b11, 0b100, 0b1000, 0b10000, 0b100000))
+    f = MeasFn(X, Y, (0, 2, 3, 4, 5, 1))
+    assert giry.pushforward(f, P).mass == tuple(
+        Fraction(k, 21) for k in (1 + 6, 2, 3, 4, 5))
+    # four atoms: a, b -> s; c -> t; d -> u; e, f -> v
+    Z = FinMeasSpace.discrete(tuple("stuv"))
+    g = MeasFn(X, Z, (0, 0, 1, 2, 3, 3))
+    assert giry.pushforward(g, P).mass == tuple(
+        Fraction(k, 21) for k in (1 + 2, 3, 4, 5 + 6))
 
 
 def test_space_checks_accept_equal_copies_and_reject_other_spaces():
@@ -550,6 +569,29 @@ def test_flatten_outer_on_middle_levels_of_three_measures():
         {3, 4, 5, 6}
     assert any(len(PPP) > 1 for PPP, _ in cases)
     assert flatten_disagreements(flatten_outer, cases) == 0
+
+
+def test_flatten_outer_weighs_middle_levels_of_three_and_four_measures():
+    # looked up in gcvx.giry on every call, so a patched library function
+    # is the one checked; q weighs the sum over the middle levels of the
+    # outer weight times q's weight there, worked by hand
+    X = disc(2)
+    q1, q2, q3, q4 = (FinDist(X, m) for m in
+                      ((1, 0), (HALF, HALF), (0, 1), (QUARTER, 3 * QUARTER)))
+    PP1 = DistOverDists(X, (q1, q2, q3), (HALF, QUARTER, QUARTER))
+    PP2 = DistOverDists(X, (q2, q4), (Fraction(1, 3), Fraction(2, 3)))
+    expect = {q1: Fraction(6, 36), q2: Fraction(11, 36), q3: Fraction(3, 36),
+              q4: Fraction(16, 36)}
+    for PPP, den in ((((Fraction(1, 3), PP1), (Fraction(2, 3), PP2)), None),
+                     (((1, PP1), (2, PP2)), 3)):
+        got = giry.flatten_outer(PPP, den)
+        assert dict(zip(got.support, got.weights)) == expect
+    PP4 = DistOverDists(X, (q1, q2, q3, q4), (Fraction(1, 10), Fraction(2, 10),
+                                              Fraction(3, 10), Fraction(4, 10)))
+    got = giry.flatten_outer(((ONE, PP4),))
+    assert dict(zip(got.support, got.weights)) == \
+        {q1: Fraction(1, 10), q2: Fraction(2, 10), q3: Fraction(3, 10),
+         q4: Fraction(4, 10)}
 
 
 def test_flatten_outer_wrong_past_two_middle_measures_is_caught():
@@ -905,7 +947,7 @@ def test_mix_dists_rejects_weights_outside_the_unit_interval(alpha):
 
 def test_wa_functional_constants_and_equivariance():
     F = giry.WAFunctional((0, 1), (1, 1), 2)
-    endos = [EndoI.of(HALF, QUARTER), EndoI.of(-HALF, Fraction(3, 4))]
+    endos = [endo(HALF, QUARTER), endo(-HALF, Fraction(3, 4))]
     # the indicator of {1}
     assert wa_check(F, endos, [0b10]) == (True, None)
 
@@ -916,8 +958,8 @@ def test_wa_check_detects_unnormalized_weights():
     object.__setattr__(bad, "points", (0, 1))
     object.__setattr__(bad, "num", (2, 1))
     object.__setattr__(bad, "den", 4)
-    endos = [EndoI.of(s, t) for s, t in ((1, 0), (HALF, 0), (HALF, QUARTER),
-                                         (-HALF, Fraction(3, 4)), (0, HALF))]
+    endos = [endo(s, t) for s, t in ((1, 0), (HALF, 0), (HALF, QUARTER),
+                                     (-HALF, Fraction(3, 4)), (0, HALF))]
     ok, failures = wa_check(bad, endos, [0b10])
     assert not ok
     # weights summing to 3/4 scale every nonzero constant by 3/4, and

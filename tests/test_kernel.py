@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from gcvx import kernel
 from gcvx.convex import SemiCvx, SemiSubset, combine_many, convex_combine
 from gcvx.giry import WAFunctional, functional_to_measure
 from gcvx.kernel import (
@@ -128,6 +129,20 @@ def integral_disagreements(integrate) -> list[int]:
 def test_integral_matches_the_pieces_from_four_to_eight():
     assert {len(f.values) for f in seeded_step_fns()} == set(range(4, 9))
     assert integral_disagreements(step_integrate) == []
+
+
+def test_step_integrate_sums_value_times_width_past_three_pieces():
+    # looked up in gcvx.kernel on every call, so a patched library
+    # function is the one checked; expected values are worked by hand
+    f = StepFn.of([0, "1/5", "2/5", "3/5", "4/5", 1], [1, 0, "1/2", "1/4", 1], 0)
+    assert len(f.values) == 5
+    assert kernel.step_integrate(f) == Fraction(11, 20)  # (1 + 0 + 1/2 + 1/4 + 1) / 5
+    # the staircase of n pieces k/n on [k/n, (k+1)/n): sum_k k / n^2
+    for n in range(4, 10):
+        stairs = StepFn.of([Fraction(k, n) for k in range(n + 1)],
+                           [Fraction(k, n) for k in range(n)], ONE)
+        assert len(stairs.values) == n
+        assert kernel.step_integrate(stairs) == Fraction(n - 1, 2 * n)
 
 
 def test_integral_wrong_past_three_pieces_is_caught():

@@ -8,7 +8,8 @@ tests call is dead surface: delete it, or document it.
 
 A point is its position, and its name is only a label: no library code
 looks a point up by name.  A position is checked by one rule,
-`kernel.check_positions`, and no module keeps a copy of it.
+`kernel.check_positions`, and no module keeps a copy of it.  A point of
+the unit interval is checked by one rule too, `kernel.check_unit`.
 
 A distribution over distributions lists its support in mass order, and
 one merge step, `giry._merged`, is the only code that sorts a support.
@@ -110,6 +111,44 @@ def test_positions_are_checked_by_one_rule():
     assert list(copies) == ["kernel.py"]
     assert [line.split(": ")[1] for line in copies["kernel.py"]] == \
         ["def check_positions"]
+
+
+def _is_bound(node, value: int) -> bool:
+    """Whether node is the literal `value` or its Fraction name, ZERO or
+    ONE."""
+    if isinstance(node, ast.Constant):
+        return node.value == value and node.value.__class__ is int
+    return isinstance(node, ast.Name) and node.id == ("ZERO", "ONE")[value]
+
+
+def _unit_rule_copies(tree) -> list[str]:
+    """The innermost function around every chained test that x lies in
+    [0, 1], written `ZERO <= x <= ONE` or `0 <= x <= 1`, or the same
+    read from the right."""
+    found = []
+
+    def visit(node, function):
+        if isinstance(node, ast.FunctionDef):
+            function = node.name
+        elif isinstance(node, ast.Compare) and len(node.ops) == 2:
+            lo, hi = node.left, node.comparators[1]
+            if all(isinstance(op, ast.GtE) for op in node.ops):
+                lo, hi = hi, lo
+            elif not all(isinstance(op, ast.LtE) for op in node.ops):
+                lo = hi = None
+            if _is_bound(lo, 0) and _is_bound(hi, 1):
+                found.append(function)
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(tree, None)
+    return found
+
+
+def test_a_point_of_the_unit_interval_is_checked_by_one_rule():
+    copies = {path.stem: found for path in sorted(SRC.glob("*.py"))
+              if (found := _unit_rule_copies(ast.parse(path.read_text())))}
+    assert copies == {"kernel": ["check_unit"]}
 
 
 def _uses(tree, name: str) -> list[str]:
