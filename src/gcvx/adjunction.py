@@ -19,6 +19,7 @@ from .convex import (
     MIX_GRID,
     GeomCvx,
     SemiCvx,
+    _coords,
     all_boolean_subobjects,
     combine_many,
     free_convex,
@@ -174,10 +175,12 @@ def eval_hull_identity(A: GeomCvx, weights, points, spanning_fns) -> dict:
     w_i / W, and the points P_i and the combination C over one common
     denominator Q, each functional m compares two integers:
     sum_i w_i m(P_i / Q) and W m(C / Q), both scaled by m's apply_num.
-    As in `combine_many`, a point of weight zero is not read."""
+    As in `combine_many`, a point of weight zero is not read; the points
+    of positive weight are checked to lie in A there, once, and read
+    here by `_coords`."""
     weights = [rat(w) for w in weights]
     combined = combine_many(A, weights, points)
-    support = [(w, A.require_member(p)) for w, p in zip(weights, points) if w]
+    support = [(w, _coords(p, A.dim)) for w, p in zip(weights, points) if w]
     wnum, W = int_row([w for w, _ in support])
     (*rows, C), Q = int_rows([*(p for _, p in support), combined])
     passed = all(

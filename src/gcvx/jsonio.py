@@ -5,7 +5,9 @@ sigma-algebra, written out as the member list (the derived view of the
 atoms); without either it is discrete, and any other key is an error.
 `sigma_text` writes that list straight to JSON text, the same text
 `json.dumps` makes of the nested list: each point name is encoded once,
-and a member costs one table lookup per run of 8 positions.
+and a member costs one table lookup per run of positions, a run being
+as wide as the space has atoms, at most 8, so that no table outgrows
+the member list.
 Rationals in reports and witnesses travel as canonical "p/q" strings.
 """
 
@@ -23,20 +25,24 @@ def sigma_text(X: FinMeasSpace) -> str:
     each the names of its points in carrier order.
 
     The text is `json.dumps` of that nested list, with its default
-    separators.  Names are read in runs of 8 positions: for each run, a
-    table maps every 8-bit piece that occurs in some member to the
-    encoded names it selects, so a member costs one lookup per run and
-    the tables hold at most one entry per member."""
-    names = [json.dumps(p) for p in X.points]
+    separators.  Names are read in runs of min(max(atoms, 1), 8)
+    positions.  Each run's table is built by doubling: from the empty
+    entry, each name of the run is appended to every entry so far, so
+    entry k holds the names of the bits set in k, at one concatenation
+    per entry.  A member costs one lookup per run, and since the width
+    is at most the number of atoms, a table holds at most one entry per
+    member.  Every name carries its leading ", ", cut once per member."""
+    names = [", " + json.dumps(p) for p in X.points]
     members = X.members
+    width = min(max(len(X.atoms), 1), 8)
+    piece = (1 << width) - 1
     texts = [""] * len(members)
-    for s in range(0, len(names), 8):
-        run = names[s:s + 8]
-        table = {piece: ", ".join([p for i, p in enumerate(run) if piece >> i & 1])
-                 for piece in {m >> s & 255 for m in members}}
-        texts = [a + ", " + b if a and b else a or b
-                 for a, b in zip(texts, [table[m >> s & 255] for m in members])]
-    return "[[" + "], [".join(texts) + "]]"
+    for s in range(0, len(names), width):
+        table = [""]
+        for p in names[s:s + width]:
+            table += [t + p for t in table]
+        texts = [a + table[m >> s & piece] for a, m in zip(texts, members)]
+    return "[[" + "], [".join([t[2:] for t in texts]) + "]]"
 
 
 def _names(value) -> list:

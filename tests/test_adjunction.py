@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from gcvx import adjunction as adj
+from gcvx import convex as cvx
 from gcvx.convex import (
     GeomCvx,
     SemiCvx,
@@ -152,6 +153,28 @@ def test_eval_hull_identity_does_not_read_points_of_weight_zero():
         assert combine_many(sq, weights, points) == (HALF, HALF)
         assert adj.eval_hull_identity(sq, weights, points, fns) == \
             {"passed": True, "point": ("1/2", "1/2")}
+
+
+def test_eval_hull_identity_checks_membership_once(monkeypatch):
+    # the midpoint of the square is not a generator, so it takes the hull
+    # LP, once: in combine_many, not again when the identity reads it
+    sq = GeomCvx.of(2, ((0, 0), (1, 0), (0, 1), (1, 1)))
+    fns = geom_spanning_functionals(sq)
+    calls = []
+    real = cvx.hull_member
+
+    def counted(A, p):
+        calls.append(p)
+        return real(A, p)
+
+    monkeypatch.setattr(cvx, "hull_member", counted)
+    assert adj.eval_hull_identity(sq, (ONE,), [("1/2", HALF)], fns) == \
+        {"passed": True, "point": ("1/2", "1/2")}
+    assert calls == [(HALF, HALF)]
+    for weights, points in (((ONE,), [(2, 2)]),
+                            ((HALF, HALF), [(0, 0), (HALF, 2)])):
+        with pytest.raises(DomainError, match="is outside the hull"):
+            adj.eval_hull_identity(sq, weights, points, fns)
 
 
 # ---------------------------------------------------------------------------

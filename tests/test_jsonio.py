@@ -2,6 +2,7 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gcvx import jsonio
 from gcvx.kernel import DomainError
@@ -20,9 +21,9 @@ def space_data(X):
     return {"points": list(X.points), "sigma": json.loads(jsonio.sigma_text(X))}
 
 
-# names are read in runs of 8 positions: no run on the empty carrier, one
-# on every space of up to 4 points, two on a discrete 16-point carrier
-# (65,536 members) and three on a 20-point one whose four atoms
+# names are read in runs as wide as the space has atoms, at most 8: no
+# run on the empty carrier, two of 8 on a discrete 16-point carrier
+# (65,536 members) and five of 4 on a 20-point one whose four atoms
 # interleave across positions 0-19
 POINTS = tuple(f"p{i}" for i in range(20))
 WIDE = [FinMeasSpace.discrete(POINTS[:16]),
@@ -59,6 +60,35 @@ def test_sigma_text_is_json_dumps_of_the_member_list():
     odd = [p for S in ODD for p in S.points]
     assert len(odd) == 11
     assert all(json.dumps(p) != '"' + p + '"' for p in odd)
+
+
+def interleaved(n, k):
+    """n points and k atoms, atom j holding the positions j, j + k, ..."""
+    return FinMeasSpace(POINTS[:n], tuple(sum(1 << i for i in range(j, n, k))
+                                          for j in range(k)))
+
+
+def test_sigma_text_at_every_run_width():
+    # the empty carrier, and 1 to 16 atoms interleaved over 9, 12 and 16
+    # points: every width from 1 to 8, with full last runs (16 points in
+    # runs of 8) and partial ones (9 points in runs of 8)
+    spaces = [FinMeasSpace.discrete(())]
+    spaces += [interleaved(n, k) for n in (9, 12, 16) for k in range(1, n + 1)]
+    assert sorted({len(S.atoms) for S in spaces}) == list(range(17))
+    for S in spaces:
+        assert jsonio.sigma_text(S) == json.dumps(names_reference(S))
+
+
+@settings(deadline=None)  # a 12-block partition lists 4,096 members
+@given(st.lists(st.integers(0, 11), max_size=12))
+def test_sigma_text_on_random_partitions(blocks):
+    # point i lies in block blocks[i]: a random set partition of up to 12
+    # points, its blocks the atoms
+    atoms = {}
+    for i, b in enumerate(blocks):
+        atoms[b] = atoms.get(b, 0) | 1 << i
+    S = FinMeasSpace(POINTS[:len(blocks)], tuple(atoms.values()))
+    assert jsonio.sigma_text(S) == json.dumps(names_reference(S))
 
 
 def test_space_from_generators_and_default_powerset():
